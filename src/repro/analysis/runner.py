@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 from .concurrency_lint import (
     default_async_targets,
     default_lease_targets,
@@ -49,7 +51,7 @@ def _package_root() -> Path:
 
 def analyze_model_plans(names=None, half: bool = True,
                         wedge_spatial: tuple[int, int, int] = SMOKE_WEDGE,
-                        precision: str = "bit",
+                        precision: str = "bit", execute: bool = False,
                         ) -> tuple[list[Diagnostic], list[dict]]:
     """Verify encoder + decoder plans of the zoo models; returns
     ``(diagnostics, verification records)``.
@@ -60,8 +62,10 @@ def analyze_model_plans(names=None, half: bool = True,
     shape.  Decoder inputs are the encoder's *inferred* output — the
     chain is fully static.  Each record additionally carries the plan's
     :meth:`~repro.core.fast_plan.CompiledStagePlan.plan_stats` summary
-    under ``"stats"`` (``analyze --stats`` prints it); GEMM execution
-    entries stay empty here because verification never runs the plan.
+    under ``"stats"`` (``analyze --stats`` prints it).  Verification never
+    runs a plan, so the per-GEMM-site entries (formulation, panels, tail
+    kind, ``staging_bytes``) stay empty unless ``execute`` asks for one
+    all-zero wedge to be pushed through every plan first.
     """
 
     from repro.core import MODEL_NAMES, build_model
@@ -97,11 +101,15 @@ def analyze_model_plans(names=None, half: bool = True,
             in_spatial = (a, -(-h // grid) * grid)
         rec = verify_plan(enc.plan, in_channels, in_spatial,
                           LOG_INPUT_BOUND, label=f"{name}.encoder")
+        dec = make_fast_decoder(model, half=half, precision=precision)
+        if execute:
+            lead = (1,) if hasattr(enc, "spatial") else (1, in_channels)
+            codes = enc.encode(np.zeros(lead + in_spatial, np.float32))
+            dec.decode(codes.astype(np.float32))
         rec["stats"] = enc.plan.plan_stats()
         records.append(rec)
         diags.extend(rec["diagnostic_objects"])
 
-        dec = make_fast_decoder(model, half=half, precision=precision)
         code = rec["out"]
         entry = FP16_MAX if half else rec["out"]["bound"]
         for head, plan in dec.plans.items():
@@ -115,7 +123,7 @@ def analyze_model_plans(names=None, half: bool = True,
 
 def run_analysis(passes=("plan", "hotpath", "concurrency", "api"),
                  extra_sources=(), half: bool = True,
-                 precision: str = "bit",
+                 precision: str = "bit", execute: bool = False,
                  ) -> tuple[AnalysisReport, list[dict]]:
     """Run the selected passes; returns ``(report, plan records)``.
 
@@ -123,7 +131,8 @@ def run_analysis(passes=("plan", "hotpath", "concurrency", "api"),
     concurrency lints — the CI injected-finding fixture uses this to prove
     the gate fails on a fresh finding.  ``precision`` selects the compile
     tier for the plan pass (``"ulp"`` exercises the relaxed-numerics
-    ledger rules PV050–PV052).
+    ledger rules PV050–PV052); ``execute`` also runs every plan once so
+    the records' stats carry the per-GEMM-site execution entries.
     """
 
     root = _package_root()
@@ -132,7 +141,8 @@ def run_analysis(passes=("plan", "hotpath", "concurrency", "api"),
     extra = [Path(p) for p in extra_sources]
     if "plan" in passes:
         plan_diags, records = analyze_model_plans(half=half,
-                                                  precision=precision)
+                                                  precision=precision,
+                                                  execute=execute)
         diags.extend(plan_diags)
     if "hotpath" in passes:
         diags.extend(hotpath_lint_paths(hotpath_targets(root),

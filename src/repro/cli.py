@@ -870,7 +870,8 @@ def _print_plan_stats(rec: dict) -> None:
             print(f"  stats  gemm {key}: {g['formulation']} "
                   f"m={g['m']} K={g['K']} o={g['o']} "
                   f"panels={g['panels']} threads={g['threads']} "
-                  f"max_ulp={g['max_ulp']}")
+                  f"max_ulp={g['max_ulp']} tail={g['tail']} "
+                  f"staging_bytes={g['staging_bytes']}")
     else:
         print("  stats  gemm  (static verification only — no execution)")
     for s in stats.get("ulp_sites", []):
@@ -888,7 +889,8 @@ def _cmd_analyze(args) -> int:
     report, records = run_analysis(passes=passes,
                                    extra_sources=args.extra_source,
                                    half=not args.full,
-                                   precision=args.precision)
+                                   precision=args.precision,
+                                   execute=args.stats)
     baseline = None if args.baseline is None else load_baseline(args.baseline)
     if args.json:
         print(report.to_json(baseline))

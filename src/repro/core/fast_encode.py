@@ -170,7 +170,7 @@ class FastEncoder2D:
             # Entry quantize.  |log2| of any positive float is < 65504, so
             # the clip is the identity and the grid snap is the whole job
             # (one snap pass, then the layout pass to channel-major).
-            q32, _b = self._plan._grid("in", x, LOG_INPUT_BOUND)
+            q32, _b = self._plan._grid(x, LOG_INPUT_BOUND)
             np.copyto(interior[..., :h], q32.transpose(1, 0, 2, 3))
         else:
             np.copyto(interior[..., :h], x.transpose(1, 0, 2, 3))
@@ -264,7 +264,7 @@ class FastEncoder3D:
         if target != h:
             interior[..., h:] = 0
         if self.half:
-            q32, _b = self._plan._grid("in", x, LOG_INPUT_BOUND)
+            q32, _b = self._plan._grid(x, LOG_INPUT_BOUND)
             np.copyto(interior[..., :h], q32[None])
         else:
             np.copyto(interior[..., :h], x[None])

@@ -92,21 +92,65 @@ storage into fp32 math, the ufunc loop is forced to fp32 (``dtype=`` /
 promotion by a typed scalar), so the arithmetic is exactly the module
 path's fp32 arithmetic on the same grid values.
 
-Blocked im2col gathers
-----------------------
+Buffers are leased, not owned per site: canvases and carry streams come
+from a per-geometry round robin (:meth:`CompiledStagePlan._lease` — three
+canvases and two streams of a geometry cover every stage's live set) and all
+panel / snap scratch is carved from one grow-only arena per panel-executor
+slot (:meth:`Workspace.carve`), so the working set is a handful of canvases
+plus cache-sized arenas, whatever the depth of the plan.
 
-At paper-scale geometry the monolithic im2col buffer of a 3D convolution no
-longer fits any cache (hundreds of MB for a ``(16, 192, 256)`` volume), and
-the gather's write traffic dominates the GEMM.  Above
-``_BLOCKED_MIN_BYTES`` the executor therefore tiles the output spatial
-domain into cache-sized panels of whole innermost-axis rows: each panel is
-gathered into a small reusable ``(K, P)`` workspace, multiplied with one
-``(O, K) @ (K, P)`` GEMM, and the bias / saturating-clip / fp16-grid-snap
-epilogue runs on the panel while it is cache-hot.  Only the ``(O, M)``
-result ever touches main memory.  A per-shape calibration probe
-(:func:`_blocked_gemm_matches`) proves the panel GEMMs reproduce the
-module path's per-sample contraction bit for bit before the formulation is
-used — behaviour is never traded for speed.
+Panel epilogue contract
+-----------------------
+
+Every convolution — 2-D or 3-D, ordinary or transposed, any batch — runs
+through one panel routine (:meth:`CompiledStagePlan._panels`).  The output's
+flattened ``(B, *out_spatial)`` grid is cut into panels of whole
+innermost-axis rows and each panel is visited exactly once::
+
+    gather → GEMM → bias → clip → snap → tail
+
+The panel's im2col operand is gathered into the slot's ``(K, P)`` slab, one
+``(O, K) @ (K, P)`` GEMM produces its outputs, and the bias, the saturating
+clip (only where the bound reaches ±65504) and the fp16-grid snap run on the
+``(O, P)`` block while it is cache-hot.  The stage's *tail* then finishes
+the values there and writes them straight into their destination rows: no
+``(O, M)`` staging array and no full-array activation or quantize post-pass
+exists.  Two tails cover the vocabulary:
+
+* the **store tail** (``conv`` / ``conv3d`` / ``convtranspose3d``; the first
+  and the skip convolution of a residual block) — optionally LeakyReLU
+  (→ norm), optionally re-quantize (the activation fused with the *next*
+  convolution's entry quantize), then store into the destination canvas,
+  through the transposed convolution's crop where there is one;
+* the **sum tail** (the last convolution of ``res`` / ``down3d`` /
+  ``upblock3d``) — LeakyReLU (→ norm), the fp32 residual sum with the skip
+  rows into the carry stream, clip + snap, store into the next canvas.
+
+Pass budget, in elementwise passes over one cache-resident ``(O, P)`` block
+(``S`` = one snap: 7 integer passes, 12 when a lane sits in the fp16
+denormal range; ``[c]`` = the clip, present only where the bound saturates;
+each norm adds 4): a plain store costs ``1 + [c] + S + 1``; activation +
+re-quantize ``1 + [c] + S + 2 + [c] + S + 1``; the sum tail
+``1 + [c] + S + 2 + 2 + [c] + S + 1``.  LeakyReLU is ``maximum(x, x·slope)``
+— exact for the compiled slopes ``0 < slope ≤ 1`` — instead of a mask and a
+masked merge.
+
+Above ``_BLOCKED_MIN_BYTES`` of im2col the panels are cache-sized
+(``_PANEL_BYTES`` of gathered operand) and the monolithic im2col buffer
+never materializes; below it the whole result is one panel (one per sample
+in the reference orientation) through the same routine, epilogue and tails.
+Which orientation and panel width reproduce the module path's per-sample
+contraction bit for bit is decided per problem shape by calibration probes
+(:func:`_transposed_gemm_matches`, :func:`_blocked_gemm_matches` and
+friends) before a formulation is used — behaviour is never traded for speed.
+
+A panel is a row range of the flattened output grid, but a padded canvas is
+not uniformly strided across that grid, so gathers and stores address a
+panel as a few index boxes (:func:`_row_boxes`): one in the 2-D
+single-sample case, more where a panel crosses a plane or sample boundary.
+Independent panels fan out over the plan's panel executor — slots own
+private arenas and write disjoint destination rows, so output bits are
+identical at every thread count.
 
 BatchNorm folding
 -----------------
@@ -148,6 +192,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import itertools
 import os
 
 import numpy as np
@@ -200,7 +245,7 @@ _PANEL_BYTES = 1 << 20
 #: explicit ``panel_threads=`` argument on :class:`CompiledStagePlan` (and
 #: everything that forwards to it — the fast wrappers, ``BCAECompressor``,
 #: ``ServiceConfig``) overrides the environment.  Panels write disjoint
-#: column ranges of the result and each thread owns its workspace slabs, so
+#: rows of the destination and each thread owns its scratch arena, so
 #: output bits are identical at every thread count.
 PANEL_THREADS_ENV = "REPRO_PANEL_THREADS"
 
@@ -331,7 +376,12 @@ def grid_steps_at_scale(got, ref, half: bool) -> int:
 
 
 def _leaky_ok(*acts) -> bool:
-    return all(isinstance(a, nn.LeakyReLU) for a in acts)
+    """LeakyReLU with ``0 < slope ≤ 1`` — the range on which the panel
+    tails' merge ``maximum(x, x·slope)`` is the module's ``x·where(x > 0,
+    1, slope)`` lane for lane; any other slope stays on the module path."""
+
+    return all(isinstance(a, nn.LeakyReLU) and 0.0 < a.negative_slope <= 1.0
+               for a in acts)
 
 
 def _bn_compilable(m) -> bool:
@@ -523,6 +573,12 @@ class _ConvSpec:
 
         return self.w_l1 * in_bound + self.bias_max
 
+    def out_spatial(self, padded: tuple[int, ...]) -> tuple[int, ...]:
+        """Output spatial shape over a canvas of (padded) spatial shape."""
+
+        return tuple((p - k) // s + 1
+                     for p, k, s in zip(padded, self.kernel, self.stride))
+
 
 @dataclasses.dataclass
 class _ConvTSpec:
@@ -649,11 +705,7 @@ class _BNSpec:
 
         out = ws.get((key, "bn"), src.shape)
         if not _FUSED_BNORM or src[:1].nbytes <= _BN_BLOCK:
-            np.subtract(src, self._col(self.mean, src.ndim), out=out)
-            np.multiply(out, self._col(self.inv_std, src.ndim), out=out)
-            np.multiply(out, self._col(self.gamma, src.ndim), out=out)
-            np.add(out, self._col(self.beta, src.ndim), out=out)
-            return out
+            return self.chain(src, out)
         mean, inv_std, gamma, beta = self.mean, self.inv_std, self.gamma, self.beta
         n = src.shape[1]
         sp0 = src.shape[2] if src.ndim > 2 else 1
@@ -668,6 +720,16 @@ class _BNSpec:
                     np.multiply(blk, i, out=blk)
                     np.multiply(blk, g, out=blk)
                     np.add(blk, b, out=blk)
+        return out
+
+    def chain(self, src: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The four-ufunc chain, broadcast over a channel-major array
+        (``out`` may be ``src`` — how the panel tails run it in place)."""
+
+        np.subtract(src, self._col(self.mean, src.ndim), out=out)
+        np.multiply(out, self._col(self.inv_std, src.ndim), out=out)
+        np.multiply(out, self._col(self.gamma, src.ndim), out=out)
+        np.add(out, self._col(self.beta, src.ndim), out=out)
         return out
 
     def apply_channels(self, vals: np.ndarray) -> np.ndarray:
@@ -887,13 +949,20 @@ def _fast_snap_ok() -> bool:
         grid = np.arange(65536, dtype=np.uint16).view(np.float16).astype(np.float32)
         finite = grid[np.isfinite(grid)]
         rng = np.random.default_rng(0xF16)
+        pos = finite[finite > 0]
+        # Exact midpoints between adjacent grid points — the
+        # round-half-to-even cases — on both sides of zero.
+        mid = (pos[:-1] + pos[1:]) * np.float32(0.5)
+        # Lanes below the smallest grid step: 2^-25 is the tie that rounds
+        # to (signed) zero, and the cast keeps the sign of -tiny and -0.0.
+        tiny = np.float32(2.0) ** np.arange(-30, -22).astype(np.float32)
+        tiny = np.concatenate([tiny, np.float32(1.5) * tiny, np.float32([0.0])])
         probes = [
             grid,
             np.nextafter(finite, np.float32(np.inf), dtype=np.float32),
             np.nextafter(finite, np.float32(-np.inf), dtype=np.float32),
-            # Exact midpoints between adjacent positive grid points (the
-            # round-half-to-even cases), and a wide random sweep.
-            ((finite[finite > 0][:-1] + finite[finite > 0][1:]) * np.float32(0.5)),
+            mid, -mid, tiny, -tiny,
+            # A wide random sweep.
             (rng.uniform(-1.0, 1.0, 4096).astype(np.float32)
              * np.float32(2.0) ** rng.integers(-30, 17, 4096).astype(np.float32)),
         ]
@@ -912,6 +981,118 @@ def _fast_snap_ok() -> bool:
             np.array_equal(out.view(np.uint32), ref.view(np.uint32))
         )
     return _FAST_SNAP_OK
+
+
+def _scratch(ws: "Workspace", key, shape, *extra):
+    """Scratch of one snap site, carved out of the grow-only arena ``key``.
+
+    Returns ``(scr, extras)``: ``scr = (u, uf, a, mask, d, t, s16)`` is the
+    :func:`_snap_bits` bundle (``uf``, the fp32 view of ``u``, is the snap
+    result), one fp32 temporary ``t`` and the fp16 staging of the cast-pair
+    fallback; ``extras`` are the requested ``(shape, dtype)`` arrays.  An
+    arena serves every site in turn, so its bytes are bounded by the
+    largest request and stay cache-resident from panel to panel.
+    """
+
+    u, a, mask, d, t, s16, *rest = ws.carve(
+        key, (shape, np.uint32), (shape, np.uint32), (shape, np.bool_),
+        (shape, _F32), (shape, _F32), (shape, np.float16), *extra)
+    return (u, u.view(_F32), a, mask, d, t, s16), rest
+
+
+def _snap(src: np.ndarray, scr: tuple) -> np.ndarray:
+    """``quantize_fp16``'s cast pair on ``src`` (``|x| ≤ 65504``): returns
+    ``scr``'s result array holding the values snapped onto the fp16 grid —
+    :func:`_snap_bits` where calibration proved it bit-equal, else (and for
+    non-fp32 input) the two casts themselves."""
+
+    if src.dtype == np.float32 and _fast_snap_ok():
+        return _snap_bits(src, *scr[:5])
+    np.copyto(scr[6], src, casting="unsafe")
+    np.copyto(scr[1], scr[6])
+    return scr[1]
+
+
+def _row_boxes(r0: int, r1: int, dims: tuple[int, ...], j: int = 0) -> list:
+    """Index boxes tiling rows ``[r0, r1)`` of a C-ordered ``dims`` grid.
+
+    Returns ``(j0, j1, idx)`` triples: rows ``j0:j1`` of the range (counted
+    from ``j``) are exactly the box ``idx`` — one int or slice per dim.  A
+    panel of whole innermost rows is a row range of the flattened
+    ``(B, *out_spatial[:-1])`` grid, but a padded canvas is not uniformly
+    strided across it, so a panel that crosses a plane or sample boundary
+    is addressed as at most ``2·len(dims) − 1`` boxes (one for the common
+    2-D single-sample case, one for a whole-result panel).
+    """
+
+    if r0 >= r1:
+        return []
+    if len(dims) == 1:
+        return [(j, j + r1 - r0, (slice(r0, r1),))]
+    s = int(np.prod(dims[1:]))
+
+    def sub(i, a, b, jj):
+        return [(x, y, (i,) + idx) for x, y, idx in _row_boxes(a, b, dims[1:], jj)]
+
+    i0, i1 = -(-r0 // s), r1 // s   # whole leading indices [i0, i1)
+    if i0 > i1:
+        return sub(r0 // s, r0 % s, r1 - r0 // s * s, j)
+    whole = []
+    if i1 > i0:
+        whole = [(j + i0 * s - r0, j + i1 * s - r0,
+                  (slice(i0, i1),) + (slice(None),) * (len(dims) - 1))]
+    return (sub(i0 - 1, r0 - (i0 - 1) * s, s, j) + whole
+            + sub(i1, 0, r1 - i1 * s, j + i1 * s - r0))
+
+
+def _crop_box(idx: tuple, dims, lo, hi):
+    """Map one row box onto a destination that keeps ``[lo, hi)`` per axis.
+
+    ``idx`` indexes ``dims[:-1]`` (the innermost axis is always whole).
+    Returns ``(vshape, vsel, didx)`` — reshape the box's ``(O, rows, ow)``
+    panel rows to ``vshape``, select ``vsel``, and the result is what
+    belongs at ``dest[didx]`` — or None when the box lies outside the crop
+    (a transposed convolution's discarded margin).
+    """
+
+    idx = idx + (slice(None),)
+    spans = [(i, i + 1) if isinstance(i, int) else i.indices(dim)[:2]
+             for i, dim in zip(idx, dims)]
+    cut = [(max(a, l), min(b, h)) for (a, b), l, h in zip(spans, lo, hi)]
+    if any(a >= b for a, b in cut):
+        return None
+    axes = [(s, c, l) for i, s, c, l in zip(idx, spans, cut, lo)
+            if not isinstance(i, int)]
+    return (
+        (-1,) + tuple(b - a for (a, b), _c, _l in axes),
+        (slice(None),) + tuple(slice(a2 - a, b2 - a)
+                               for (a, _b), (a2, b2), _l in axes),
+        (slice(None),) + tuple(
+            a2 - l if isinstance(i, int) else slice(a2 - l, b2 - l)
+            for i, (a2, b2), l in zip(idx, cut, lo)),
+    )
+
+
+def _rows(v: np.ndarray, box: tuple) -> np.ndarray:
+    """The view of channel-major panel values ``v`` that ``box`` stores."""
+
+    j0, j1, vshape, vsel, _didx = box
+    return v[:, j0:j1].reshape(vshape)[vsel]
+
+
+def _panel_map(view: np.ndarray, pre: tuple, r0: int, r1: int, dims, lo, hi):
+    """Box maps of the panel holding output rows ``[r0, r1)``.
+
+    Returns ``(gather, store)``: ``gather`` lists ``(j0, j1, src)`` — panel
+    rows ``j0:j1`` are copied from the window view ``src`` — and ``store``
+    lists ``(j0, j1, vshape, vsel, didx)`` boxes for :func:`_rows` and the
+    destination index (see :func:`_crop_box`; cropped-out boxes dropped).
+    """
+
+    boxes = _row_boxes(r0, r1, dims[:-1])
+    stores = [(j0, j1, _crop_box(idx, dims, lo, hi)) for j0, j1, idx in boxes]
+    return ([(j0, j1, view[pre + idx]) for j0, j1, idx in boxes],
+            [(j0, j1) + box for j0, j1, box in stores if box])
 
 
 #: (n, rows, K, O) → whether the whole-batch transposed GEMM reproduces the
@@ -1159,27 +1340,25 @@ class Workspace:
             self._bufs[key] = buf
         return buf
 
-    def snap_scratch(self, key, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-        """Scratch bundle for one :func:`_snap_bits` call site, one lookup.
+    def carve(self, key, *specs) -> list[np.ndarray]:
+        """One array per ``(shape, dtype)`` spec, packed into arena ``key``.
 
-        Returns ``(u, uf, a, mask, d)`` with ``uf`` the fp32 view of ``u``
-        (the snap result) — the hot path calls this per op per run, so the
-        buffers are cached as a single tuple.
+        The arena is a flat byte buffer that only ever grows to the largest
+        request made under ``key``; every call re-carves it, so the arrays
+        of two calls alias — use one call's arrays before the next call.
         """
 
-        bundle = self._bufs.get(key)
-        if bundle is None or bundle[0].shape != tuple(shape):
-            shape = tuple(shape)
-            u = np.empty(shape, np.uint32)
-            bundle = (
-                u,
-                u.view(np.float32),
-                np.empty(shape, np.uint32),
-                np.empty(shape, np.bool_),
-                np.empty(shape, np.float32),
-            )
-            self._bufs[key] = bundle
-        return bundle
+        nbytes = [int(np.prod(shape)) * np.dtype(dtype).itemsize
+                  for shape, dtype in specs]
+        # Each array starts its own 64-byte slot (cache-line aligned).
+        starts = [0, *itertools.accumulate(-(-b // 64) * 64 for b in nbytes)]
+        buf = self._bufs.get(key)
+        if buf is None or buf.nbytes < starts[-1]:
+            buf = self._bufs[key] = np.empty(starts[-1], np.uint8)
+        return [
+            buf[start:start + b].view(dtype).reshape(shape)
+            for (shape, dtype), b, start in zip(specs, nbytes, starts)
+        ]
 
     def canvas(self, key, c: int, n: int, spatial: tuple[int, ...],
                padding, dtype=np.float32,
@@ -1212,10 +1391,12 @@ class Workspace:
         )]
         return buf, interior
 
-    def nbytes(self) -> int:
+    def nbytes(self, owner=None) -> int:
+        """Bytes held — all of them, or only buffers keyed ``(owner, …)``."""
+
         return sum(
-            sum(a.nbytes for a in b) if isinstance(b, tuple) else b.nbytes
-            for b in self._bufs.values()
+            b.nbytes for k, b in self._bufs.items()
+            if owner is None or (isinstance(k, tuple) and k[0] == owner)
         )
 
 
@@ -1256,7 +1437,7 @@ class CompiledStagePlan:
         panels of one GEMM run concurrently; NumPy releases the GIL inside
         ``np.dot``).  ``None`` reads the ``REPRO_PANEL_THREADS``
         environment knob, default 1 (serial).  Each thread owns its
-        workspace slabs and panels write disjoint output columns, so
+        scratch arena and panels write disjoint destination rows, so
         results are bit-identical at any thread count.
     """
 
@@ -1293,6 +1474,8 @@ class CompiledStagePlan:
         self._panel_executor: concurrent.futures.ThreadPoolExecutor | None = None
         #: Zero-padded ``(O_pad, K)`` weight operands for repacked GEMMs.
         self._wpad: dict = {}
+        #: Per-geometry lease counters of the current :meth:`run`.
+        self._turn: dict = {}
         # Canvases stay fp32 even in half mode: their values are fp16 grid
         # points, but numpy's casting copy of *strided* views is ~7× slower
         # than a same-dtype copy, and the im2col gather reads canvases far
@@ -1486,11 +1669,13 @@ class CompiledStagePlan:
         """Execution summary: what compiled to what, and what ran how.
 
         Returns a plain-dict observability record: per-stage kind counts,
-        BN fold decisions, per-GEMM-site formulation/panel/thread stats (as
-        recorded by the most recent :meth:`run` — empty until a run has
-        happened, since panel counts depend on the batch geometry),
-        ulp-tier engagements, and the workspace footprint.  Printed by
-        ``repro-tpc analyze --stats``.
+        BN fold decisions, per-GEMM-site formulation/panel/thread stats,
+        tail kind and ``staging_bytes`` — workspace bytes keyed to the site,
+        0 since every output is finished inside its panel — (as recorded by
+        the most recent :meth:`run`; empty until a run has happened, since
+        panel counts depend on the batch geometry), ulp-tier engagements,
+        and the workspace footprint.  Printed by ``repro-tpc analyze
+        --stats``.
         """
 
         kind_counts: dict[str, int] = {}
@@ -1507,7 +1692,7 @@ class CompiledStagePlan:
                 "decisions": [dict(d) for d in self.bn_folds],
             },
             "gemms": {
-                repr(k): dict(v)
+                repr(k): dict(v, staging_bytes=self._ws.nbytes(owner=k))
                 for k, v in sorted(self._gemm_stats.items(), key=repr)
             },
             "ulp_sites": [dict(s) for s in self.ulp_sites],
@@ -1549,6 +1734,7 @@ class CompiledStagePlan:
 
         ops = self._ops
         nd = self._nd
+        self._turn.clear()
         result: np.ndarray | None = None
         for i, (kind, op) in enumerate(ops):
             store_spec = _next_store_spec(ops, i, nd)
@@ -1579,10 +1765,10 @@ class CompiledStagePlan:
                     carry, carry_bound = self._pool(key, op, src, spatial, src_bound)
                     spatial = tuple(s // k for s, k in zip(spatial, op))
                 else:
-                    carry, carry_bound = self._up(key, op, src, spatial, src_bound)
+                    carry, carry_bound = self._up(op, src, spatial, src_bound)
                     spatial = tuple(s * f for s, f in zip(spatial, op))
                 canvas, result, bound = self._store_stream(
-                    key, carry, carry_bound, spatial, store_spec
+                    carry, carry_bound, spatial, store_spec
                 )
             elif kind == "bnorm":
                 if carry is None:
@@ -1598,7 +1784,7 @@ class CompiledStagePlan:
                 carry = op.apply(self._ws, key, src)
                 carry_bound = op.out_bound(src_bound)
                 canvas, result, bound = self._store_stream(
-                    key, carry, carry_bound, spatial, store_spec
+                    carry, carry_bound, spatial, store_spec
                 )
             elif kind == "res":
                 # The post-block canvas store is dead when the next consumer
@@ -1628,37 +1814,32 @@ class CompiledStagePlan:
         return result
 
     # ------------------------------------------------------------------
-    def _gemm(self, key, spec: _ConvSpec, canvas: np.ndarray,
-              epilogue_bound: float | None = None):
-        """The exact ``conv_forward`` contraction out of a padded canvas.
+    def _gemm(self, key, spec: _ConvSpec, canvas: np.ndarray, bound: float,
+              tail, kind: str, crop=None) -> None:
+        """The exact ``conv_forward`` contraction out of a padded canvas,
+        finished panel by panel (see *Panel epilogue contract*).
 
-        Returns ``(y2, out_spatial, cm, fused)``: the GEMM result (bias
-        added), the output spatial shape, a closure mapping any array of
-        the result's shape to a channel-major ``(O, B, *out)`` view, and
-        whether the quantize epilogue already ran (see below).
+        One panel routine (:meth:`_panels`) runs every formulation; the
+        calibration probes pick, per problem shape, its orientation and
+        panel width:
 
-        Three bit-identical formulations, chosen per problem shape by the
-        calibration probes:
+        * ``transposed`` — one whole-result panel: the ``(K, B·rows)``
+          im2col operand built directly in transposed layout and a single
+          ``wtT @ atT`` call, used where :func:`_transposed_gemm_matches`
+          proved it reproduces the per-sample reference bit for bit;
+        * ``reference`` — one panel per sample in ``conv_forward``'s own
+          operand orientation (identical BLAS calls, identical bits);
+        * ``blocked`` / ``blocked_pad`` / ``blocked_ref`` — above
+          ``_BLOCKED_MIN_BYTES`` the same two orientations cut into
+          cache-sized panels of whole innermost rows (``blocked_pad``
+          repacks an O ≤ 2 weight operand with zero rows so BLAS
+          dispatches its well-shaped kernel), each only where its probe
+          proved bit-equality — the monolithic im2col buffer never
+          materializes.
 
-        * the reference orientation — the im2col gather follows tensordot's
-          element order, so ``np.dot`` sees the same operand matrices
-          ``conv_forward`` builds internally (identical BLAS call,
-          identical bits), executed per sample exactly as ``conv_forward``
-          does;
-        * the transposed orientation — the same matrices built directly in
-          ``(K, B·rows)`` layout with one whole-batch ``wtT @ atT`` call,
-          used only where the calibration probe proved it reproduces the
-          per-sample reference bit for bit.  Its ``(O, B·rows)`` result
-          makes the channel-major store a contiguous reshape;
-        * the panel-blocked orientation — the transposed gather and GEMM
-          executed one cache-sized panel of whole innermost-axis rows at a
-          time, with the bias / saturating-clip / fp16-grid-snap epilogue
-          fused into the panel loop (``epilogue_bound`` is the rigorous
-          magnitude bound; ``fused=True`` signals the caller the values
-          are already on the grid).  Engaged above ``_BLOCKED_MIN_BYTES``,
-          only where :func:`_blocked_gemm_matches` proved bit-equality —
-          the monolithic ``(K, M)`` gather buffer never materializes.
-
+        ``bound`` is the rigorous magnitude bound of the raw output (the
+        saturating clip runs only where it reaches ±65504); ``tail``
+        finishes each panel and ``kind`` names it in :meth:`plan_stats`.
         Payload bits stay invariant to micro-batch composition in every
         formulation: each output element is a fixed K-term dot product.
         The canvas holds quantized (grid) values, so the module path's
@@ -1666,132 +1847,44 @@ class CompiledStagePlan:
         """
 
         c, n = canvas.shape[:2]
-        nd = len(spec.kernel)
-        kernel = spec.kernel
-        stride = spec.stride
-        out_spatial = tuple(
-            (canvas.shape[2 + i] - kernel[i]) // stride[i] + 1 for i in range(nd)
-        )
+        out_spatial = spec.out_spatial(canvas.shape[2:])
         rows = int(np.prod(out_spatial))
         m = n * rows
-        K = c * int(np.prod(kernel))
+        K = c * int(np.prod(spec.kernel))
         o = spec.out_channels
-
-        spatial_axes = tuple(range(2, 2 + nd))
-        ow = out_spatial[-1]
-        P = _panel_cols(K, ow, m)
         # m = n·prod(out_spatial) is a whole multiple of ow by construction,
         # so panels always cover whole innermost-axis rows.
+        P = _panel_cols(K, out_spatial[-1], m)
+        form = None
         if m * K * 4 >= _BLOCKED_MIN_BYTES:
-            n_full = m // P
-            n_panels = n_full + (1 if m % P else 0)
-            T = max(1, min(self.panel_threads, n_full))
-
-            def cm_t(arr, n=n, out_spatial=out_spatial):
-                return arr.reshape((arr.shape[0], n) + out_spatial)
-
             u32, u16 = _blocked_gemm_ulp(n, rows, K, o, P)
-            # The fp16 metric only governs when the fused epilogue actually
-            # snaps this GEMM's output onto the fp16 grid; otherwise the
-            # raw fp32 values flow downstream and the fp32 metric applies.
-            u = u16 if (self.half and epilogue_bound is not None) else u32
+            # The stored grid's metric governs: fp16 steps where the panel
+            # epilogue snaps this GEMM's output, raw fp32 ulps otherwise.
+            u = u16 if self.half else u32
             if u32 == 0 or (self.precision == "ulp" and u <= ULP_TIER_MAX_ULP):
                 if u:
                     self._note_ulp_site(key, "blocked-gemm", u)
-                y2 = self._blocked_gemm(key, spec, canvas, out_spatial, P,
-                                        epilogue_bound)
-                self._gemm_stats[key] = {
-                    "formulation": "blocked", "m": m, "K": K, "o": o,
-                    "opad": 0, "panels": n_panels, "threads": T,
-                    "max_ulp": int(u),
-                }
-                return y2, out_spatial, cm_t, True
-            opad = (_blocked_pad_gemm_matches(n, rows, K, o, P)
-                    if o <= _PAD_MAX_O else 0)
-            if opad:
-                y2 = self._blocked_gemm(key, spec, canvas, out_spatial, P,
-                                        epilogue_bound, opad=opad)
-                self._gemm_stats[key] = {
-                    "formulation": "blocked_pad", "m": m, "K": K, "o": o,
-                    "opad": opad, "panels": n_panels, "threads": T,
-                    "max_ulp": 0,
-                }
-                return y2, out_spatial, cm_t, True
-            if _blocked_ref_gemm_matches(n, rows, K, o, P):
-                y2 = self._blocked_ref_gemm(key, spec, canvas, out_spatial, P,
-                                            epilogue_bound)
-                self._gemm_stats[key] = {
-                    "formulation": "blocked_ref", "m": m, "K": K, "o": o,
-                    "opad": 0, "panels": n_panels, "threads": T,
-                    "max_ulp": 0,
-                }
-
-                def cm(arr, n=n, out_spatial=out_spatial, nd=nd):
-                    return arr.reshape((n,) + out_spatial + (-1,)).transpose(
-                        (1 + nd, 0) + tuple(range(1, 1 + nd))
-                    )
-
-                return y2, out_spatial, cm, True
-
-        if _transposed_gemm_matches(n, rows, K, o):
-            self._gemm_stats[key] = {
-                "formulation": "transposed", "m": m, "K": K, "o": o,
-                "opad": 0, "panels": 1, "threads": 1, "max_ulp": 0,
-            }
-            atT = self._ws.get((key, "atT"), (K, m))
-            cached = self._wins.get(key)
-            if cached is None or cached[0] is not canvas or cached[1] is not atT:
-                win = sliding_window_view(canvas, kernel, axis=spatial_axes)
-                win = win[(slice(None), slice(None))
-                          + tuple(slice(None, None, s) for s in stride)]
-                tvk = win.transpose(
-                    (0,) + tuple(range(2 + nd, 2 + 2 * nd))
-                    + (1,) + tuple(range(2, 2 + nd))
-                )
-                cached = (canvas, atT, tvk,
-                          atT.reshape((c,) + kernel + (n,) + out_spatial))
-                self._wins[key] = cached
-            np.copyto(cached[3], cached[2])
-            y2 = self._ws.get((key, "y2T"), (o, m))
-            np.dot(spec.wtT, atT, out=y2)
-            if spec.bias_col is not None:
-                y2 += spec.bias_col
-
-            def cm(arr, n=n, out_spatial=out_spatial):
-                return arr.reshape((arr.shape[0], n) + out_spatial)
+                form = ("blocked", False, 0, u)
+            elif o <= _PAD_MAX_O and (
+                    opad := _blocked_pad_gemm_matches(n, rows, K, o, P)):
+                form = ("blocked_pad", False, opad, 0)
+            elif _blocked_ref_gemm_matches(n, rows, K, o, P):
+                form = ("blocked_ref", True, 0, 0)
+        T = 1
+        if form is not None:
+            T = max(1, min(self.panel_threads, m // P))
+        elif _transposed_gemm_matches(n, rows, K, o):
+            form, P = ("transposed", False, 0, 0), m
         else:
-            self._gemm_stats[key] = {
-                "formulation": "reference", "m": m, "K": K, "o": o,
-                "opad": 0, "panels": 1, "threads": 1, "max_ulp": 0,
-            }
-            at = self._ws.get((key, "at"), (m, K))
-            cached = self._wins.get(key)
-            if cached is None or cached[0] is not canvas or cached[1] is not at:
-                win = sliding_window_view(canvas, kernel, axis=spatial_axes)
-                win = win[(slice(None), slice(None))
-                          + tuple(slice(None, None, s) for s in stride)]
-                tv = win.transpose(
-                    (1,) + tuple(range(2, 2 + nd))
-                    + (0,) + tuple(range(2 + nd, 2 + 2 * nd))
-                )
-                cached = (canvas, at, tv,
-                          at.reshape((n,) + out_spatial + (c,) + kernel))
-                self._wins[key] = cached
-            np.copyto(cached[3], cached[2])
-            y2 = self._ws.get((key, "y2"), (m, o))
-            # Per-sample GEMM blocks, matching conv_forward exactly.
-            for i in range(n):
-                np.dot(at[i * rows:(i + 1) * rows], spec.wt,
-                       out=y2[i * rows:(i + 1) * rows])
-            if spec.bias is not None:
-                y2 += spec.bias
-
-            def cm(arr, n=n, out_spatial=out_spatial, nd=nd):
-                return arr.reshape((n,) + out_spatial + (-1,)).transpose(
-                    (1 + nd, 0) + tuple(range(1, 1 + nd))
-                )
-
-        return y2, out_spatial, cm, False
+            form, P = ("reference", True, 0, 0), rows
+        name, ref, opad, u = form
+        self._panels(key, spec, canvas, out_spatial, P, ref, opad, T, bound,
+                     tail, crop)
+        self._gemm_stats[key] = {
+            "formulation": name, "m": m, "K": K, "o": o, "opad": opad,
+            "panels": -(-m // P), "threads": T, "max_ulp": int(u),
+            "tail": kind,
+        }
 
     # ------------------------------------------------------------------
     def _note_ulp_site(self, key, site: str, max_ulp: int) -> None:
@@ -1818,123 +1911,118 @@ class CompiledStagePlan:
             self._panel_executor = pool
         return pool
 
-    def _blocked_gemm(self, key, spec: _ConvSpec, canvas: np.ndarray,
-                      out_spatial: tuple[int, ...], P: int,
-                      epilogue_bound: float | None, opad: int = 0) -> np.ndarray:
-        """Panel-blocked transposed gather + GEMM with a fused epilogue.
+    def _slab(self, slot: int, spec: _ConvSpec, c: int, rows: int, ow: int,
+              wt_op: np.ndarray | None) -> tuple:
+        """Slot ``slot``'s panel scratch for ``rows`` whole output rows.
 
-        Gathers whole innermost-axis output rows into a cache-sized
-        ``(K, P)`` panel, runs one ``(O, K) @ (K, P)`` GEMM, applies bias —
-        and, in half mode with ``epilogue_bound`` given, the saturating
-        clip (only when the bound says ±65504 is reachable) and the
-        fp16-grid snap — while the panel is hot, then writes the finished
-        columns into the monolithic ``(O, M)`` result.  Bits are identical
-        to the calibrated probe formulation; only the memory traffic
-        changes: the ``(K, M)`` im2col buffer never exists and the epilogue
-        reads come from cache instead of DRAM.
+        Carved from the slot's arena, so every GEMM site reuses the same
+        cache-resident bytes.  Returns ``(g, a, b, yp, v, scr)``: the
+        gather destination in tap/row layout, the two ``np.dot`` operands
+        and its output, the channel-major ``(O, rows, ow)`` view of the
+        real output channels, and the :func:`_scratch` bundle in the same
+        layout.  ``wt_op`` is the transposed-orientation weight operand
+        (zero-padded rows for ``blocked_pad``); None selects the reference
+        orientation, whose panels are ``(rows·ow, O)`` in memory — their
+        channel-major views are transposed, and elementwise passes over
+        identically strided views still run in memory order.
+        """
 
-        With ``opad > 0`` the repacked weight operand — ``(O_pad, K)`` with
-        zero rows beyond ``O`` — is used so BLAS dispatches its well-shaped
-        GEMM kernel for the two paper-scale O ≤ 2 transposed-conv shapes
-        (probed by :func:`_blocked_pad_gemm_matches`); the epilogue and the
-        store only ever touch the real ``[:O]`` rows.
+        o = spec.out_channels
+        pw, K = rows * ow, c * int(np.prod(spec.kernel))
+        if wt_op is None:
+            scr, (g, yp) = _scratch(
+                self._ws, ("slab", slot), (rows, ow, o),
+                ((rows, ow, c) + spec.kernel, _F32), ((rows, ow, o), _F32))
+            return (g, g.reshape(pw, K), spec.wt, yp.reshape(pw, o),
+                    yp.transpose(2, 0, 1),
+                    tuple(x.transpose(2, 0, 1) for x in scr))
+        oy = wt_op.shape[0]
+        scr, (g, yp) = _scratch(
+            self._ws, ("slab", slot), (o, rows, ow),
+            ((c,) + spec.kernel + (rows, ow), _F32), ((oy, rows, ow), _F32))
+        return g, wt_op, g.reshape(K, pw), yp.reshape(oy, pw), yp[:o], scr
+
+    def _panels(self, key, spec: _ConvSpec, canvas: np.ndarray,
+                out_spatial: tuple[int, ...], P: int, ref: bool, opad: int,
+                T: int, bound: float, tail, crop) -> None:
+        """Gather → GEMM → bias → clip → snap → ``tail``, one panel at a time.
+
+        A panel is ``P`` output columns — whole innermost-axis rows of the
+        flattened ``(B, *out_spatial)`` grid — gathered into the slot's
+        ``(K, P)`` slab (``(P, K)`` when ``ref``), multiplied with one
+        GEMM, and handed to ``tail`` still cache-hot; nothing of the
+        result is staged in main memory.  The per-panel box maps (gather
+        sources, store destinations with ``crop`` applied) are cached per
+        site against the canvas identity.
 
         Full panels fan out over the plan's panel executor: slot ``s`` of
-        ``T`` owns panels ``s, s+T, s+2T, …`` plus its private workspace
-        slabs (acquired on the caller thread before any worker starts, so
-        the parallel region performs no allocation and no workspace-dict
-        mutation).  Panels write disjoint column ranges of ``y2`` and the
-        panel split is independent of ``T``, so output bits are identical
-        at every thread count; the tail panel (when ``P ∤ M``) runs on the
-        caller thread after the join.
+        ``T`` owns panels ``s, s+T, s+2T, …`` plus its private slab
+        (carved on the caller thread before any worker starts, so the
+        parallel region performs no allocation and no workspace-dict
+        mutation).  Panels are row ranges of the destination, so slots
+        write disjoint rows, and the panel split is independent of ``T``:
+        output bits are identical at every thread count.  The narrower
+        last panel (when ``P ∤ M``) is one more call of the same routine
+        on the caller thread after the join.
         """
 
         c, n = canvas.shape[:2]
         nd = len(spec.kernel)
-        kernel = spec.kernel
-        stride = spec.stride
-        rows = int(np.prod(out_spatial))
-        m = n * rows
-        K = c * int(np.prod(kernel))
-        o = spec.out_channels
         ow = out_spatial[-1]
-        outer_shape = (n,) + out_spatial[:-1]
+        m = n * int(np.prod(out_spatial))
+        pre = () if ref else (slice(None),) * (1 + nd)
 
         cached = self._wins.get(key)
-        if cached is None or cached[0] is not canvas:
-            win = sliding_window_view(canvas, kernel, axis=tuple(range(2, 2 + nd)))
+        if cached is None or cached[0] is not canvas or cached[1] != P:
+            win = sliding_window_view(canvas, spec.kernel,
+                                      axis=tuple(range(2, 2 + nd)))
             win = win[(slice(None), slice(None))
-                      + tuple(slice(None, None, s) for s in stride)]
-            # (C, *k, B, *out): kernel taps lead so one gathered w-row is a
-            # (C, *k, ow) block — the panel's column group.
-            tvk = win.transpose(
-                (0,) + tuple(range(2 + nd, 2 + 2 * nd))
-                + (1,) + tuple(range(2, 2 + nd))
-            )
-            cached = (canvas, tvk)
-            self._wins[key] = cached
-        tvk = cached[1]
+                      + tuple(slice(None, None, s) for s in spec.stride)]
+            # Taps lead in the transposed orientation — one gathered w-row
+            # is a (C, *k, ow) column group — and trail in the reference
+            # orientation, where it is an (ow, C, *k) row group.
+            taps = (0,) + tuple(range(2 + nd, 2 + 2 * nd))
+            grid = (1,) + tuple(range(2, 2 + nd))
+            view = win.transpose(grid + taps if ref else taps + grid)
+            lo, avail = crop if crop is not None else ((0,) * nd, out_spatial)
+            lo, hi = (0,) + lo, (n,) + tuple(l + a for l, a in zip(lo, avail))
+            cached = self._wins[key] = (canvas, P, [
+                _panel_map(view, pre, c0 // ow, min(c0 + P, m) // ow,
+                           (n,) + out_spatial, lo, hi)
+                for c0 in range(0, m, P)
+            ])
+        panels = cached[2]
 
+        wt_op = None if ref else spec.wtT
         if opad:
             wt_op = self._wpad.get((key, opad))
             if wt_op is None:
-                wt_op = np.zeros((opad, K), dtype=np.float32)
-                wt_op[:o] = spec.wtT
+                wt_op = np.zeros((opad,) + spec.wtT.shape[1:], np.float32)
+                wt_op[:spec.out_channels] = spec.wtT
                 self._wpad[(key, opad)] = wt_op
-        else:
-            wt_op = spec.wtT
-        oy = opad if opad else o
+        bias = None if spec.bias is None else spec.bias.reshape(-1, 1, 1)
+        snap = self.half
+        clip = snap and bound >= _FP16_MAX
 
-        y2 = self._ws.get((key, "y2B"), (o, m))
-        lead = (slice(None),) * (1 + nd)
-        snap = self.half and epilogue_bound is not None
-        clip = snap and epilogue_bound >= _FP16_MAX
-        use_bits = _fast_snap_ok()
+        def run_panel(slab, panel) -> None:
+            g, a, b, yp, v, scr = slab
+            for j0, j1, src in panel[0]:
+                np.copyto(g[pre + (slice(j0, j1),)].reshape(src.shape), src)
+            np.dot(a, b, out=yp)
+            if bias is not None:
+                np.add(v, bias, out=v)
+            if snap:
+                if clip:
+                    np.clip(v, -_FP16_MAX, _FP16_MAX, out=v)
+                v = _snap(v, scr)
+            tail(v, panel[1], scr)
 
         n_full = m // P
-        tail = m - n_full * P
-        T = max(1, min(self.panel_threads, n_full))
-
-        # Per-slot slabs, all acquired before any worker runs.
-        slots = []
-        for slot in range(T):
-            dst = self._ws.get((key, "panel", slot), ((c,) + kernel + (P,)))
-            yp = self._ws.get((key, "yp", slot), (oy, P))
-            scr = s16 = None
-            if snap:
-                if use_bits:
-                    scr = self._ws.snap_scratch((key, "psnap", slot), (o, P))
-                else:
-                    s16 = self._ws.get((key, "ps16", slot), (o, P), np.float16)
-            slots.append((dst, dst.reshape(K, P), yp, scr, s16))  # lint: allow-alloc — per-slot setup, caller thread
+        slabs = [self._slab(s, spec, c, P // ow, ow, wt_op) for s in range(T)]
 
         def run_slot(slot: int) -> None:
-            dst, mat, yp, scr, s16 = slots[slot]
-            for c0 in range(slot * P, n_full * P, T * P):
-                # Gather whole w-rows: each copy moves a (C, *k, ow) block.
-                for j in range(P // ow):
-                    idx = np.unravel_index((c0 + j * ow) // ow, outer_shape)
-                    np.copyto(
-                        dst[lead + (slice(j * ow, (j + 1) * ow),)],
-                        tvk[lead + tuple(idx)],
-                    )
-                np.dot(wt_op, mat, out=yp)
-                ypv = yp[:o]
-                if spec.bias_col is not None:
-                    ypv += spec.bias_col
-                if snap:
-                    if clip:
-                        np.clip(ypv, -_FP16_MAX, _FP16_MAX, out=ypv)
-                    if use_bits:
-                        u, uf, a, mask, d = scr
-                        out = _snap_bits(ypv, u, uf, a, mask, d)
-                    else:
-                        np.copyto(s16, ypv, casting="unsafe")
-                        np.copyto(ypv, s16)
-                        out = ypv
-                    np.copyto(y2[:, c0:c0 + P], out)
-                else:
-                    np.copyto(y2[:, c0:c0 + P], ypv)
+            for p in range(slot, n_full, T):
+                run_panel(slabs[slot], panels[p])
 
         if T == 1:
             run_slot(0)
@@ -1944,246 +2032,154 @@ class CompiledStagePlan:
             run_slot(0)
             for f in futures:
                 f.result()
-
-        if tail:
-            c0 = n_full * P
-            dst = self._ws.get((key, "panel_t"), ((c,) + kernel + (tail,)))
-            mat = dst.reshape(K, tail)
-            yp = self._ws.get((key, "yp_t"), (oy, tail))
-            for j in range(tail // ow):
-                idx = np.unravel_index((c0 + j * ow) // ow, outer_shape)
-                np.copyto(
-                    dst[lead + (slice(j * ow, (j + 1) * ow),)],
-                    tvk[lead + tuple(idx)],
-                )
-            np.dot(wt_op, mat, out=yp)
-            ypv = yp[:o]
-            if spec.bias_col is not None:
-                ypv += spec.bias_col
-            if snap:
-                if clip:
-                    np.clip(ypv, -_FP16_MAX, _FP16_MAX, out=ypv)
-                if use_bits:
-                    u, uf, a, mask, d = self._ws.snap_scratch(
-                        (key, "psnap_t"), ypv.shape
-                    )
-                    np.copyto(y2[:, c0:c0 + tail],
-                              _snap_bits(ypv, u, uf, a, mask, d))
-                else:
-                    s16 = self._ws.get((key, "ps16_t"), ypv.shape, np.float16)
-                    np.copyto(s16, ypv, casting="unsafe")
-                    np.copyto(ypv, s16)
-                    np.copyto(y2[:, c0:c0 + tail], ypv)
-            else:
-                np.copyto(y2[:, c0:c0 + tail], ypv)
-        return y2
+        if m % P:
+            run_panel(self._slab(0, spec, c, (m % P) // ow, ow, wt_op),
+                      panels[-1])
 
     # ------------------------------------------------------------------
-    def _blocked_ref_gemm(self, key, spec: _ConvSpec, canvas: np.ndarray,
-                          out_spatial: tuple[int, ...], P: int,
-                          epilogue_bound: float | None) -> np.ndarray:
-        """Row-panel blocked GEMM in ``conv_forward``'s operand orientation.
+    def _grid(self, src: np.ndarray, bound: float) -> tuple[np.ndarray, float]:
+        """``quantize_fp16`` replica for a whole stream (network entry,
+        pool / upsample / norm stores — conv outputs are quantized by the
+        panel epilogue instead).
 
-        Gathers whole innermost-axis output rows into a cache-sized
-        ``(P, K)`` panel and multiplies straight into the corresponding
-        contiguous rows of the monolithic ``(M, O)`` result, fusing the
-        bias / clip / fp16-grid-snap epilogue on the hot rows.  Used where
-        the transposed panels fail calibration (tiny output-channel
-        counts); bits are identical to the per-sample reference
-        (calibrated), only the ``(M, K)`` im2col buffer disappears.
-
-        Parallelized exactly like :meth:`_blocked_gemm`: slot ``s`` of
-        ``T`` owns full panels ``s, s+T, …`` with private slabs acquired
-        before any worker starts, panels write disjoint *row* ranges of
-        ``y2``, and the tail runs on the caller thread after the join —
-        bit-identical at every thread count.
+        Returns ``src``'s values snapped onto the fp16 grid — an array of
+        the shared ``"grid"`` arena, consume it before the next call — and
+        the stored bound.  The saturating clip runs only when ``bound``
+        says ±65504 is reachable — elsewhere it is provably the identity —
+        and never mutates ``src``: the residual stream keeps its unclipped
+        fp32 values.
         """
 
-        c, n = canvas.shape[:2]
-        nd = len(spec.kernel)
-        kernel = spec.kernel
-        stride = spec.stride
-        rows = int(np.prod(out_spatial))
-        m = n * rows
-        K = c * int(np.prod(kernel))
-        o = spec.out_channels
-        ow = out_spatial[-1]
-        outer_shape = (n,) + out_spatial[:-1]
-
-        cached = self._wins.get(key)
-        if cached is None or cached[0] is not canvas:
-            win = sliding_window_view(canvas, kernel, axis=tuple(range(2, 2 + nd)))
-            win = win[(slice(None), slice(None))
-                      + tuple(slice(None, None, s) for s in stride)]
-            # (B, *out, C, *k): one gathered w-row is an (ow, C, *k) block.
-            tv = win.transpose(
-                (1,) + tuple(range(2, 2 + nd))
-                + (0,) + tuple(range(2 + nd, 2 + 2 * nd))
-            )
-            cached = (canvas, tv)
-            self._wins[key] = cached
-        tv = cached[1]
-
-        y2 = self._ws.get((key, "y2R"), (m, o))
-        snap = self.half and epilogue_bound is not None
-        clip = snap and epilogue_bound >= _FP16_MAX
-        use_bits = _fast_snap_ok()
-
-        n_full = m // P
-        tail = m - n_full * P
-        T = max(1, min(self.panel_threads, n_full))
-
-        # Per-slot slabs, all acquired before any worker runs.
-        slots = []
-        for slot in range(T):
-            panel = self._ws.get((key, "rpanel", slot), (P, K))
-            scr = s16 = None
-            if snap:
-                if use_bits:
-                    scr = self._ws.snap_scratch((key, "rsnap", slot), (P, o))
-                else:
-                    s16 = self._ws.get((key, "rs16", slot), (P, o), np.float16)
-            slots.append((panel, panel.reshape((P, c) + kernel), scr, s16))  # lint: allow-alloc — per-slot setup, caller thread
-
-        def run_slot(slot: int) -> None:
-            panel, pv, scr, s16 = slots[slot]
-            for c0 in range(slot * P, n_full * P, T * P):
-                for j in range(P // ow):
-                    idx = np.unravel_index((c0 + j * ow) // ow, outer_shape)
-                    np.copyto(pv[j * ow:(j + 1) * ow], tv[tuple(idx)])
-                yp = y2[c0:c0 + P]
-                np.dot(panel, spec.wt, out=yp)
-                if spec.bias is not None:
-                    yp += spec.bias
-                if snap:
-                    if clip:
-                        np.clip(yp, -_FP16_MAX, _FP16_MAX, out=yp)
-                    if use_bits:
-                        u, uf, a, mask, d = scr
-                        np.copyto(yp, _snap_bits(yp, u, uf, a, mask, d))
-                    else:
-                        np.copyto(s16, yp, casting="unsafe")
-                        np.copyto(yp, s16)
-
-        if T == 1:
-            run_slot(0)
-        else:
-            pool = self._panel_pool(T - 1)
-            futures = [pool.submit(run_slot, s) for s in range(1, T)]
-            run_slot(0)
-            for f in futures:
-                f.result()
-
-        if tail:
-            c0 = n_full * P
-            panel = self._ws.get((key, "rpanel_t"), (tail, K))
-            pv = panel.reshape((tail, c) + kernel)
-            for j in range(tail // ow):
-                idx = np.unravel_index((c0 + j * ow) // ow, outer_shape)
-                np.copyto(pv[j * ow:(j + 1) * ow], tv[tuple(idx)])
-            yp = y2[c0:c0 + tail]
-            np.dot(panel, spec.wt, out=yp)
-            if spec.bias is not None:
-                yp += spec.bias
-            if snap:
-                if clip:
-                    np.clip(yp, -_FP16_MAX, _FP16_MAX, out=yp)
-                if use_bits:
-                    u, uf, a, mask, d = self._ws.snap_scratch(
-                        (key, "rsnap_t"), yp.shape
-                    )
-                    np.copyto(yp, _snap_bits(yp, u, uf, a, mask, d))
-                else:
-                    s16 = self._ws.get((key, "rs16_t"), yp.shape, np.float16)
-                    np.copyto(s16, yp, casting="unsafe")
-                    np.copyto(yp, s16)
-        return y2
-
-    # ------------------------------------------------------------------
-    def _grid(self, key, src: np.ndarray, bound: float,
-              mutable: bool = False) -> tuple[np.ndarray, float]:
-        """``quantize_fp16`` replica: fp32 values snapped onto the f16 grid.
-
-        Returns a contiguous fp32 array of grid values and the stored
-        bound.  The saturating clip runs only when ``bound`` says ±65504 is
-        reachable — elsewhere it is provably the identity.  The snap itself
-        is :func:`_snap_bits` where calibration proved it bit-equal to the
-        cast pair, else the two-cast fallback.  ``src`` is mutated only
-        when ``mutable`` (scratch GEMM rows); the residual stream keeps its
-        unclipped fp32 values.
-        """
-
+        scr, _ = _scratch(self._ws, "grid", src.shape)
         if bound >= _FP16_MAX:
-            if mutable:
-                src = np.clip(src, -_FP16_MAX, _FP16_MAX, out=src)
-            else:
-                src = np.clip(
-                    src, -_FP16_MAX, _FP16_MAX,
-                    out=self._ws.get((key, "clip"), src.shape),
-                )
+            src = np.clip(src, -_FP16_MAX, _FP16_MAX, out=scr[5])
             bound = _FP16_MAX
-        if (_fast_snap_ok() and src.dtype == np.float32
-                and src.flags.c_contiguous):
-            u, uf, a, mask, d = self._ws.snap_scratch((key, "snap"), src.shape)
-            out = _snap_bits(src, u, uf, a, mask, d)
-        else:
-            # Fallback cast pair: also covers non-f32/non-contiguous inputs
-            # (e.g. float64 arrays fed straight to FastEncoder2D.encode).
-            out = self._ws.get((key, "q32"), src.shape)
-            s16 = self._ws.get((key, "s16"), src.shape, np.float16)
-            np.copyto(s16, src, casting="unsafe")
-            np.copyto(out, s16)
-        return out, bound
+        return _snap(src, scr), bound
+
+    def _cap(self, bound: float) -> float:
+        """Magnitude bound of a conv output as stored (saturated in half)."""
+
+        return min(bound, _FP16_MAX) if self.half else bound
+
+    def _lease(self, c: int, n: int, spatial, padding=None, dilation=None,
+               stream: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """The next canvas (or unpadded fp32 ``stream``) of this geometry.
+
+        Buffers are leased per geometry, round robin, instead of owned per
+        site: a stage has at most three canvases live (input, ``mid``,
+        output — the input was the previous stage's latest lease) and two
+        streams (carry in, carry out), so rotating over that many never
+        hands out a live buffer, and the rotation restarts with every
+        :meth:`run` so a site meets the same buffer on every call (its
+        cached gather views stay valid).
+        """
+
+        nd = len(spatial)
+        padding = ((0, 0),) * nd if padding is None else tuple(padding)
+        dilation = (1,) * nd if dilation is None else tuple(dilation)
+        key = (self.prefix, "lease", stream, c, tuple(spatial), padding,
+               dilation)
+        turn = self._turn.get(key, 0)
+        self._turn[key] = turn + 1
+        return self._ws.canvas(key + (turn % (2 if stream else 3),), c, n,
+                               spatial, padding, self._cdtype, dilation)
+
+    # ------------------------------------------------------------------
+    def _act(self, v: np.ndarray, scr: tuple, slope: float, bn) -> np.ndarray:
+        """LeakyReLU (→ norm) of a finished panel into ``scr``'s temporary.
+
+        ``maximum(x, x·slope)`` is the module's ``x·where(x > 0, 1,
+        slope)`` for ``0 < slope ≤ 1`` (the only slopes compiled):
+        positive lanes keep their exact value (``x·slope ≤ x``), the rest
+        become the fp32 product.
+        """
+
+        t = scr[5]
+        np.multiply(v, np.float32(slope), out=t)
+        np.maximum(v, t, out=t)
+        return t if bn is None else bn.chain(t, t)
+
+    def _store_tail(self, dest: np.ndarray, slope: float | None = None,
+                    bn=None, requant_bound: float | None = None):
+        """Panel tail: (activation → norm → requantize →) store into ``dest``.
+
+        Bare, it stores a conv output.  With ``slope`` the stored values
+        are the activated (and normalized) stream; with ``requant_bound``
+        they are snapped back onto the grid — the activation fused with
+        the *next* convolution's entry quantize (positive lanes are grid
+        values already, so only the scaled lanes move), clipped first
+        where the bound says ±65504 is reachable.
+        """
+
+        requant = self.half and requant_bound is not None
+        clip = requant and requant_bound >= _FP16_MAX
+
+        def tail(v, boxes, scr) -> None:
+            if slope is not None:
+                v = self._act(v, scr, slope, bn)
+                if clip:
+                    np.clip(v, -_FP16_MAX, _FP16_MAX, out=v)
+                if requant:
+                    v = _snap(v, scr)
+            for box in boxes:
+                np.copyto(dest[box[4]], _rows(v, box))
+
+        return tail
+
+    def _sum_tail(self, slope: float, bn, skip: np.ndarray,
+                  carry: np.ndarray, dest: np.ndarray | None, bound: float):
+        """Panel tail closing a residual block: activation (→ norm), the
+        fp32 residual sum ``skip + act`` into the ``carry`` rows, and —
+        unless the next consumer reads the carry stream (``dest`` None) —
+        the sum quantized into the next canvas.  ``bound`` bounds the sum.
+        """
+
+        clip = self.half and bound >= _FP16_MAX
+
+        def tail(v, boxes, scr) -> None:
+            t = self._act(v, scr, slope, bn)
+            for box in boxes:
+                rows = _rows(t, box)
+                np.add(skip[box[4]], rows, out=rows)
+                np.copyto(carry[box[4]], rows)
+            if dest is None:
+                return
+            if clip:
+                np.clip(t, -_FP16_MAX, _FP16_MAX, out=t)
+            if self.half:
+                t = _snap(t, scr)
+            for box in boxes:
+                np.copyto(dest[box[4]], _rows(t, box))
+
+        return tail
 
     # ------------------------------------------------------------------
     def _conv_store(self, key, spec, canvas, bound, store_spec):
         """Convolve and store the (quantized) output into the next canvas."""
 
-        n = canvas.shape[1]
+        out_spatial = spec.out_spatial(canvas.shape[2:])
+        out_canvas, dest = self._lease(spec.out_channels, canvas.shape[1],
+                                       out_spatial, *store_spec)
         out_bound = spec.out_bound(bound)
-        y2, out_spatial, cm, fused = self._gemm(key, spec, canvas, out_bound)
-        out_canvas, dest = self._ws.canvas(
-            (key, "out"), spec.out_channels, n, out_spatial, store_spec[0],
-            self._cdtype, store_spec[1],
-        )
-        if self.half:
-            if fused:
-                out_bound = min(out_bound, _FP16_MAX)
-                np.copyto(dest, cm(y2))
-            else:
-                q32, out_bound = self._grid(key, y2, out_bound, mutable=True)
-                np.copyto(dest, cm(q32))
-        else:
-            np.copyto(dest, cm(y2))
-        return out_canvas, dest, out_spatial, out_bound
+        self._gemm(key, spec, canvas, out_bound, self._store_tail(dest),
+                   "store")
+        return out_canvas, dest, out_spatial, self._cap(out_bound)
 
     # ------------------------------------------------------------------
-    def _convt_gemm(self, key, tspec: _ConvTSpec, canvas, spatial, bound):
-        """Full-correlation GEMM of a transposed conv over its dilated canvas.
+    def _convt_geometry(self, tspec: _ConvTSpec, canvas, spatial, bound):
+        """Output geometry of a transposed conv over its dilated canvas.
 
-        Returns ``(vals, out_spatial, crop, fill, out_bound)``: the
-        channel-major ``(O, B, *full)`` view of the (quantized, in half
-        mode) full correlation, the transposed-conv output spatial shape,
-        the per-axis ``(lo, avail)`` crop mapping full indices onto output
+        Returns ``(out_spatial, crop, fill, out_bound)``: the
+        transposed-conv output spatial shape, the per-axis ``(lo, avail)``
+        crop mapping the full correlation the GEMM computes onto output
         positions, the per-channel fill value for output positions beyond
         the full correlation's support (the module path's zero canvas plus
         bias and quantize — only nonzero when ``output_padding`` reaches
-        past the correlation), and the output magnitude bound.
+        past the correlation), and the raw output magnitude bound.
         """
 
         out_sp = tspec.out_spatial(spatial)
-        out_bound = tspec.out_bound(bound)
-        y2, full_sp, cm, fused = self._gemm(key, tspec.spec, canvas, out_bound)
-        if self.half:
-            if fused:
-                out_bound = min(out_bound, _FP16_MAX)
-                vals = cm(y2)
-            else:
-                q32, out_bound = self._grid(key, y2, out_bound, mutable=True)
-                vals = cm(q32)
-        else:
-            vals = cm(y2)
-
+        full_sp = tspec.spec.out_spatial(canvas.shape[2:])
         lo = tuple(pl for (pl, _ph) in tspec.padding)
         avail = tuple(
             min(osz, f - l) for osz, f, l in zip(out_sp, full_sp, lo)
@@ -2195,34 +2191,39 @@ class CompiledStagePlan:
             b = tspec.spec.bias
             fv = np.zeros(tspec.out_channels, np.float32) if b is None else b
             fill = quantize_fp16(fv) if self.half else fv.copy()
-        return vals, out_sp, (lo, avail), fill, out_bound
+        return out_sp, (lo, avail), fill, tspec.out_bound(bound)
 
-    @staticmethod
-    def _crop_view(vals, crop):
-        lo, avail = crop
-        return vals[(slice(None), slice(None)) + tuple(
-            slice(l, l + a) for l, a in zip(lo, avail)
-        )]
+    def _act_fill(self, dest, fill, slope=None, bn=None,
+                  quantize: bool = False) -> None:
+        """Pre-fill ``dest`` where a transposed conv's crop will not reach.
 
-    @staticmethod
-    def _avail_slices(avail):
-        return (slice(None), slice(None)) + tuple(slice(0, a) for a in avail)
+        Beyond the correlation's support the module stream is (norm ∘)
+        act of q(bias) — re-quantized by the next conv's entry when
+        ``quantize`` — the same scalar ufunc chain on ``(C,)``.
+        """
+
+        if fill is None:
+            return
+        if slope is not None:
+            fill = fill * np.where(fill > 0, np.float32(1.0), np.float32(slope))
+            if bn is not None:
+                fill = bn.apply_channels(fill)
+            if quantize and self.half:
+                fill = quantize_fp16(fill)
+        dest[:] = fill.reshape((-1,) + (1,) * (dest.ndim - 1))
 
     def _convt_store(self, key, tspec, canvas, spatial, bound, store_spec):
         """Transposed-convolve and store the quantized crop into the next canvas."""
 
-        n = canvas.shape[1]
-        vals, out_sp, crop, fill, out_bound = self._convt_gemm(
-            key, tspec, canvas, spatial, bound
+        out_sp, crop, fill, out_bound = self._convt_geometry(
+            tspec, canvas, spatial, bound
         )
-        out_canvas, dest = self._ws.canvas(
-            (key, "out"), tspec.out_channels, n, out_sp, store_spec[0],
-            self._cdtype, store_spec[1],
-        )
-        if fill is not None:
-            dest[:] = fill.reshape((-1, 1) + (1,) * len(out_sp))
-        np.copyto(dest[self._avail_slices(crop[1])], self._crop_view(vals, crop))
-        return out_canvas, dest, out_sp, out_bound
+        out_canvas, dest = self._lease(tspec.out_channels, canvas.shape[1],
+                                       out_sp, *store_spec)
+        self._act_fill(dest, fill)
+        self._gemm(key, tspec.spec, canvas, out_bound, self._store_tail(dest),
+                   "store", crop)
+        return out_canvas, dest, out_sp, self._cap(out_bound)
 
     # ------------------------------------------------------------------
     def _pool(self, key, kernel, src, spatial, bound):
@@ -2242,7 +2243,7 @@ class CompiledStagePlan:
         kernel = tuple(kernel)
         c, n = src.shape[:2]
         out_sp = tuple(s // k for s, k in zip(spatial, kernel))
-        out = self._ws.get((key, "poolout"), (c, n) + out_sp)
+        out = self._lease(c, n, out_sp, stream=True)[1]
         if kernel == (2, 2):
             a, h = spatial
             v = src.reshape(c, n, a // 2, 2, h // 2, 2)
@@ -2269,7 +2270,7 @@ class CompiledStagePlan:
         return out, bound  # mean cannot grow the magnitude bound
 
     # ------------------------------------------------------------------
-    def _up(self, key, factors, src, spatial, bound):
+    def _up(self, factors, src, spatial, bound):
         """Upsample replica: nearest-neighbour repeat of the exact values.
 
         A broadcast store into the reused output buffer places value ``v``
@@ -2281,7 +2282,7 @@ class CompiledStagePlan:
         factors = tuple(factors)
         c, n = src.shape[:2]
         out_sp = tuple(s * f for s, f in zip(spatial, factors))
-        out = self._ws.get((key, "upout"), (c, n) + out_sp)
+        out = self._lease(c, n, out_sp, stream=True)[1]
         shape: list[int] = [c, n]
         src_index: list = [slice(None), slice(None)]
         for s, f in zip(spatial, factors):
@@ -2341,96 +2342,47 @@ class CompiledStagePlan:
         return out
 
     # ------------------------------------------------------------------
-    def _leaky_merge(self, key, v, slope, bound, requantize):
-        """LeakyReLU on grid values ``v`` (mutating): ``x·slope`` merged back.
-
-        The module computes ``x * where(x > 0, 1, slope)``: positive lanes
-        keep their exact value, negative (and ±0) lanes become the fp32
-        product ``x · slope``.  With ``requantize`` the product is snapped
-        back onto the grid — act fused with the *next* convolution's entry
-        quantize (positives are already grid values, so only the scaled
-        lanes move).  Returns the merged array (``v`` mutated in place).
-        """
-
-        neg = self._ws.get((key, "neg"), v.shape)
-        np.multiply(v, np.float32(slope), out=neg)
-        if requantize and self.half:
-            neg, _b = self._grid((key, "negq"), neg, bound * abs(slope),
-                                 mutable=True)
-        mask = self._ws.get((key, "m"), v.shape, np.bool_)
-        np.less_equal(v, np.float32(0), out=mask)
-        np.copyto(v, neg, where=mask)
-        return v
-
-    # ------------------------------------------------------------------
     def _res(self, key, op, canvas, spatial, bound, carry, carry_bound,
              store_spec, store: bool = True):
         """ResBlock2d replica: ``act2(conv2(act1(conv1(x)))) + x``.
 
-        ``carry`` is the unquantized fp32 block input the skip needs (None
-        when the block input came straight from a conv, whose stored grid
-        values are already exact).  ``store=False`` skips the quantized
-        canvas store when the next consumer reads the carry stream.
+        conv1's tail stores ``act1`` re-quantized as conv2's input (the
+        activation merged with conv2's entry quantize on the fp16 grid);
+        conv2's tail keeps ``act2`` unquantized fp32 (the module path does
+        not re-quantize before the residual sum), adds the skip into the
+        carry rows and stores the quantized sum.  ``carry`` is the
+        unquantized fp32 block input the skip needs (None when the block
+        input came straight from a conv, whose stored grid values are
+        already exact and are read from the input canvas).  ``store=False``
+        skips the quantized canvas store when the next consumer reads the
+        carry stream.
         """
 
         spec1, spec2, slope1, slope2 = op
-        n = canvas.shape[1]
-
-        # conv1 → act1, stored (re-quantized) as conv2's input.
+        c, n = canvas.shape[:2]
+        out_spatial = spec1.out_spatial(canvas.shape[2:])
+        mid_canvas, mid = self._lease(spec1.out_channels, n, out_spatial,
+                                      spec2.padding)
         b1_raw = spec1.out_bound(bound)
-        y2, out_spatial, cm1, fused1 = self._gemm((key, 0), spec1, canvas, b1_raw)
-        mid_canvas, mid_dest = self._ws.canvas(
-            (key, "mid"), spec1.out_channels, n, out_spatial, spec2.padding,
-            self._cdtype,
-        )
-        if self.half:
-            if fused1:
-                v, b1 = y2, min(b1_raw, _FP16_MAX)
-            else:
-                v, b1 = self._grid((key, "v1"), y2, b1_raw, mutable=True)
-            # act1 merged with conv2's entry quantize on the fp16 grid:
-            # positives keep their grid value (leaky × 1, then a no-op
-            # re-quantize), negatives are x·slope snapped back to the grid.
-            v = self._leaky_merge((key, "a1"), v, slope1, b1, requantize=True)
-            np.copyto(mid_dest, cm1(v))
-        else:
-            b1 = 0.0
-            scale = np.where(y2 > 0, 1.0, slope1).astype(np.float32)
-            np.copyto(mid_dest, cm1(y2 * scale))
+        b1 = self._cap(b1_raw)
+        self._gemm((key, 0), spec1, canvas, b1_raw,
+                   self._store_tail(mid, slope1, None, b1 * abs(slope1)),
+                   "act+requant")
 
-        # conv2 → act2 kept unquantized fp32 (the module path does not
-        # re-quantize before the residual sum).
-        b2_raw = spec2.out_bound(b1)
-        y2b, _sp, cm2, fused2 = self._gemm((key, 1), spec2, mid_canvas, b2_raw)
-        if self.half:
-            if fused2:
-                v2, b2 = y2b, min(b2_raw, _FP16_MAX)
-            else:
-                v2, b2 = self._grid((key, "v2"), y2b, b2_raw, mutable=True)
-            l2 = self._leaky_merge((key, "a2"), v2, slope2, b2,
-                                   requantize=False)
-            l2_bound = b2
-        else:
-            scale2 = np.where(y2b > 0, 1.0, slope2).astype(np.float32)
-            l2 = y2b * scale2
-            l2_bound = 0.0
-
+        skip = carry
         if carry is None:
-            # Block input was a stored conv output: grid values are exact.
-            carry = self._ws.get(
-                (key, "skip32"), (canvas.shape[0], n) + tuple(spatial)
-            )
-            np.copyto(carry, _interior(canvas, spec1.padding, spatial))
+            skip = _interior(canvas, spec1.padding, spatial)
+            carry = self._lease(c, n, spatial, stream=True)[1]
             carry_bound = bound
-        carry += cm2(l2)
-        carry_bound = carry_bound + l2_bound
-
-        if not store:
-            return canvas, None, carry_bound, carry, carry_bound
-        out_canvas, dest, stored_bound = self._store_stream(
-            (key, "store"), carry, carry_bound, out_spatial, store_spec
-        )
-        return out_canvas, dest, stored_bound, carry, carry_bound
+        b2_raw = spec2.out_bound(b1)
+        carry_bound = carry_bound + self._cap(b2_raw)
+        out_canvas, dest = canvas, None
+        if store:
+            out_canvas, dest = self._lease(c, n, out_spatial, *store_spec)
+        self._gemm((key, 1), spec2, mid_canvas, b2_raw,
+                   self._sum_tail(slope2, None, skip, carry, dest, carry_bound),
+                   "act+skip+store" if store else "act+skip")
+        return out_canvas, dest, self._cap(carry_bound), carry, carry_bound
 
     # ------------------------------------------------------------------
     def _block3d(self, key, op, canvas, spatial, bound, store_spec,
@@ -2448,162 +2400,67 @@ class CompiledStagePlan:
         is None here and the no-norm path runs with the fused spec.  Both
         strided convolutions consume the same quantized input canvas — the
         module path quantizes the same tensor twice and gets the same grid
-        values.  The block output (the fp32 sum of the two unquantized
-        streams) is returned as the carry and stored re-quantized for the
-        next stage's convolutions.
+        values.  Three tails: the main conv's stores act1 (→ norm1)
+        re-quantized as the inner convolution's input, the skip conv's
+        stores act3 (→ norm3) unquantized into the carry stream, and the
+        inner conv's adds act2 (→ norm2) onto it — the module path's plain
+        fp32 ``main + skip`` — and stores the sum re-quantized for the next
+        stage's convolutions.
         """
 
         main_spec, inner_spec, skip_spec, s1, s2, s3, bn1, bn2, bn3 = op
         n = canvas.shape[1]
         o = inner_spec.out_channels
-
-        # Main path, first (strided / transposed) convolution → act1
-        # (→ norm1), stored re-quantized as the inner convolution's input.
         if transposed:
-            v1, out_sp, crop1, fill1, b1 = self._convt_gemm(
-                (key, 0), main_spec, canvas, spatial, bound
-            )
+            out_sp, crop1, fill1, b1_raw = self._convt_geometry(
+                main_spec, canvas, spatial, bound)
+            _sp, crop3, fill3, b3_raw = self._convt_geometry(
+                skip_spec, canvas, spatial, bound)
+            main_spec, skip_spec = main_spec.spec, skip_spec.spec
         else:
+            out_sp = main_spec.out_spatial(canvas.shape[2:])
+            crop1 = crop3 = fill1 = fill3 = None
             b1_raw = main_spec.out_bound(bound)
-            y1, out_sp, cm1, fused1 = self._gemm((key, 0), main_spec, canvas,
-                                                 b1_raw)
-            if self.half:
-                if fused1:
-                    v1m, b1 = y1, min(b1_raw, _FP16_MAX)
-                else:
-                    v1m, b1 = self._grid((key, "v1"), y1, b1_raw, mutable=True)
-            else:
-                v1m, b1 = y1, 0.0
-            v1, crop1, fill1 = cm1(v1m), None, None
-
-        mid_canvas, mid_dest = self._ws.canvas(
-            (key, "mid"), o, n, out_sp, inner_spec.padding, self._cdtype,
-        )
-        if bn1 is None:
-            if self.half:
-                merged = self._leaky_merge((key, "a1"), v1, s1, b1,
-                                           requantize=True)
-            else:
-                merged = v1 * np.where(v1 > 0, 1.0, s1).astype(np.float32)
-        else:
-            # norm1 sits between act1 and the inner conv's entry quantize:
-            # leaky on the exact stream, the affine on the fp32 values,
-            # then one grid snap during the mid store.
-            if self.half:
-                l1 = self._leaky_merge((key, "a1"), v1, s1, b1,
-                                       requantize=False)
-            else:
-                l1 = v1 * np.where(v1 > 0, 1.0, s1).astype(np.float32)
-            merged = bn1.apply(self._ws, (key, "bn1"), l1)
-            if self.half:
-                merged, _bq = self._grid((key, "bn1q"), merged,
-                                         bn1.out_bound(b1), mutable=True)
-        if crop1 is not None:
-            if fill1 is not None:
-                # Beyond the correlation's support the module stream is
-                # (norm1 ∘) act1 of q(bias), re-quantized by the inner
-                # conv's entry — the same scalar ufunc chain on (C,).
-                f = fill1 * np.where(fill1 > 0, np.float32(1.0),
-                                     np.float32(s1))
-                if bn1 is not None:
-                    f = bn1.apply_channels(f)
-                if self.half:
-                    f = quantize_fp16(f)
-                mid_dest[:] = f.reshape((-1, 1) + (1,) * len(out_sp))
-            np.copyto(mid_dest[self._avail_slices(crop1[1])],
-                      self._crop_view(merged, crop1))
-        else:
-            np.copyto(mid_dest, merged)
-        b_mid = b1 if bn1 is None else min(bn1.out_bound(b1), _FP16_MAX)
-
-        # Inner 3³ convolution → act2 (→ norm2), kept unquantized fp32
-        # (the module path does not re-quantize before the residual sum).
-        b2_raw = inner_spec.out_bound(b_mid)
-        y2, _sp2, cm2, fused2 = self._gemm((key, 1), inner_spec, mid_canvas,
-                                           b2_raw)
-        if self.half:
-            if fused2:
-                v2, b2 = y2, min(b2_raw, _FP16_MAX)
-            else:
-                v2, b2 = self._grid((key, "v2"), y2, b2_raw, mutable=True)
-            l2 = self._leaky_merge((key, "a2"), v2, s2, b2, requantize=False)
-            b_l2 = b2
-        else:
-            l2 = y2 * np.where(y2 > 0, 1.0, s2).astype(np.float32)
-            b_l2 = 0.0
-        l2cm = cm2(l2)
-        if bn2 is not None:
-            # The affine is per channel — applied on the channel-major view.
-            l2cm = bn2.apply(self._ws, (key, "bn2"), l2cm)
-            b_l2 = bn2.out_bound(b_l2)
-
-        # Skip path over the same input canvas → act3 (→ norm3), unquantized.
-        if transposed:
-            v3, _osp, crop3, fill3, b3 = self._convt_gemm(
-                (key, 2), skip_spec, canvas, spatial, bound
-            )
-            # The merge reproduces x·where(x>0, 1, slope) bit for bit in
-            # both precision modes (positives keep their exact value).
-            l3 = self._leaky_merge((key, "a3"), v3, s3, b3, requantize=False)
-            b_l3 = b3 if self.half else 0.0
-            if bn3 is not None:
-                l3 = bn3.apply(self._ws, (key, "bn3"), l3)
-                b_l3 = bn3.out_bound(b_l3)
-        else:
             b3_raw = skip_spec.out_bound(bound)
-            y3, _sp3, cm3, fused3 = self._gemm((key, 2), skip_spec, canvas,
-                                               b3_raw)
-            if self.half:
-                if fused3:
-                    v3m, b3 = y3, min(b3_raw, _FP16_MAX)
-                else:
-                    v3m, b3 = self._grid((key, "v3"), y3, b3_raw, mutable=True)
-                l3f = self._leaky_merge((key, "a3"), v3m, s3, b3,
-                                        requantize=False)
-                b_l3 = b3
-            else:
-                l3f = y3 * np.where(y3 > 0, 1.0, s3).astype(np.float32)
-                b_l3 = 0.0
-            l3 = cm3(l3f)
-            if bn3 is not None:
-                l3 = bn3.apply(self._ws, (key, "bn3"), l3)
-                b_l3 = bn3.out_bound(b_l3)
-            crop3, fill3 = None, None
+        mid_canvas, mid = self._lease(o, n, out_sp, inner_spec.padding)
+        total = self._lease(o, n, out_sp, stream=True)[1]
+        out_canvas, dest = self._lease(o, n, out_sp, *store_spec)
 
-        # Residual sum — the module path's plain fp32 ``main + skip``.
-        sum_buf = self._ws.get((key, "sum"), (o, n) + out_sp)
-        if crop3 is not None:
-            if fill3 is not None:
-                f3 = fill3 * np.where(fill3 > 0, np.float32(1.0),
-                                      np.float32(s3))
-                if bn3 is not None:
-                    f3 = bn3.apply_channels(f3)
-                l3_full = self._ws.get((key, "l3c"), (o, n) + out_sp)
-                l3_full[:] = f3.reshape((-1, 1) + (1,) * len(out_sp))
-                np.copyto(l3_full[self._avail_slices(crop3[1])],
-                          self._crop_view(l3, crop3))
-                np.add(l2cm, l3_full, out=sum_buf)
-            else:
-                np.add(l2cm, self._crop_view(l3, crop3), out=sum_buf)
-        else:
-            np.add(l2cm, l3, out=sum_buf)
+        # norm1 sits between act1 and the inner conv's entry quantize:
+        # leaky on the exact stream, the affine on the fp32 values, then
+        # one grid snap during the mid store.
+        b1 = self._cap(b1_raw)
+        b_mid = b1 * abs(s1) if bn1 is None else bn1.out_bound(b1)
+        self._act_fill(mid, fill1, s1, bn1, quantize=True)
+        self._gemm((key, 0), main_spec, canvas, b1_raw,
+                   self._store_tail(mid, s1, bn1, b_mid), "act+requant", crop1)
+
+        b_l3 = self._cap(b3_raw)
+        if bn3 is not None:
+            b_l3 = bn3.out_bound(b_l3)
+        self._act_fill(total, fill3, s3, bn3)
+        self._gemm((key, 2), skip_spec, canvas, b3_raw,
+                   self._store_tail(total, s3, bn3), "act", crop3)
+
+        b2_raw = inner_spec.out_bound(b1 if bn1 is None else self._cap(b_mid))
+        b_l2 = self._cap(b2_raw)
+        if bn2 is not None:
+            b_l2 = bn2.out_bound(b_l2)
         carry_bound = b_l2 + b_l3
-
-        out_canvas, dest, stored_bound = self._store_stream(
-            (key, "store"), sum_buf, carry_bound, out_sp, store_spec
-        )
-        return out_canvas, dest, out_sp, stored_bound, sum_buf, carry_bound
+        self._gemm((key, 1), inner_spec, mid_canvas, b2_raw,
+                   self._sum_tail(s2, bn2, total, total, dest, carry_bound),
+                   "act+skip+store")
+        return (out_canvas, dest, out_sp, self._cap(carry_bound), total,
+                carry_bound)
 
     # ------------------------------------------------------------------
-    def _store_stream(self, key, src, bound, spatial, store_spec):
+    def _store_stream(self, src, bound, spatial, store_spec):
         """Store the unquantized fp32 stream into a conv-input canvas."""
 
         c, n = src.shape[:2]
-        canvas, dest = self._ws.canvas((key, "canvas"), c, n, spatial,
-                                       store_spec[0], self._cdtype,
-                                       store_spec[1])
+        canvas, dest = self._lease(c, n, spatial, *store_spec)
         if self.half:
-            q32, bound = self._grid(key, src, bound)
+            q32, bound = self._grid(src, bound)
             np.copyto(dest, q32)
         else:
             np.copyto(dest, src)

@@ -41,9 +41,16 @@ def log_transform(adc: np.ndarray) -> np.ndarray:
 
 
 def inverse_log_transform(logv: np.ndarray) -> np.ndarray:
-    """Back to integer ADC counts: ``round(2^v - 1)`` clipped to 10 bits."""
+    """Back to integer ADC counts: ``round(2^v - 1)`` clipped to 10 bits.
 
-    adc = np.rint(np.exp2(logv.astype(np.float64)) - 1.0)
+    Defined on every float: the exponent is bounded before ``exp2`` (any
+    ``v ≥ 11`` saturates at 1023 anyway, so an untrained decoder's huge
+    outputs no longer overflow), and NaN decodes to 0 counts.
+    """
+
+    v = np.nan_to_num(logv.astype(np.float64), nan=-np.inf, posinf=np.inf,
+                      neginf=-np.inf)
+    adc = np.rint(np.exp2(np.minimum(v, LOG_MAX + 1.0)) - 1.0)
     return np.clip(adc, 0, 1023).astype(np.uint16)
 
 

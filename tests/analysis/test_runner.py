@@ -92,6 +92,19 @@ class TestPlanStatsRecords:
             # Static verification never executes the plan.
             assert stats["gemms"] == {}
 
+    def test_execute_fills_gemm_sites(self):
+        """``analyze --stats`` pushes one wedge through every plan so each
+        GEMM site reports its formulation, tail kind and staging bytes."""
+
+        from repro.analysis import analyze_model_plans
+
+        _diags, records = analyze_model_plans(names=["bcae_2d"], execute=True)
+        assert len(records) == 3
+        for rec in records:
+            sites = rec["stats"]["gemms"].values()
+            assert sites
+            assert all(g["tail"] and g["staging_bytes"] == 0 for g in sites)
+
     def test_ulp_precision_threads_through(self):
         """The ulp tier compiles and verifies clean through the runner
         (seed-0 folds engage with recorded 1-step bounds)."""

@@ -1,5 +1,7 @@
 """Value/shape transforms and the wedge dataset pipeline."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,18 @@ class TestLogTransform:
     def test_roundtrip_exact_on_integers(self, values):
         adc = np.array(values, dtype=np.uint16)
         np.testing.assert_array_equal(inverse_log_transform(log_transform(adc)), adc)
+
+    def test_inverse_defined_on_every_float(self):
+        """Untrained decoders emit huge regression values: the inverse
+        saturates without the ``exp2`` overflow warning, and NaN is 0."""
+
+        logv = np.array([1e30, np.inf, 2000.0, 10.0, np.nan, -np.inf, -5.0],
+                        dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            adc = inverse_log_transform(logv)
+        np.testing.assert_array_equal(adc, [1023, 1023, 1023, 1023, 0, 0, 0])
+        assert adc.dtype == np.uint16
 
     def test_labels(self):
         logv = np.array([0.0, 6.5, 0.0], dtype=np.float32)
