@@ -13,7 +13,7 @@ for the documented simplifications relative to the reference systems.
 """
 
 from .api import Codec, CodecResult, evaluate_codec, fp16_ratio
-from .bitstream import BitReader, bits_to_bytes, pack_codes, unpack_bits
+from .bitstream import BitReader, bits_to_bytes, pack_codes, pack_fixed, unpack_bits
 from .decimation import DecimationCodec
 from .huffman import HuffmanCode, build_huffman, huffman_decode, huffman_encode
 from .lorenzo import lorenzo_forward, lorenzo_inverse
@@ -42,6 +42,7 @@ __all__ = [
     "lorenzo_forward",
     "lorenzo_inverse",
     "pack_codes",
+    "pack_fixed",
     "unpack_bits",
     "bits_to_bytes",
     "BitReader",

@@ -32,7 +32,7 @@ import struct
 import numpy as np
 import scipy.fft
 
-from .bitstream import BitReader, pack_codes, unpack_bits
+from .bitstream import BitReader, pack_fixed, unpack_bits
 from .quantize import UniformQuantizer
 
 __all__ = ["ZFPLikeCodec"]
@@ -108,13 +108,10 @@ class ZFPLikeCodec:
         codes = np.rint((flat + scale[:, None]) / step[:, None])
         codes = np.clip(codes, 0, levels).astype(np.uint64)
 
-        payload, n_bits = pack_codes(
-            codes.ravel(), np.full(codes.size, self.rate_bits, dtype=np.int64)
-        )
         header = struct.pack("<B", nd)
         header += struct.pack(f"<{nd}I", *arr.shape)
-        header += struct.pack("<BQ", self.rate_bits, n_bits)
-        return header + amax16.tobytes() + payload
+        header += struct.pack("<BQ", self.rate_bits, codes.size * self.rate_bits)
+        return header + amax16.tobytes() + pack_fixed(codes, self.rate_bits)
 
     # ------------------------------------------------------------------
     def decompress(self, payload: bytes) -> np.ndarray:

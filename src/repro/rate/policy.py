@@ -32,6 +32,7 @@ __all__ = [
     "RateDecision",
     "make_policy",
     "wedge_features",
+    "wedge_hits",
 ]
 
 #: Policy names the CLI / ServiceConfig accept.
@@ -92,6 +93,26 @@ class RateDecision:
         )
 
 
+def wedge_hits(wedge: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The hit list of one raw wedge: ascending flat (C-order) indices of
+    its nonzero voxels and the raw values there.  The tier's **one scan**
+    (a compare to a byte mask, then the indices of that mask): features,
+    selection and the sparse record all come from the O(hits) result."""
+
+    flat = np.asarray(wedge).reshape(-1)
+    idx = np.flatnonzero(flat != 0)
+    return idx, flat[idx]
+
+
+def hit_features(size: int, values: np.ndarray) -> tuple[float, float]:
+    """:func:`wedge_features` from the hit values of a ``size``-voxel wedge."""
+
+    if values.size == 0:
+        return 0.0, 0.0
+    activity = float(np.log2(values.astype(np.float64) + 1.0).mean())
+    return float(values.size / size), activity
+
+
 def wedge_features(wedge: np.ndarray) -> tuple[float, float]:
     """``(occupancy, activity)`` of one raw ADC wedge ``(R, A, H)``.
 
@@ -99,14 +120,7 @@ def wedge_features(wedge: np.ndarray) -> tuple[float, float]:
     over occupied voxels (the scale reconstruction error lives on).
     """
 
-    wedge = np.asarray(wedge)
-    hits = np.count_nonzero(wedge)
-    occupancy = hits / wedge.size
-    if hits == 0:
-        return 0.0, 0.0
-    vals = wedge[wedge != 0].astype(np.float64)
-    activity = float(np.log2(vals + 1.0).mean())
-    return float(occupancy), activity
+    return hit_features(np.size(wedge), wedge_hits(wedge)[1])
 
 
 class OccupancyPolicy:
@@ -166,20 +180,27 @@ class OccupancyPolicy:
         contract.
         """
 
-        occupancy, activity = wedge_features(wedge)
+        return self.select_hits(np.size(wedge), wedge_hits(wedge)[1],
+                                bcae_record_nbytes)
+
+    def select_hits(self, size: int, values: np.ndarray,
+                    bcae_record_nbytes: int) -> tuple[int, float, float, int]:
+        """:meth:`select` from the hit values (:func:`wedge_hits`) of a
+        ``size``-voxel wedge: no further pass over the volume."""
+
+        occupancy, activity = hit_features(size, values)
+        # Per candidate, what estimate_bytes returns for the wedge.
+        estimates = {
+            BCAE_CODEC_ID: int(bcae_record_nbytes),
+            self.sparse_codec_id: (_CLASSICAL_BASE_BYTES
+                                   + _CLASSICAL_BYTES_PER_HIT * values.size),
+        }
         codec_id = (self.sparse_codec_id
                     if occupancy < self.sparse_occupancy
                     else BCAE_CODEC_ID)
-        est = self.estimate_bytes(codec_id, wedge, bcae_record_nbytes)
-        if self.budget is not None and not self.budget.fits(est):
-            candidates = (BCAE_CODEC_ID, self.sparse_codec_id)
-            estimates = [
-                self.estimate_bytes(c, wedge, bcae_record_nbytes)
-                for c in candidates
-            ]
-            smallest = int(np.argmin(estimates))
-            codec_id, est = candidates[smallest], estimates[smallest]
-        return codec_id, occupancy, activity, int(est)
+        if self.budget is not None and not self.budget.fits(estimates[codec_id]):
+            codec_id = min(estimates, key=estimates.get)  # ties: the BCAE
+        return codec_id, occupancy, activity, estimates[codec_id]
 
 
 def make_policy(name: str, budget_mbps: float | None = None,

@@ -6,16 +6,18 @@
 ``compression_ratio``) so the whole serving stack — worker pools, the shm
 transport, the gateway — hosts it unchanged.  Per batch it:
 
-1. computes each wedge's occupancy/activity features and asks the
-   :class:`~repro.rate.policy.OccupancyPolicy` for a codec (pure per-wedge
-   decision — batch-invariant by construction);
-2. compresses the BCAE-routed wedges as **one sub-batch** through the
+1. scans each wedge **once** for its hit list (:func:`~repro.rate.policy.
+   wedge_hits`) and asks the :class:`~repro.rate.policy.OccupancyPolicy`
+   for a codec from it (pure per-wedge decision — batch-invariant);
+2. codes each classical-routed wedge from that same hit list, in O(hits):
+   the log transform is elementwise and ``log2(0 + 1) = 0``, so the hits'
+   **log-ADC** values (the domain the BCAE reconstructs into, the domain
+   the error bound is documented on) give the bytes the whole log volume
+   would;
+3. compresses the BCAE-routed wedges as **one sub-batch** through the
    wrapped compressor's fast path (payload bytes are batch-composition
    independent, so each routed wedge's record is byte-identical to the
    all-BCAE path's — the property the round-trip tests pin);
-3. compresses each classical-routed wedge with its registry codec over
-   the unpadded **log-ADC** wedge (same domain the BCAE reconstructs
-   into, same domain its error bound is documented on);
 4. concatenates the records in stream order and returns a
    :class:`~repro.core.CompressedWedges` carrying the per-wedge
    ``codec_ids`` / ``record_sizes`` / :class:`RateDecision` ledger.
@@ -31,7 +33,7 @@ import numpy as np
 
 from ..core.compressor import BCAECompressor, CompressedWedges
 from ..tpc.transforms import log_transform
-from .policy import OccupancyPolicy, RateDecision
+from .policy import OccupancyPolicy, RateDecision, wedge_hits
 from .records import record_views
 from .registry import (
     BCAE_CODEC_ID,
@@ -97,6 +99,20 @@ class AdaptiveCompressor:
             self._codecs[codec_id] = codec
         return codec
 
+    def _classical_record(self, codec_id: int, shape, idx: np.ndarray,
+                          values: np.ndarray) -> bytes:
+        """One classical record from a wedge's hit list (raw values)."""
+
+        codec = self._codec(codec_id)
+        logged = log_transform(values)
+        if hasattr(codec, "compress_hits"):
+            return codec.compress_hits(shape, idx, logged)
+        # A dense-volume codec on the sparse route: scatter the hits back
+        # (bit-identical to log_transform of the wedge — zeros map to 0.0).
+        volume = np.zeros(shape, dtype=np.float32)
+        volume.reshape(-1)[idx] = logged
+        return codec.compress(volume)
+
     # ------------------------------------------------------------------
     def compress(self, wedges: np.ndarray) -> CompressedWedges:
         """Adaptive compression of raw ADC wedges ``(B, R, A, H)``."""
@@ -128,15 +144,20 @@ class AdaptiveCompressor:
 
         codec_ids: list[int] = [BCAE_CODEC_ID] * n
         features: list[tuple[float, float, int]] = [(0.0, 0.0, 0)] * n
+        records: list[bytes] = [b""] * n
         for i in range(n):
-            codec_id, occ, act, est = self.policy.select(
-                wedges[i], bcae_record
+            idx, values = wedge_hits(wedges[i])
+            codec_id, occ, act, est = self.policy.select_hits(
+                wedges[i].size, values, bcae_record
             )
             codec_ids[i] = codec_id
             features[i] = (occ, act, est)
+            if codec_id != BCAE_CODEC_ID:
+                records[i] = self._classical_record(
+                    codec_id, wedges.shape[1:], idx, values
+                )
         bcae_idx = [i for i in range(n) if codec_ids[i] == BCAE_CODEC_ID]
 
-        records: list[bytes] = [b""] * n
         if bcae_idx:
             sub = self.inner.compress_into(
                 wedges[np.asarray(bcae_idx)]  # lint: allow-alloc
@@ -144,10 +165,6 @@ class AdaptiveCompressor:
             payload = bytes(sub.payload)
             for j, i in enumerate(bcae_idx):
                 records[i] = payload[j * bcae_record:(j + 1) * bcae_record]
-        for i in range(n):
-            if codec_ids[i] != BCAE_CODEC_ID:
-                logged = log_transform(wedges[i])  # lint: allow-alloc
-                records[i] = self._codec(codec_ids[i]).compress(logged)
 
         decisions = tuple(
             RateDecision(

@@ -46,8 +46,9 @@ class MicroBatch:
     first_seq:
         Stream sequence number of the first wedge in the batch.
     wedges:
-        Stacked raw wedges ``(B, R, A, H)`` — a fresh array, safe to hand
-        to a worker thread.
+        Stacked raw wedges ``(B, R, A, H)``, safe to hand to a worker
+        thread: a fresh array, or for a one-wedge batch a view of that
+        wedge (sources hand each wedge over for good).
     oldest_arrival_s / newest_arrival_s:
         Stream-time arrival span covered by the batch.
     closed_by:
@@ -144,7 +145,8 @@ def _make_batch(
     return MicroBatch(
         seq=batch_seq,
         first_seq=pending[0].seq,
-        wedges=np.stack([item.wedge for item in pending]),
+        wedges=(pending[0].wedge[None] if len(pending) == 1
+                else np.stack([item.wedge for item in pending])),
         oldest_arrival_s=pending[0].arrival_s,
         newest_arrival_s=pending[-1].arrival_s,
         closed_by=closed_by,

@@ -112,7 +112,8 @@ class GatewayConfig:
     max_frame_bytes:
         Per-frame body cap handed to every session's socket source (see
         :func:`~repro.serve.source.read_wedge_frame`); ``None`` disables
-        the cap — never do that for untrusted producers.
+        the cap — never do that for untrusted producers.  Also the most a
+        session reads ahead of its batcher before TCP backpressure applies.
 
     Example
     -------
@@ -690,8 +691,13 @@ class ServingGateway:
         if self._server is not None:
             return self
         self.router.start()
+        # Stream readers pause their transport at twice the limit: sized
+        # so that one maximal frame is buffered without pause/resume churn
+        # (never under asyncio's 64 KiB default, which an uncapped gateway
+        # keeps).
         self._server = await asyncio.start_server(
-            self._handle_client, self.config.host, self.config.port
+            self._handle_client, self.config.host, self.config.port,
+            limit=max((self.config.max_frame_bytes or 0) // 2, 2 ** 16),
         )
         return self
 

@@ -235,7 +235,9 @@ def write_wedge_frame(writer: asyncio.StreamWriter, wedge: np.ndarray) -> None:
     header = _FRAME_MAGIC + struct.pack("<B", len(dtype)) + dtype
     header += struct.pack("<B", wedge.ndim)
     header += struct.pack(f"<{wedge.ndim}I", *wedge.shape)
-    writer.write(header + wedge.tobytes())
+    # One copy, straight from the array's buffer: the frame is a snapshot
+    # (the caller may reuse the array at once) and goes out as one write.
+    writer.write(b"".join((header, memoryview(wedge.reshape(-1).view(np.uint8)))))
 
 
 async def read_wedge_frame(

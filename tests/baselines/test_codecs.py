@@ -129,6 +129,22 @@ class TestZFPLike:
         # Reconstruction leaks energy into empty voxels (ringing).
         assert float(np.abs(y[zero_sites]).max()) > 0.5
 
+    @pytest.mark.parametrize("rate", [1, 2, 7, 16])
+    def test_payload_unchanged_by_the_fixed_width_packer(
+            self, rng, rate, monkeypatch):
+        """ZFP packs through ``pack_fixed`` now; the stream must be the one
+        the variable-length packer produced."""
+
+        from repro.baselines import pack_codes, zfplike
+
+        x = _sparse_field(rng, shape=(5, 9, 14))
+        new = ZFPLikeCodec(rate).compress(x)
+        monkeypatch.setattr(
+            zfplike, "pack_fixed",
+            lambda codes, width: pack_codes(
+                codes.ravel(), np.full(codes.size, width))[0])
+        assert ZFPLikeCodec(rate).compress(x) == new
+
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             ZFPLikeCodec(0)

@@ -15,6 +15,7 @@ from repro.baselines import (
     lorenzo_forward,
     lorenzo_inverse,
     pack_codes,
+    pack_fixed,
     unpack_bits,
 )
 
@@ -65,6 +66,31 @@ class TestBitstream:
         payload, n_bits = pack_codes(codes, np.full(len(values), width))
         got = BitReader(unpack_bits(payload, n_bits)).read_fixed_array(len(values), width)
         np.testing.assert_array_equal(got, codes)
+
+
+    @pytest.mark.parametrize("width", range(1, 65))
+    def test_pack_fixed_equals_pack_codes(self, rng, width):
+        """The fixed-width packer is the variable-length one specialised:
+        same bytes at every width, including codes wider than the field
+        (both keep the low ``width`` bits) and sizes that end mid-byte."""
+
+        for n in (1, 7, 64, 333):
+            codes = rng.integers(0, 2**64, size=n, dtype=np.uint64,
+                                 endpoint=False)
+            if n == 64 and width < 64:
+                codes &= np.uint64((1 << width) - 1)  # the in-range case
+            want, n_bits = pack_codes(codes, np.full(n, width))
+            assert pack_fixed(codes, width) == want
+            assert n_bits == n * width
+
+    def test_pack_fixed_edges(self):
+        assert pack_fixed(np.array([], dtype=np.uint64), 5) == b""
+        # Any shape flattens in C order, like pack_codes over ravel().
+        grid = np.arange(6, dtype=np.uint64).reshape(2, 3)
+        assert pack_fixed(grid, 3) == pack_fixed(grid.ravel(), 3)
+        for width in (0, 65):
+            with pytest.raises(ValueError):
+                pack_fixed(np.array([1]), width)
 
 
 class TestHuffman:

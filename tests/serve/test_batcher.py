@@ -30,6 +30,17 @@ class TestChunking:
         flat = np.concatenate([b.wedges for b in batches])
         assert [int(w[0, 0, 0]) for w in flat] == list(range(7))
 
+    def test_one_wedge_batch_is_a_view_larger_batches_stack(self):
+        """A one-wedge micro-batch must not copy the wedge (it is the
+        common case under a zero latency budget); a larger one stacks."""
+
+        items = _items(3)
+        pair, solo = MicroBatcher(max_batch=2).batches(items)
+        assert solo.wedges.shape == (1,) + items[2].wedge.shape
+        assert np.shares_memory(solo.wedges, items[2].wedge)
+        np.testing.assert_array_equal(pair.wedges[1], items[1].wedge)
+        assert not np.shares_memory(pair.wedges, items[0].wedge)
+
     def test_empty_stream(self):
         assert list(MicroBatcher(max_batch=4).batches(iter(()))) == []
 

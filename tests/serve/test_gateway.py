@@ -197,6 +197,66 @@ class TestFrameProtocol:
         np.testing.assert_array_equal(asyncio.run(run(MAX_FRAME_BYTES)), wedges[0])
         assert wedges[0].nbytes < MAX_FRAME_BYTES
 
+    @pytest.mark.parametrize("array", [
+        np.arange(2 * 3 * 5, dtype=np.uint16).reshape(2, 3, 5),
+        np.linspace(0, 1, 7, dtype=np.float16),
+        np.arange(24, dtype=np.int32).reshape(4, 6)[::2, 1::2],  # strided
+        np.arange(24, dtype=np.float32).reshape(4, 6).T,         # F-order
+        np.zeros((3, 0, 2), dtype=np.uint16),
+        np.array([7, -2], dtype=">i4"),
+    ], ids=["u2", "f2", "strided", "transposed", "empty", "bigendian"])
+    def test_wire_bytes_are_the_parents_frame(self, array):
+        """The frame is assembled with one copy now; the bytes on the wire
+        are what ``header + wedge.tobytes()`` was, and the round trip still
+        returns an owned, writable array."""
+
+        import struct
+
+        writes = []
+
+        class _Writer:
+            def write(self, data):
+                writes.append(data)
+
+        write_wedge_frame(_Writer(), array)
+        dtype = array.dtype.str.encode("ascii")
+        want = (b"WDG1" + struct.pack("<B", len(dtype)) + dtype
+                + struct.pack("<B", array.ndim)
+                + struct.pack(f"<{array.ndim}I", *array.shape)
+                + array.tobytes())
+        assert b"".join(bytes(w) for w in writes) == want
+
+        async def run():
+            reader = asyncio.StreamReader()
+            for data in writes:
+                reader.feed_data(data)
+            reader.feed_eof()
+            return await read_wedge_frame(reader)
+
+        got = asyncio.run(run())
+        np.testing.assert_array_equal(got, array)
+        assert got.dtype == array.dtype and got.flags.writeable
+        assert not np.shares_memory(got, array)
+
+    def test_frame_is_one_write_of_a_snapshot(self, wedges):
+        """One write (a separate header write costs the receiver an extra
+        wake-up) holding a snapshot: a producer may overwrite its buffer
+        right after the call, where a zero-copy view would alias it until
+        the transport flushed."""
+
+        writes = []
+
+        class _Writer:
+            def write(self, data):
+                writes.append(data)
+
+        buffer = wedges[0].copy()
+        write_wedge_frame(_Writer(), buffer)
+        buffer[:] = 0
+        (frame,) = writes
+        assert isinstance(frame, bytes)
+        assert frame.endswith(wedges[0].tobytes())
+
     def test_write_frame_rejects_dims_over_u32(self):
         """Dims ≥ 2³² must raise FrameProtocolError, not struct.error.
         (Zero-width trailing axis keeps the array allocation-free.)"""
