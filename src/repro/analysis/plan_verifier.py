@@ -19,6 +19,12 @@ path to be legal and bit-exact:
 * **epilogue legality** — output heads (``sigmoid``/``regout``) must be
   terminal: :meth:`run` applies them to the *result stream*, so any
   canvas-consuming op after a head would silently drop the head;
+* **stacked-site re-derivation** — where a residual block compiled its
+  main and skip convolutions into one stacked GEMM operand, that operand is
+  rebuilt from the members: ``wtT`` row blocks and the concatenated bias
+  equal the members' bit for bit, the members agree on kernel / stride /
+  padding (and crop, for the transposed pair), and the shared epilogue
+  clips exactly where either member's bound requires it;
 * **clip-elision re-derivation** — the magnitude-bound chain is recomputed
   from scratch (conv slopes re-derived from the cached weights in float64)
   and every fp16 quantize site is classified as *clip elided* or *clip
@@ -199,6 +205,43 @@ class _Verifier:
                       f"{part}: fold source w_raw retained after compile "
                       "(lifetime: plans release it post-fold)", token=tok)
         return l1_64
+
+    def _check_pair(self, pair, main, skip, i: int, kind: str) -> None:
+        """Re-derive a block's stacked GEMM operand from its two members
+        (``_ConvSpec`` / ``_ConvTSpec``); any disagreement is PV060."""
+
+        def bad(message: str) -> None:
+            self.emit("PV060", "error", i, kind, f"pair: {message}",
+                      token="pair")
+
+        def same(x, y) -> bool:
+            if x is None or y is None:
+                return x is y
+            return (x.shape == y.shape and x.dtype == y.dtype
+                    and x.tobytes() == y.tobytes())
+
+        def geometry(m) -> tuple:  # a transposed conv adds its crop
+            return (m.kernel, m.stride, m.padding,
+                    getattr(m, "output_padding", None))
+
+        self._check_conv_spec(pair, i, kind, "pair")
+        a, b = getattr(main, "spec", main), getattr(skip, "spec", skip)
+        if not (geometry(main) == geometry(skip)
+                and geometry(a) == geometry(b) == geometry(pair)):
+            bad("members disagree on kernel / stride / padding / crop — "
+                "one gather and one store map cannot serve both")
+        o1 = a.out_channels
+        if pair.members != (o1, b.out_channels):
+            bad(f"member split {pair.members} vs the members' channels "
+                f"({o1}, {b.out_channels})")
+        if not (same(pair.wtT[:o1], a.wtT) and same(pair.wtT[o1:], b.wtT)):
+            bad("stacked wtT row blocks diverge from the members' operands "
+                "— the fused site would compute different convolutions "
+                "than its fallback")
+        if (a.bias is None) != (b.bias is None) or not same(
+                pair.bias, None if a.bias is None
+                else np.concatenate((a.bias, b.bias))):
+            bad("stacked bias is not the members' biases concatenated")
 
     def _check_bn_spec(self, bn, i: int, kind: str, part: str) -> None:
         tok = part
@@ -455,7 +498,7 @@ class _Verifier:
         """Shape/bound interpretation of a down/up residual block,
         mirroring ``_block3d``'s main+skip structure."""
 
-        main, inner, skip, s1, s2, s3, bn1, bn2, bn3 = op
+        main, inner, skip, s1, s2, s3, bn1, bn2, bn3, pair = op
         transposed = kind == "upblock3d"
         if transposed:
             l1m = self._check_conv_spec(main.spec, i, kind, "main")
@@ -493,6 +536,8 @@ class _Verifier:
             self.emit("PV103", "error", i, kind,
                       f"skip emits {skip.out_channels} channels vs main "
                       f"path {inner.out_channels}", token="channels")
+        if pair is not None:
+            self._check_pair(pair, main, skip, i, kind)
         for part, bn in (("bn1", bn1), ("bn2", bn2), ("bn3", bn3)):
             if bn is not None:
                 self._check_bn_spec(bn, i, kind, part)
@@ -508,7 +553,7 @@ class _Verifier:
 
         # Bound chain (mirrors _block3d in half mode).
         b1_raw = main.out_bound(bound)
-        b1_64 = l1m * b64 + main_bias
+        b1_64 = b1_raw64 = l1m * b64 + main_bias
         if half:
             b1 = self._site(i, kind, "main", b1_raw, b1_64)
             b1_64 = min(b1_64, FP16_MAX)
@@ -536,6 +581,18 @@ class _Verifier:
         b3_64 = l1s * b64 + skip_bias
         if half:
             b3 = self._site(i, kind, "skip", b3_raw, b3_64)
+            if pair is not None:
+                # The stacked site's one epilogue runs on the larger bound:
+                # it must clip exactly where either member's site would.
+                fused = max(b1_raw, b3_raw)
+                self._site(i, kind, "pair", fused, max(b1_raw64, b3_64))
+                if (fused >= FP16_MAX) != (b1_raw >= FP16_MAX
+                                           or b3_raw >= FP16_MAX):
+                    self.emit("PV060", "error", i, kind,
+                              f"pair: fused bound {fused:.6g} decides the "
+                              "shared clip differently from the members' "
+                              f"bounds {b1_raw:.6g} / {b3_raw:.6g}",
+                              token="pair")
             b3_64 = min(b3_64, FP16_MAX)
         else:
             b3 = b3_raw

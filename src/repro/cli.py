@@ -867,8 +867,11 @@ def _print_plan_stats(rec: dict) -> None:
     gemms = stats.get("gemms", {})
     if gemms:
         for key, g in gemms.items():
+            # A stacked site serves two convolutions: show its member split.
+            split = (" members=" + "+".join(map(str, g["members"]))
+                     if "members" in g else "")
             print(f"  stats  gemm {key}: {g['formulation']} "
-                  f"m={g['m']} K={g['K']} o={g['o']} "
+                  f"m={g['m']} K={g['K']} o={g['o']}{split} "
                   f"panels={g['panels']} threads={g['threads']} "
                   f"max_ulp={g['max_ulp']} tail={g['tail']} "
                   f"staging_bytes={g['staging_bytes']}")

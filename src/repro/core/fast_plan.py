@@ -59,8 +59,11 @@ actually runs: the input is scattered into a persistent *dilated* canvas
 arrays the module path reallocates every call), the full correlation runs
 through the same GEMM machinery, and the module path's crop happens during
 the store.  The 3D residual blocks (``down3d`` / ``upblock3d``) compile to
-three conv specs sharing one input canvas (main and skip paths consume the
-same quantized store) with the LeakyReLU merges of the 2D ``res`` handler.
+two GEMM sites with the LeakyReLU merges of the 2D ``res`` handler: the main
+and skip paths start with the same convolution geometry over the same
+quantized store, so their weights are stacked into one operand — one gather,
+one GEMM, one tail per row block — wherever a calibration probe proves the
+stacked rows equal each member's own contraction (else they run apart).
 ``sigmoid`` / ``regout`` compile only as the final stage directly after a
 conv-like stage; the plan must end in a conv-like stage (plus an optional
 head) so that :meth:`CompiledStagePlan.run` returns exactly what the module
@@ -141,7 +144,7 @@ never materializes; below it the whole result is one panel (one per sample
 in the reference orientation) through the same routine, epilogue and tails.
 Which orientation and panel width reproduce the module path's per-sample
 contraction bit for bit is decided per problem shape by calibration probes
-(:func:`_transposed_gemm_matches`, :func:`_blocked_gemm_matches` and
+(:func:`_transposed_gemm_matches`, :func:`_blocked_gemm_ulp` and
 friends) before a formulation is used — behaviour is never traded for speed.
 
 A panel is a row range of the flattened output grid, but a padded canvas is
@@ -534,6 +537,30 @@ class _ConvSpec:
     w_l1: float     # max over output channels of Σ|w| — bound slope
     bias_max: float
     w_raw: np.ndarray | None = None  # (O, C, *k) prequantized — fold source
+    #: Output-channel split of a stacked spec (see :meth:`stacked`).
+    members: tuple[int, ...] | None = None
+
+    @classmethod
+    def stacked(cls, a: "_ConvSpec", b: "_ConvSpec") -> "_ConvSpec | None":
+        """Two convolutions over one input as one GEMM operand: ``wtT``
+        rows ``[:o_a]`` are ``a``'s, the rest ``b``'s, biases concatenated.
+        None unless both read the same im2col operand through the same
+        epilogue (kernel, stride, padding, bias presence); whether the
+        stacked rows reproduce each member's own contraction is decided per
+        problem shape by the ``splits=`` form of the calibration probes."""
+
+        if ((a.kernel, a.stride, a.padding, a.wtT.shape[1], a.bias is None)
+                != (b.kernel, b.stride, b.padding, b.wtT.shape[1],
+                    b.bias is None)):
+            return None
+        wtT = np.concatenate((a.wtT, b.wtT))
+        bias = None if a.bias is None else np.concatenate((a.bias, b.bias))
+        return dataclasses.replace(
+            a, wt=np.asfortranarray(wtT.T), wtT=wtT, bias=bias,
+            bias_col=None if bias is None else bias.reshape(-1, 1),
+            out_channels=a.out_channels + b.out_channels,
+            w_l1=max(a.w_l1, b.w_l1), bias_max=max(a.bias_max, b.bias_max),
+            w_raw=None, members=(a.out_channels, b.out_channels))
 
     @classmethod
     def _from_weight(cls, w: np.ndarray, bias, kernel, stride, padding) -> "_ConvSpec":
@@ -621,6 +648,16 @@ class _ConvTSpec:
             store_padding=tuple((k - 1, k - 1) for k in convt.kernel_size),
             dilation=tuple(convt.stride),
         )
+
+    @classmethod
+    def stacked(cls, a: "_ConvTSpec", b: "_ConvTSpec") -> _ConvSpec | None:
+        """:meth:`_ConvSpec.stacked` of two transposed convolutions over one
+        dilated canvas; their geometry, hence their crop, must agree too."""
+
+        if ((a.kernel, a.stride, a.padding, a.output_padding)
+                != (b.kernel, b.stride, b.padding, b.output_padding)):
+            return None
+        return _ConvSpec.stacked(a.spec, b.spec)
 
     @property
     def out_channels(self) -> int:
@@ -1095,12 +1132,44 @@ def _panel_map(view: np.ndarray, pre: tuple, r0: int, r1: int, dims, lo, hi):
             [(j0, j1) + box for j0, j1, box in stores if box])
 
 
-#: (n, rows, K, O) → whether the whole-batch transposed GEMM reproduces the
-#: per-sample reference contraction bit for bit on this BLAS build.
+def _probe_problem(seed: int, n: int, rows: int, K: int, o: int,
+                   splits: tuple[int, ...] | None = None):
+    """Operands and reference of one GEMM calibration probe: a dense-random
+    ``(n·rows, K)`` im2col stand-in ``a``, an F-contiguous ``(K, o)`` kernel
+    ``b`` and ``conv_forward``'s per-sample ``(rows, K) @ (K, o)``
+    contraction of the two.  ``splits`` are the member widths of a stacked
+    operand (:meth:`_ConvSpec.stacked`): each member's columns are then
+    contracted on their own, as its own site would — BLAS may accumulate an
+    ``o``-column product differently from the narrower ones it stands for.
+    """
+
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n * rows, K), dtype=np.float32)
+    b = np.asfortranarray(rng.standard_normal((K, o), dtype=np.float32))
+
+    ref = np.empty((n * rows, o), dtype=np.float32)
+    tmp = np.empty(rows * max(splits), dtype=np.float32) if splits else None
+    lo = 0
+    for w in splits or (o,):
+        for i in range(n):
+            part = slice(i * rows, (i + 1) * rows)
+            if splits:  # np.dot wants a contiguous out: stage the columns
+                out = tmp[:rows * w].reshape(rows, w)
+                np.dot(a[part], b[:, lo:lo + w], out=out)
+                ref[part, lo:lo + w] = out
+            else:
+                np.dot(a[part], b, out=ref[part])
+        lo += w
+    return a, b, ref
+
+
+#: (n, rows, K, O | splits) → whether the whole-batch transposed GEMM
+#: reproduces the per-sample reference contraction bit for bit on this BLAS.
 _TRANSPOSED_GEMM_OK: dict = {}
 
 
-def _transposed_gemm_matches(n: int, rows: int, K: int, o: int) -> bool:
+def _transposed_gemm_matches(n: int, rows: int, K: int, o: int,
+                             splits: tuple[int, ...] | None = None) -> bool:
     """Calibrate the transposed GEMM formulation for one problem shape.
 
     ``conv_forward``'s contraction is per-sample ``(rows, K) @ (K, O)``
@@ -1114,29 +1183,22 @@ def _transposed_gemm_matches(n: int, rows: int, K: int, o: int) -> bool:
     the data), one dense-random probe per shape decides the formulation:
     bit-equal → transposed fast path, else the reference orientation.
     Behaviour is never traded for speed; the probe costs two small GEMMs
-    once per (batch, shape).
+    once per (batch, shape); ``splits`` as in :func:`_probe_problem`.
     """
 
-    key = (n, rows, K, o)
+    key = (n, rows, K, splits or o)
     hit = _TRANSPOSED_GEMM_OK.get(key)
     if hit is None:
-        rng = np.random.default_rng(0x5EED)
-        a = rng.standard_normal((n * rows, K)).astype(np.float32)
-        b = np.asfortranarray(rng.standard_normal((K, o)), dtype=np.float32)
-        ref = np.empty((n * rows, o), dtype=np.float32)
-        for i in range(n):
-            np.dot(a[i * rows:(i + 1) * rows], b, out=ref[i * rows:(i + 1) * rows])
-        got = np.empty((o, n * rows), dtype=np.float32)
-        np.dot(np.ascontiguousarray(b.T), np.ascontiguousarray(a.T), out=got)
-        hit = bool(np.array_equal(got.T, ref))
-        _TRANSPOSED_GEMM_OK[key] = hit
+        a, b, ref = _probe_problem(0x5EED, n, rows, K, o, splits)
+        got = np.dot(np.ascontiguousarray(b.T), np.ascontiguousarray(a.T))
+        hit = _TRANSPOSED_GEMM_OK[key] = bool(np.array_equal(got.T, ref))
     return hit
 
 
-#: (n, rows, K, O, P) → ``(ulp32, ulp16)``: measured max deviation of the
-#: panel-blocked transposed GEMMs from the per-sample reference contraction
-#: on this BLAS build, in raw fp32 ulps and in fp16 grid steps of the
-#: quantized outputs ((0, 0) = bit-identical).
+#: (n, rows, K, O | splits, P) → ``(ulp32, ulp16)``: measured max deviation
+#: of the panel-blocked transposed GEMMs from the per-sample reference
+#: contraction on this BLAS build, in raw fp32 ulps and in fp16 grid steps
+#: of the quantized outputs ((0, 0) = bit-identical).
 _BLOCKED_GEMM_ULP: dict = {}
 
 #: (n, rows, K, O, P) → whether reference-orientation row panels reproduce
@@ -1165,7 +1227,8 @@ def _panel_cols(K: int, ow: int, m: int) -> int:
     return min(int(rows) * ow, m)
 
 
-def _blocked_gemm_ulp(n: int, rows: int, K: int, o: int, P: int) -> tuple[int, int]:
+def _blocked_gemm_ulp(n: int, rows: int, K: int, o: int, P: int,
+                      splits: tuple[int, ...] | None = None) -> tuple[int, int]:
     """Calibrate the panel-blocked GEMM formulation for one problem shape.
 
     The blocked executor runs one ``(O, K) @ (K, P)`` GEMM per gathered
@@ -1184,19 +1247,15 @@ def _blocked_gemm_ulp(n: int, rows: int, K: int, o: int, P: int) -> tuple[int, i
     accepts; the opt-in ulp tier bounds the metric of the plan's stored
     grid (``ulp16`` when the fp16 snap follows, ``ulp32`` otherwise)
     against :data:`ULP_TIER_MAX_ULP`.  Behaviour is never traded for
-    speed.
+    speed.  ``splits`` probes a stacked operand against its members'
+    references (:func:`_probe_problem`).
     """
 
-    key = (n, rows, K, o, P)
+    key = (n, rows, K, splits or o, P)
     hit = _BLOCKED_GEMM_ULP.get(key)
     if hit is None:
-        rng = np.random.default_rng(0xB10C)
         m = n * rows
-        a = rng.standard_normal((m, K), dtype=np.float32)
-        b = np.asfortranarray(rng.standard_normal((K, o), dtype=np.float32))
-        ref = np.empty((m, o), dtype=np.float32)
-        for i in range(n):
-            np.dot(a[i * rows:(i + 1) * rows], b, out=ref[i * rows:(i + 1) * rows])
+        a, b, ref = _probe_problem(0xB10C, n, rows, K, o, splits)
         bt = np.ascontiguousarray(b.T)
         panel = np.empty((K, P), dtype=np.float32)
         got = np.empty((o, P), dtype=np.float32)
@@ -1234,12 +1293,6 @@ def _blocked_gemm_ulp(n: int, rows: int, K: int, o: int, P: int) -> tuple[int, i
     return hit
 
 
-def _blocked_gemm_matches(n: int, rows: int, K: int, o: int, P: int) -> bool:
-    """Bit-tier gate on :func:`_blocked_gemm_ulp` (deviation must be 0)."""
-
-    return _blocked_gemm_ulp(n, rows, K, o, P)[0] == 0
-
-
 def _blocked_pad_gemm_matches(n: int, rows: int, K: int, o: int, P: int) -> int:
     """Calibrate the repacked (zero-padded output channel) panel GEMM.
 
@@ -1261,13 +1314,8 @@ def _blocked_pad_gemm_matches(n: int, rows: int, K: int, o: int, P: int) -> int:
     key = (n, rows, K, o, P)
     hit = _BLOCKED_PAD_GEMM_OK.get(key)
     if hit is None:
-        rng = np.random.default_rng(0xB10E)
         m = n * rows
-        a = rng.standard_normal((m, K), dtype=np.float32)
-        b = np.asfortranarray(rng.standard_normal((K, o), dtype=np.float32))
-        ref = np.empty((m, o), dtype=np.float32)
-        for i in range(n):
-            np.dot(a[i * rows:(i + 1) * rows], b, out=ref[i * rows:(i + 1) * rows])
+        a, b, ref = _probe_problem(0xB10E, n, rows, K, o)
         bt = np.ascontiguousarray(b.T)
         panel = np.empty((K, P), dtype=np.float32)
         hit = 0
@@ -1305,19 +1353,14 @@ def _blocked_ref_gemm_matches(n: int, rows: int, K: int, o: int, P: int) -> bool
     calibration (very small output-channel counts dispatch to different
     BLAS kernels per orientation); m-blocking almost always preserves bits
     because BLAS packs row panels independently.  Same probe protocol as
-    :func:`_blocked_gemm_matches`.
+    :func:`_blocked_gemm_ulp`.
     """
 
     key = (n, rows, K, o, P)
     hit = _BLOCKED_REF_GEMM_OK.get(key)
     if hit is None:
-        rng = np.random.default_rng(0xB10D)
         m = n * rows
-        a = rng.standard_normal((m, K), dtype=np.float32)
-        b = np.asfortranarray(rng.standard_normal((K, o), dtype=np.float32))
-        ref = np.empty((m, o), dtype=np.float32)
-        for i in range(n):
-            np.dot(a[i * rows:(i + 1) * rows], b, out=ref[i * rows:(i + 1) * rows])
+        a, b, ref = _probe_problem(0xB10D, n, rows, K, o)
         got = np.empty((m, o), dtype=np.float32)
         for c0 in range(0, m, P):
             pw = min(P, m - c0)
@@ -1507,24 +1550,20 @@ class CompiledStagePlan:
                     float(stage.act1.negative_slope),
                     float(stage.act2.negative_slope),
                 )
-            elif kind == "down3d":
+            elif kind in ("down3d", "upblock3d"):
+                down = kind == "down3d"
+                cls = _ConvSpec if down else _ConvTSpec
+                main = cls.from_module(stage.down if down else stage.up,
+                                       self.half)
+                skip = cls.from_module(stage.skip, self.half)
                 op = (
-                    _ConvSpec.from_module(stage.down, self.half),
+                    main,
                     _ConvSpec.from_module(stage.conv, self.half),
-                    _ConvSpec.from_module(stage.skip, self.half),
+                    skip,
                     float(stage.act1.negative_slope),
                     float(stage.act2.negative_slope),
                     float(stage.act3.negative_slope),
-                ) + self._block_norms(stage)
-            elif kind == "upblock3d":
-                op = (
-                    _ConvTSpec.from_module(stage.up, self.half),
-                    _ConvSpec.from_module(stage.conv, self.half),
-                    _ConvTSpec.from_module(stage.skip, self.half),
-                    float(stage.act1.negative_slope),
-                    float(stage.act2.negative_slope),
-                    float(stage.act3.negative_slope),
-                ) + self._block_norms(stage)
+                ) + self._block_norms(stage) + (cls.stacked(main, skip),)
             elif kind == "bnorm":
                 op = _BNSpec.from_module(stage)
             elif kind == "regout":
@@ -1602,7 +1641,7 @@ class CompiledStagePlan:
                                    "convolution to absorb it"}
                     )
             elif kind in ("down3d", "upblock3d"):
-                specs, norms = op[:6], op[6:]
+                specs, norms = op[:6], op[6:9]
                 if not any(norms):
                     continue
                 bn1, bn2, bn3 = norms
@@ -1630,7 +1669,7 @@ class CompiledStagePlan:
                              "reason": "kept affine stage: activation "
                                        "between conv and norm"}
                         )
-                self._ops[i] = (kind, specs + (bn1, bn2, bn3))
+                self._ops[i] = (kind, specs + (bn1, bn2, bn3) + op[9:])
 
     def _release_fold_sources(self) -> None:
         """Drop the ``w_raw`` fold sources once folding has run.
@@ -1670,9 +1709,10 @@ class CompiledStagePlan:
 
         Returns a plain-dict observability record: per-stage kind counts,
         BN fold decisions, per-GEMM-site formulation/panel/thread stats,
-        tail kind and ``staging_bytes`` — workspace bytes keyed to the site,
-        0 since every output is finished inside its panel — (as recorded by
-        the most recent :meth:`run`; empty until a run has happened, since
+        tail kind (a stacked site lists its ``members`` split and both
+        tails, ``"act+requant|act"``) and ``staging_bytes`` — workspace
+        bytes keyed to the site, 0 since every output is finished inside
+        its panel — (as recorded by the most recent :meth:`run`; empty until a run has happened, since
         panel counts depend on the batch geometry), ulp-tier engagements,
         and the workspace footprint.  Printed by ``repro-tpc analyze
         --stats``.
@@ -1735,6 +1775,7 @@ class CompiledStagePlan:
         ops = self._ops
         nd = self._nd
         self._turn.clear()
+        self._gemm_stats.clear()
         result: np.ndarray | None = None
         for i, (kind, op) in enumerate(ops):
             store_spec = _next_store_spec(ops, i, nd)
@@ -1815,7 +1856,7 @@ class CompiledStagePlan:
 
     # ------------------------------------------------------------------
     def _gemm(self, key, spec: _ConvSpec, canvas: np.ndarray, bound: float,
-              tail, kind: str, crop=None) -> None:
+              tail, kind: str, crop=None) -> bool:
         """The exact ``conv_forward`` contraction out of a padded canvas,
         finished panel by panel (see *Panel epilogue contract*).
 
@@ -1844,6 +1885,11 @@ class CompiledStagePlan:
         formulation: each output element is a fixed K-term dot product.
         The canvas holds quantized (grid) values, so the module path's
         quantize-on-entry is a no-op and is skipped.
+
+        A stacked ``spec`` takes one tail per member and runs only in the
+        transposed orientation, probed against each member's own reference;
+        where that probe rejects the shape nothing runs and False is
+        returned — the caller runs the members' own sites.
         """
 
         c, n = canvas.shape[:2]
@@ -1855,9 +1901,10 @@ class CompiledStagePlan:
         # m = n·prod(out_spatial) is a whole multiple of ow by construction,
         # so panels always cover whole innermost-axis rows.
         P = _panel_cols(K, out_spatial[-1], m)
+        splits = spec.members
         form = None
         if m * K * 4 >= _BLOCKED_MIN_BYTES:
-            u32, u16 = _blocked_gemm_ulp(n, rows, K, o, P)
+            u32, u16 = _blocked_gemm_ulp(n, rows, K, o, P, splits)
             # The stored grid's metric governs: fp16 steps where the panel
             # epilogue snaps this GEMM's output, raw fp32 ulps otherwise.
             u = u16 if self.half else u32
@@ -1865,6 +1912,8 @@ class CompiledStagePlan:
                 if u:
                     self._note_ulp_site(key, "blocked-gemm", u)
                 form = ("blocked", False, 0, u)
+            elif splits:
+                return False
             elif o <= _PAD_MAX_O and (
                     opad := _blocked_pad_gemm_matches(n, rows, K, o, P)):
                 form = ("blocked_pad", False, opad, 0)
@@ -1873,18 +1922,21 @@ class CompiledStagePlan:
         T = 1
         if form is not None:
             T = max(1, min(self.panel_threads, m // P))
-        elif _transposed_gemm_matches(n, rows, K, o):
+        elif _transposed_gemm_matches(n, rows, K, o, splits):
             form, P = ("transposed", False, 0, 0), m
+        elif splits:
+            return False
         else:
             form, P = ("reference", True, 0, 0), rows
         name, ref, opad, u = form
         self._panels(key, spec, canvas, out_spatial, P, ref, opad, T, bound,
-                     tail, crop)
+                     tail if splits else (tail,), crop)
         self._gemm_stats[key] = {
             "formulation": name, "m": m, "K": K, "o": o, "opad": opad,
             "panels": -(-m // P), "threads": T, "max_ulp": int(u),
-            "tail": kind,
+            "tail": kind, **({"members": list(splits)} if splits else {}),
         }
+        return True
 
     # ------------------------------------------------------------------
     def _note_ulp_site(self, key, site: str, max_ulp: int) -> None:
@@ -1916,11 +1968,13 @@ class CompiledStagePlan:
         """Slot ``slot``'s panel scratch for ``rows`` whole output rows.
 
         Carved from the slot's arena, so every GEMM site reuses the same
-        cache-resident bytes.  Returns ``(g, a, b, yp, v, scr)``: the
+        cache-resident bytes.  Returns ``(g, a, b, yp, v, scr, parts)``: the
         gather destination in tap/row layout, the two ``np.dot`` operands
         and its output, the channel-major ``(O, rows, ow)`` view of the
         real output channels, and the :func:`_scratch` bundle in the same
-        layout.  ``wt_op`` is the transposed-orientation weight operand
+        layout — and, per member of the spec, the row block of the
+        finished values and of the bundle its tail is handed (cut here, not
+        in every panel).  ``wt_op`` is the transposed-orientation operand
         (zero-padded rows for ``blocked_pad``); None selects the reference
         orientation, whose panels are ``(rows·ow, O)`` in memory — their
         channel-major views are transposed, and elementwise passes over
@@ -1933,25 +1987,33 @@ class CompiledStagePlan:
             scr, (g, yp) = _scratch(
                 self._ws, ("slab", slot), (rows, ow, o),
                 ((rows, ow, c) + spec.kernel, _F32), ((rows, ow, o), _F32))
-            return (g, g.reshape(pw, K), spec.wt, yp.reshape(pw, o),
-                    yp.transpose(2, 0, 1),
-                    tuple(x.transpose(2, 0, 1) for x in scr))
-        oy = wt_op.shape[0]
-        scr, (g, yp) = _scratch(
-            self._ws, ("slab", slot), (o, rows, ow),
-            ((c,) + spec.kernel + (rows, ow), _F32), ((oy, rows, ow), _F32))
-        return g, wt_op, g.reshape(K, pw), yp.reshape(oy, pw), yp[:o], scr
+            a, b, y = g.reshape(pw, K), spec.wt, yp.reshape(pw, o)
+            v = yp.transpose(2, 0, 1)
+            scr = tuple(x.transpose(2, 0, 1) for x in scr)
+        else:
+            oy = wt_op.shape[0]
+            scr, (g, yp) = _scratch(
+                self._ws, ("slab", slot), (o, rows, ow),
+                ((c,) + spec.kernel + (rows, ow), _F32), ((oy, rows, ow), _F32))
+            a, b, y, v = wt_op, g.reshape(K, pw), yp.reshape(oy, pw), yp[:o]
+        # The snap leaves the finished block in the bundle's result array.
+        fin = scr[1] if self.half else v
+        cuts = [0, *itertools.accumulate(spec.members or (o,))]
+        return g, a, b, y, v, scr, [
+            (fin[lo:hi], tuple(x[lo:hi] for x in scr))
+            for lo, hi in zip(cuts, cuts[1:])]
 
     def _panels(self, key, spec: _ConvSpec, canvas: np.ndarray,
                 out_spatial: tuple[int, ...], P: int, ref: bool, opad: int,
-                T: int, bound: float, tail, crop) -> None:
-        """Gather → GEMM → bias → clip → snap → ``tail``, one panel at a time.
+                T: int, bound: float, tails, crop) -> None:
+        """Gather → GEMM → bias → clip → snap → tail, one panel at a time.
 
         A panel is ``P`` output columns — whole innermost-axis rows of the
         flattened ``(B, *out_spatial)`` grid — gathered into the slot's
         ``(K, P)`` slab (``(P, K)`` when ``ref``), multiplied with one
-        GEMM, and handed to ``tail`` still cache-hot; nothing of the
-        result is staged in main memory.  The per-panel box maps (gather
+        GEMM, and handed to ``tails`` — one per member of ``spec``, each on
+        its own row block — still cache-hot; nothing of the result is
+        staged in main memory.  The per-panel box maps (gather
         sources, store destinations with ``crop`` applied) are cached per
         site against the canvas identity.
 
@@ -2005,7 +2067,7 @@ class CompiledStagePlan:
         clip = snap and bound >= _FP16_MAX
 
         def run_panel(slab, panel) -> None:
-            g, a, b, yp, v, scr = slab
+            g, a, b, yp, v, scr, parts = slab
             for j0, j1, src in panel[0]:
                 np.copyto(g[pre + (slice(j0, j1),)].reshape(src.shape), src)
             np.dot(a, b, out=yp)
@@ -2014,8 +2076,9 @@ class CompiledStagePlan:
             if snap:
                 if clip:
                     np.clip(v, -_FP16_MAX, _FP16_MAX, out=v)
-                v = _snap(v, scr)
-            tail(v, panel[1], scr)
+                _snap(v, scr)
+            for tail, (rows, rscr) in zip(tails, parts):
+                tail(rows, panel[1], rscr)
 
         n_full = m // P
         slabs = [self._slab(s, spec, c, P // ow, ow, wt_op) for s in range(T)]
@@ -2400,15 +2463,16 @@ class CompiledStagePlan:
         is None here and the no-norm path runs with the fused spec.  Both
         strided convolutions consume the same quantized input canvas — the
         module path quantizes the same tensor twice and gets the same grid
-        values.  Three tails: the main conv's stores act1 (→ norm1)
-        re-quantized as the inner convolution's input, the skip conv's
-        stores act3 (→ norm3) unquantized into the carry stream, and the
-        inner conv's adds act2 (→ norm2) onto it — the module path's plain
-        fp32 ``main + skip`` — and stores the sum re-quantized for the next
-        stage's convolutions.
+        values, which is why one stacked GEMM site (``pair``, compiled by
+        :meth:`_ConvSpec.stacked`) can serve both.  Three tails: the main
+        conv's stores act1 (→ norm1) re-quantized as the inner
+        convolution's input, the skip conv's stores act3 (→ norm3)
+        unquantized into the carry stream, and the inner conv's adds act2
+        (→ norm2) onto it — the module path's plain fp32 ``main + skip`` —
+        and stores the sum re-quantized for the next stage's convolutions.
         """
 
-        main_spec, inner_spec, skip_spec, s1, s2, s3, bn1, bn2, bn3 = op
+        main_spec, inner_spec, skip_spec, s1, s2, s3, bn1, bn2, bn3, pair = op
         n = canvas.shape[1]
         o = inner_spec.out_channels
         if transposed:
@@ -2432,15 +2496,22 @@ class CompiledStagePlan:
         b1 = self._cap(b1_raw)
         b_mid = b1 * abs(s1) if bn1 is None else bn1.out_bound(b1)
         self._act_fill(mid, fill1, s1, bn1, quantize=True)
-        self._gemm((key, 0), main_spec, canvas, b1_raw,
-                   self._store_tail(mid, s1, bn1, b_mid), "act+requant", crop1)
+        tail1 = self._store_tail(mid, s1, bn1, b_mid)
 
         b_l3 = self._cap(b3_raw)
         if bn3 is not None:
             b_l3 = bn3.out_bound(b_l3)
         self._act_fill(total, fill3, s3, bn3)
-        self._gemm((key, 2), skip_spec, canvas, b3_raw,
-                   self._store_tail(total, s3, bn3), "act", crop3)
+        tail3 = self._store_tail(total, s3, bn3)
+        # One stacked site where calibration accepts it: the shared clip is
+        # the identity on a member whose own bound would elide it.
+        if pair is None or not self._gemm(
+                (key, 0), pair, canvas, max(b1_raw, b3_raw), (tail1, tail3),
+                "act+requant|act", crop1):
+            self._gemm((key, 0), main_spec, canvas, b1_raw, tail1,
+                       "act+requant", crop1)
+            self._gemm((key, 2), skip_spec, canvas, b3_raw, tail3, "act",
+                       crop3)
 
         b2_raw = inner_spec.out_bound(b1 if bn1 is None else self._cap(b_mid))
         b_l2 = self._cap(b2_raw)

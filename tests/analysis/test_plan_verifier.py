@@ -152,6 +152,72 @@ class TestCorruptedPlans:
         assert any(d.rule == "PV105" for d in _errors(rec))
 
 
+class TestStackedSites:
+    """PV060: a block's stacked main+skip operand is re-derived from its
+    members, like PV020 re-derives clip elision."""
+
+    @staticmethod
+    def _encoder_3d():
+        model = build_model("bcae_pp", wedge_spatial=SMOKE_WEDGE, seed=0)
+        model.eval()
+        enc = make_fast_encoder(model)
+        idx, op = next((i, op) for i, (kind, op) in enumerate(enc.plan._ops)
+                       if kind == "down3d")
+        return enc, idx, op
+
+    @staticmethod
+    def _verify(enc):
+        return verify_plan(enc.plan, 1, tuple(enc.spatial), LOG_INPUT_BOUND,
+                           label="t.encoder3d")
+
+    def _pv060(self, enc, idx):
+        return [d for d in _errors(self._verify(enc))
+                if d.rule == "PV060" and f"stage {idx}:down3d" in d.scope]
+
+    def test_clean_pair_and_clip_ledger(self):
+        """Every zoo block compiled a pair; its ledger site clips exactly
+        where either member's does."""
+
+        _diags, records = analyze_model_plans(
+            names=["bcae", "bcae_pp", "bcae_ht"], wedge_spatial=SMOKE_WEDGE)
+        pairs = 0
+        for rec in records:
+            assert rec["ok"]
+            by_stage = {}
+            for site in rec["clip_sites"]:
+                by_stage.setdefault(site["stage"], {})[site["site"]] = site
+            for sites in by_stage.values():
+                if "pair" in sites:
+                    pairs += 1
+                    assert sites["pair"]["clip_elided"] == (
+                        sites["main"]["clip_elided"]
+                        and sites["skip"]["clip_elided"])
+        assert pairs == 3 * 3 * 4  # models x plans x blocks
+
+    def test_diverged_member_rows_flagged(self):
+        enc, idx, op = self._encoder_3d()
+        pair, o1 = op[9], op[0].out_channels
+        assert not self._pv060(enc, idx)
+        pair.wtT[o1:] *= np.float32(1.5)          # the skip member's rows
+        pair.wt = np.asfortranarray(pair.wtT.T)   # keep PV003 quiet
+        assert self._pv060(enc, idx)
+
+    def test_diverged_bias_flagged(self):
+        enc, idx, op = self._encoder_3d()
+        op[9].bias[0] += np.float32(1.0)
+        assert self._pv060(enc, idx)
+
+    def test_member_geometry_disagreement_flagged(self):
+        enc, idx, op = self._encoder_3d()
+        op[2].padding = tuple((p + 1, q) for p, q in op[2].padding)
+        assert self._pv060(enc, idx)
+
+    def test_stale_member_split_flagged(self):
+        enc, idx, op = self._encoder_3d()
+        op[9].members = (op[9].out_channels, 0)
+        assert self._pv060(enc, idx)
+
+
 class TestUlpLedger:
     """PV050–PV052: the relaxed-numerics ledger rules."""
 
