@@ -32,10 +32,14 @@ from escaped leases:
 session handling assume the event loop is never stalled):
 
 ``CL010`` (error)
-    Inside an ``async def``: ``time.sleep``, ``os.system``,
-    ``subprocess.*``, ``socket.*`` constructors, ``urllib``/``requests``
-    calls, bare ``open()``, or ``Future.result()`` — each blocks the loop;
-    use the ``asyncio`` equivalents or hand off to an executor.
+    Inside an ``async def``, or inside any method of a class deriving
+    from an ``asyncio`` protocol base (``connection_made`` /
+    ``get_buffer`` / ``buffer_updated`` / ``eof_received`` /
+    ``pause_writing`` … are called by the transport on the loop thread):
+    ``time.sleep``, ``os.system``, ``subprocess.*``, ``socket.*``
+    constructors, ``urllib``/``requests`` calls, bare ``open()``, or
+    ``Future.result()`` — each blocks the loop; use the ``asyncio``
+    equivalents or hand off to an executor.
 
 **Unbounded pool-future waits** (over every ``serve/*.py`` module; the
 supervision layer's per-unit deadlines only work when no wait can block
@@ -81,6 +85,13 @@ BLOCKING_CALLS = frozenset({
 
 #: Blocking attribute-call names regardless of receiver (CL010).
 BLOCKING_METHODS = frozenset({"check_call", "check_output", "run_sync"})
+
+#: ``asyncio`` protocol bases: the transport calls every callback of a
+#: subclass on the event-loop thread (CL010).
+PROTOCOL_BASES = frozenset({
+    "BaseProtocol", "Protocol", "BufferedProtocol", "DatagramProtocol",
+    "SubprocessProtocol",
+})
 
 
 def default_lease_targets(root: str | Path) -> list[Path]:
@@ -319,9 +330,14 @@ def lint_async_source(source: str, path: str) -> list[Diagnostic]:
     """Run the no-blocking-in-async rules over one module's source."""
 
     tree = ast.parse(source, filename=path)
+    callbacks = _protocol_methods(tree)
     diags: list[Diagnostic] = []
     for func, qual in _functions(tree):
-        if not isinstance(func, ast.AsyncFunctionDef):
+        if isinstance(func, ast.AsyncFunctionDef):
+            where = "async def"
+        elif func in callbacks:
+            where = "an asyncio protocol method"
+        else:
             continue
         for node in _walk_own_body(func):
             if not isinstance(node, ast.Call):
@@ -333,11 +349,27 @@ def lint_async_source(source: str, path: str) -> list[Diagnostic]:
                     location=f"{path}:{node.lineno}",
                     scope=f"{path}:{qual}",
                     message=(f"{token} blocks the event loop inside "
-                             "async def — use the asyncio equivalent or an "
+                             f"{where} — use the asyncio equivalent or an "
                              "executor"),
                     token=token,
                 ))
     return diags
+
+
+def _protocol_methods(tree: ast.AST) -> set[ast.AST]:
+    """Sync methods of classes deriving from an ``asyncio`` protocol base,
+    spelled ``asyncio.BufferedProtocol`` or imported bare (a bare
+    ``Protocol`` is left to ``typing``)."""
+
+    out: set[ast.AST] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                base != "Protocol"
+                and base.removeprefix("asyncio.") in PROTOCOL_BASES
+                for base in map(ast.unparse, node.bases)):
+            out.update(child for child in node.body
+                       if isinstance(child, ast.FunctionDef))
+    return out
 
 
 def _walk_own_body(func):

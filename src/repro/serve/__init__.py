@@ -50,8 +50,9 @@ Slabs are released on emission, on worker exception, and at stream close
 (the segment is unlinked; ``service.last_shm`` records the counters).
 
 **Gateway & sharding.**  :class:`~repro.serve.gateway.ServingGateway` is
-the multi-producer front door: ``asyncio.start_server`` accepts N
-concurrent clients speaking the length-prefixed wedge-frame format
+the multi-producer front door: one
+:class:`~repro.serve.source.AsyncSocketSource` per accepted connection
+receives N concurrent clients speaking the length-prefixed wedge-frame format
 (bounded per frame by :data:`~repro.serve.source.MAX_FRAME_BYTES`), each
 session is micro-batched under the wall-clock budget, and a
 :class:`~repro.serve.gateway.StreamRouter` shards sessions across multiple

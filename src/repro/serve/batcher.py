@@ -185,7 +185,9 @@ class AsyncMicroBatcher:
 
         ``stop`` mirrors :meth:`MicroBatcher.batches`: a zero-arg drain
         latch polled per wedge; once true, the accumulated batch flushes
-        as ``closed_by="drain"`` and the source is not pulled again.
+        as ``closed_by="drain"`` and the source is not pulled again.  A
+        source that raises still gets its accumulated wedges flushed
+        (``closed_by="eof"``) before the error propagates.
         """
 
         iterator = source.__aiter__()
@@ -235,6 +237,12 @@ class AsyncMicroBatcher:
                         exhausted = True
                         pull = None
                         continue
+                    except Exception:
+                        # The source failed (e.g. a malformed frame): the
+                        # wedges received before it are still served.
+                        pull = None
+                        yield flush("eof")
+                        raise
                     pull = None
                 if not pending:
                     first_receipt = time.monotonic()

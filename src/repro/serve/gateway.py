@@ -7,7 +7,7 @@ streams feeding one compression front door), but one
 :class:`~repro.serve.service.ModelPoolService` owns one host.  This module
 adds the missing tier:
 
-* :class:`ServingGateway` — an ``asyncio.start_server`` front door
+* :class:`ServingGateway` — a ``loop.create_server`` front door
   accepting any number of concurrent producers over the existing
   length-prefixed wedge-frame format (:func:`~repro.serve.source.
   write_wedge_frame`).  Each connection is a *session*: frames are
@@ -110,10 +110,13 @@ class GatewayConfig:
         least-loaded shard; when *every* shard is at the bound the
         submitter awaits capacity.
     max_frame_bytes:
-        Per-frame body cap handed to every session's socket source (see
-        :func:`~repro.serve.source.read_wedge_frame`); ``None`` disables
-        the cap — never do that for untrusted producers.  Also the most a
-        session reads ahead of its batcher before TCP backpressure applies.
+        Per-frame body cap, enforced by every session's
+        :class:`~repro.serve.source.AsyncSocketSource` when it decodes the
+        untrusted header — before the frame's body buffer is allocated;
+        ``None`` disables the cap — never do that for untrusted producers.
+        Also the read-ahead bound: once the complete frames a session has
+        received but not yet batched exceed it, the source pauses its
+        transport and TCP backpressure reaches the producer.
 
     Example
     -------
@@ -691,19 +694,18 @@ class ServingGateway:
         if self._server is not None:
             return self
         self.router.start()
-        # Stream readers pause their transport at twice the limit: sized
-        # so that one maximal frame is buffered without pause/resume churn
-        # (never under asyncio's 64 KiB default, which an uncapped gateway
-        # keeps).
-        self._server = await asyncio.start_server(
-            self._handle_client, self.config.host, self.config.port,
-            limit=max((self.config.max_frame_bytes or 0) // 2, 2 ** 16),
+        # One AsyncSocketSource per connection is both its frame receiver
+        # (cap, dtype allow-list and read-ahead bound live there) and the
+        # writer its session answers through.
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: AsyncSocketSource(
+                self.config.max_frame_bytes, self._handle_client),
+            self.config.host, self.config.port,
         )
         return self
 
     # ------------------------------------------------------------------
-    async def _handle_client(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
+    async def _handle_client(self, source: AsyncSocketSource) -> None:
         """One producer session: frames → batches → shard → code frames."""
 
         task = asyncio.current_task()
@@ -711,18 +713,15 @@ class ServingGateway:
         self.n_sessions += 1
         session = next(self._session_ids)
         try:
-            await self._serve_session(session, reader, writer)
+            await self._serve_session(session, source)
+        except Exception:
+            # Nobody awaits a session task: report here, keep serving.
+            _LOG.exception("gateway session %d crashed", session)
         finally:
             self._sessions.discard(task)
 
     async def _serve_session(self, session: int,
-                             reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        # The source gets only the reader: its EOF cleanup must not close
-        # the transport while responses are still being written back.
-        source = AsyncSocketSource(
-            reader, None, max_frame_bytes=self.config.max_frame_bytes
-        )
+                             source: AsyncSocketSource) -> None:
         svc_cfg = self.router._services[0].config
         batcher = AsyncMicroBatcher(svc_cfg.max_batch, svc_cfg.max_delay_s)
         pending: asyncio.Queue = asyncio.Queue()
@@ -744,12 +743,12 @@ class ServingGateway:
                     from ..rate.records import encode_record_frames
 
                     for frame in encode_record_frames(payload):
-                        write_wedge_frame(writer, frame)
+                        write_wedge_frame(source, frame)
                 else:
                     codes = payload.codes_view()
                     for i in range(codes.shape[0]):
-                        write_wedge_frame(writer, codes[i])
-                await writer.drain()
+                        write_wedge_frame(source, codes[i])
+                await source.drain()
 
         responder = asyncio.create_task(respond())
         try:
@@ -776,20 +775,7 @@ class ServingGateway:
                     _LOG.warning("gateway session %d failed: %s", session, exc)
         finally:
             responder.cancel()
-            try:
-                # Explicit half-close (TCP shutdown), not just close(): a
-                # process-backend worker forked while this connection was
-                # open inherits a duplicate of the socket fd, and a plain
-                # close() would never surface EOF to the producer.
-                if writer.can_write_eof():
-                    writer.write_eof()
-            except (ConnectionError, OSError, RuntimeError):
-                pass
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            await source.aclose()
 
     # ------------------------------------------------------------------
     def health(self) -> GatewayHealth:
@@ -835,11 +821,18 @@ class ServingGateway:
 
         if not self.router._drained:
             await self.drain()
+        sessions = list(self._sessions)
+        for task in sessions:
+            task.cancel()
+        if sessions:
+            # Bounded like drain(): a peer that never reads its responses
+            # must not pin the teardown on a write buffer that cannot flush.
+            await asyncio.wait(sessions, timeout=10.0)
         if self._server is not None:
+            # After the sessions: from Python 3.12.1 wait_closed() also
+            # waits for every accepted connection to be dropped.
             self._server.close()
             await self._server.wait_closed()
-        for task in list(self._sessions):
-            task.cancel()
 
     async def __aenter__(self) -> "ServingGateway":
         await self.start()

@@ -14,8 +14,9 @@ Adapters:
   async iterable, already-wrapped items) into an async stream;
 * :class:`AsyncQueueSource` — an :class:`asyncio.Queue`-fed live source
   (the in-process stand-in for a DAQ push feed);
-* :class:`AsyncSocketSource` — length-prefixed wedge frames from an
-  :class:`asyncio.StreamReader` (see :func:`write_wedge_frame`);
+* :class:`AsyncSocketSource` — length-prefixed wedge frames received by
+  an :class:`asyncio.BufferedProtocol` straight into the buffer each
+  array lives in (see :func:`write_wedge_frame`);
 * :func:`async_replay_stream` — replay ``(arrival_s, wedge)`` pairs *on
   the wall clock* (sleeps out the inter-arrival gaps instead of merely
   labelling items with simulated time).
@@ -24,6 +25,7 @@ Adapters:
 from __future__ import annotations
 
 import asyncio
+import collections
 import dataclasses
 import math
 import struct
@@ -205,11 +207,15 @@ _FRAME_MAGIC = b"WDG1"
 #: the reader would try to buffer that.  Generous: the largest real unit
 #: (a paper-scale 3D wedge batch) is well under 64 MiB.
 MAX_FRAME_BYTES = 64 << 20
+#: Receive scratch of :class:`AsyncSocketSource`; any header (≤ 1281 B) fits.
+_HEADER_SCRATCH = 2048
 
 
-def write_wedge_frame(writer: asyncio.StreamWriter, wedge: np.ndarray) -> None:
+def write_wedge_frame(writer, wedge: np.ndarray) -> None:
     """Serialize one wedge onto a stream (pair with :func:`read_wedge_frame`).
 
+    ``writer`` is an :class:`asyncio.StreamWriter`, an
+    :class:`AsyncSocketSource`, or anything else with ``write(data)``.
     Frame layout: ``b"WDG1"``, u8 dtype-string length, the numpy dtype
     string, u8 ndim, ndim × u32 dims, then the C-order array bytes.
     Arrays the header cannot represent — more than 255 dims, or any dim
@@ -240,14 +246,57 @@ def write_wedge_frame(writer: asyncio.StreamWriter, wedge: np.ndarray) -> None:
     writer.write(b"".join((header, memoryview(wedge.reshape(-1).view(np.uint8)))))
 
 
+def _decode_frame_header(head, max_frame_bytes: int | None):
+    """Decode and validate the untrusted header at the start of ``head`` —
+    the one place :func:`read_wedge_frame` and :class:`AsyncSocketSource`
+    accept or refuse a frame.  Returns ``(header_len, dtype, shape,
+    body_bytes)`` or, while ``head`` is too short, the ``int`` length to
+    have before asking again.  Bad magic, an undecodable dtype, a dtype
+    that is not a real numeric kind (``"biuf"``: object, void, string,
+    complex and structured dtypes never reach a worker) and a body over
+    ``max_frame_bytes`` raise :class:`FrameProtocolError` — before the
+    caller buffers a body byte."""
+
+    have = len(head)
+    if bytes(head[:4]) != _FRAME_MAGIC[:have]:
+        raise FrameProtocolError(f"bad wedge frame magic {bytes(head[:4])!r}")
+    if have < 5:
+        return 5
+    ndim_at = 5 + head[4]
+    if have <= ndim_at:
+        return ndim_at + 1
+    size = ndim_at + 1 + 4 * head[ndim_at]
+    if have < size:
+        return size
+    try:
+        dtype = np.dtype(bytes(head[5:ndim_at]).decode("ascii"))
+    except (TypeError, ValueError, SyntaxError) as exc:
+        raise FrameProtocolError("undecodable wedge frame header") from exc
+    if dtype.kind not in "biuf":
+        raise FrameProtocolError(
+            f"wedge frame dtype {dtype.str!r} is not a real numeric type"
+        )
+    shape = struct.unpack_from(f"<{head[ndim_at]}I", head, ndim_at + 1)
+    # Python-int math: 255 dims of 2**32-1 each overflows int64.
+    nbytes = math.prod(shape) * dtype.itemsize
+    if max_frame_bytes is not None and nbytes > max_frame_bytes:
+        raise FrameProtocolError(
+            f"wedge frame claims {nbytes} body bytes, over the "
+            f"{max_frame_bytes}-byte cap — corrupt header or hostile peer"
+        )
+    return size, dtype, shape, nbytes
+
+
 async def read_wedge_frame(
     reader: asyncio.StreamReader,
     max_frame_bytes: int | None = MAX_FRAME_BYTES,
 ) -> np.ndarray | None:
     """Read one wedge frame; ``None`` on clean EOF at a frame boundary.
 
-    Every malformed-input condition — mid-frame disconnect, truncated
-    header or body, bad magic, undecodable dtype/shape — raises
+    The :class:`asyncio.StreamReader` helper clients read responses with
+    (the gateway's ingest is :class:`AsyncSocketSource`).  Every
+    malformed-input condition — mid-frame disconnect, truncated header or
+    body, bad magic, undecodable or non-numeric dtype — raises
     :class:`FrameProtocolError` with the original cause chained, so the
     ingest loop has exactly one exception to contain.
 
@@ -262,69 +311,70 @@ async def read_wedge_frame(
     source under downstream in-place ops.
     """
 
+    head, header = b"", 5
     try:
-        magic = await reader.readexactly(len(_FRAME_MAGIC))
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise FrameProtocolError("truncated wedge frame header") from exc
-    except (ConnectionError, OSError) as exc:
-        raise FrameProtocolError("connection lost between wedge frames") from exc
-    if magic != _FRAME_MAGIC:
-        raise FrameProtocolError(f"bad wedge frame magic {magic!r}")
-    try:
-        (dtype_len,) = struct.unpack("<B", await reader.readexactly(1))
-        dtype = np.dtype((await reader.readexactly(dtype_len)).decode("ascii"))
-        (ndim,) = struct.unpack("<B", await reader.readexactly(1))
-        shape = struct.unpack(f"<{ndim}I", await reader.readexactly(4 * ndim))
-        # Python-int math: 255 dims of 2**32-1 each overflows int64.
-        nbytes = math.prod(shape) * dtype.itemsize
-        if max_frame_bytes is not None and nbytes > max_frame_bytes:
-            raise FrameProtocolError(
-                f"wedge frame claims {nbytes} body bytes, over the "
-                f"{max_frame_bytes}-byte cap — corrupt header or hostile "
-                "peer"
-            )
+        while isinstance(header, int):
+            head += await reader.readexactly(header - len(head))
+            header = _decode_frame_header(head, max_frame_bytes)
+        _size, dtype, shape, nbytes = header
         data = await reader.readexactly(nbytes)
     except asyncio.IncompleteReadError as exc:
+        if not head and not exc.partial:
+            return None
         # A link that dies anywhere inside a frame is one condition to the
         # caller, wherever the bytes stopped.
         raise FrameProtocolError("truncated wedge frame") from exc
     except (ConnectionError, OSError) as exc:
-        raise FrameProtocolError("connection lost mid wedge frame") from exc
-    except (struct.error, TypeError, UnicodeDecodeError) as exc:
-        raise FrameProtocolError("undecodable wedge frame header") from exc
+        raise FrameProtocolError("connection lost reading a wedge frame") from exc
     # One copy into an owned, writable buffer: np.frombuffer over received
     # `bytes` would hand every socket consumer a read-only array.
     return np.frombuffer(bytearray(data), dtype=dtype).reshape(shape)
 
 
-class AsyncSocketSource(AsyncWedgeSource):
-    """Wedge frames from an :class:`asyncio.StreamReader` (socket ingest).
+class AsyncSocketSource(AsyncWedgeSource, asyncio.BufferedProtocol):
+    """One framed socket connection: wedge frames in, responses out.
 
-    The other end writes frames with :func:`write_wedge_frame`; the stream
-    ends on clean EOF.  A peer that dies mid-frame (or sends garbage)
-    surfaces as one :class:`FrameProtocolError` and the socket is closed
-    either way — an abrupt disconnect never leaks the transport.  Use
-    :meth:`connect` for a TCP client, or wrap the reader an
-    ``asyncio.start_server`` callback hands you.
+    An :class:`asyncio.BufferedProtocol` that receives each frame
+    **once**: ``get_buffer`` offers a small header scratch until the
+    untrusted header is accepted (magic, numeric dtype, ``max_frame_bytes``
+    cap — before the body buffer exists), then the unfilled rest of that
+    frame's own writable buffer, so ``recv_into`` lands the body where the
+    array lives; only body bytes that arrive behind a header inside the
+    scratch are copied.  The stream ends on clean EOF; a peer that dies
+    mid-frame or sends garbage surfaces as one :class:`FrameProtocolError`
+    *after* the frames before it.
 
-    ``max_frame_bytes`` bounds how large a body any one frame may claim
-    (see :func:`read_wedge_frame`); the gateway sets it from its config
-    so untrusted producers cannot drive unbounded buffering.
+    ``loop.create_server(lambda: AsyncSocketSource(cap, session), ...)``
+    runs ``session(source)`` as a task per connection, which answers
+    through :meth:`write` + :meth:`drain` and ends with :meth:`aclose`;
+    :meth:`connect` opens a TCP client, closed by :meth:`frames` at stream
+    end (the ``(reader, writer)`` constructor is gone).  ``max_frame_bytes``
+    is also the read-ahead bound: while complete frames nobody has pulled
+    exceed it (never under 128 KiB) the transport is paused and TCP
+    backpressure reaches the producer.
     """
 
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter | None = None,
-        max_frame_bytes: int | None = MAX_FRAME_BYTES,
-    ) -> None:
-        self._reader = reader
-        # The writer must stay referenced for the connection's lifetime —
-        # dropping it garbage-collects the transport and closes the socket.
-        self._writer = writer
+    def __init__(self, max_frame_bytes: int | None = MAX_FRAME_BYTES,
+                 session=None) -> None:
         self._max_frame_bytes = max_frame_bytes
+        self._read_ahead = max(max_frame_bytes or 0, 1 << 17)
+        self._session = session
+        self._transport: asyncio.Transport | None = None
+        self._scratch = bytearray(_HEADER_SCRATCH)
+        self._view = memoryview(self._scratch)
+        self._have = 0  # valid bytes at the front of the scratch
+        # The frame being received: its array, the array's buffer, fill mark.
+        self._array: np.ndarray | None = None
+        self._body = memoryview(b"")
+        self._filled = 0
+        self._frames: collections.deque = collections.deque()
+        self._buffered = 0  # bytes of complete frames not yet pulled
+        self._ended = False
+        self._error: FrameProtocolError | None = None
+        self._arrived = asyncio.Event()   # a frame, or the end of the stream
+        self._writable = asyncio.Event()  # the write buffer is under its mark
+        self._closed = asyncio.Event()    # connection_lost ran
+        self._writable.set()
 
     @classmethod
     async def connect(cls, host: str, port: int,
@@ -332,35 +382,161 @@ class AsyncSocketSource(AsyncWedgeSource):
                       ) -> "AsyncSocketSource":
         """Open a TCP connection and wrap it as a wedge source."""
 
-        reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer, max_frame_bytes=max_frame_bytes)
+        _transport, source = await asyncio.get_running_loop().create_connection(
+            lambda: cls(max_frame_bytes), host, port)
+        return source
 
-    async def aclose(self) -> None:
-        """Close the transport (idempotent; also runs on stream end)."""
+    # -- protocol callbacks (event-loop thread, must not block) ----------
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        if self._session is not None:
+            # Kept referenced: the loop holds tasks weakly.
+            self._task = asyncio.get_running_loop().create_task(
+                self._session(self))
 
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._writer = None
+    def get_buffer(self, sizehint: int):
+        if self._array is None:
+            return self._view[self._have:]
+        return self._body[self._filled:]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        if self._array is not None:
+            self._filled += nbytes
+            if self._filled == len(self._body):
+                self._deliver()
+            return
+        self._have += nbytes
+        try:
+            self._parse_scratch()
+        except FrameProtocolError as exc:
+            self._end(exc)
+
+    def eof_received(self) -> bool:
+        self._end(None)
+        return True  # keep the transport open: responses still flush
+
+    def connection_lost(self, exc) -> None:
+        self._end(exc)
+        self._closed.set()
+        self._writable.set()
+
+    def pause_writing(self) -> None:
+        self._writable.clear()
+
+    def resume_writing(self) -> None:
+        self._writable.set()
+
+    # -- receive side ----------------------------------------------------
+    def _parse_scratch(self) -> None:
+        """Consume every header (and the body bytes behind it) the scratch
+        holds; leftovers of an incomplete header move to the front."""
+
+        view, pos = self._view, 0
+        while self._array is None and pos < self._have:
+            header = _decode_frame_header(
+                view[pos:self._have], self._max_frame_bytes)
+            if isinstance(header, int):
+                break
+            size, dtype, shape, nbytes = header
+            self._begin(dtype, shape, nbytes)
+            pos += size
+            self._filled = min(nbytes, self._have - pos)
+            self._body[:self._filled] = view[pos:pos + self._filled]
+            pos += self._filled
+            if self._filled == nbytes:
+                self._deliver()
+        self._scratch[:self._have - pos] = self._scratch[pos:self._have]
+        self._have -= pos
+
+    def _begin(self, dtype: np.dtype, shape: tuple, nbytes: int) -> None:
+        body = bytearray(nbytes)
+        self._array = np.frombuffer(body, dtype=dtype).reshape(shape)
+        self._body = memoryview(body)
+
+    def _deliver(self) -> None:
+        self._frames.append(self._array)
+        self._buffered += len(self._body)
+        self._array = None
+        if self._buffered > self._read_ahead:
+            self._transport.pause_reading()
+        self._arrived.set()
+
+    def _end(self, exc: BaseException | None) -> None:
+        """The stream is over (first call wins): a violation, a transport
+        error, or EOF — clean only at a frame boundary."""
+
+        if self._ended:
+            return
+        self._ended = True
+        if isinstance(exc, FrameProtocolError):
+            self._error = exc
+        elif exc is not None or self._have or self._array is not None:
+            self._error = FrameProtocolError(
+                "truncated wedge frame" if exc is None
+                else "connection lost reading wedge frames")
+            self._error.__cause__ = exc
+        if self._error is not None:
+            # Nothing behind a violation is trusted; writes still flush.
+            self._transport.pause_reading()
+        self._arrived.set()
 
     async def frames(self):
-        """Yield length-prefixed frames until EOF; always closes the socket."""
+        """Yield received frames until EOF; a protocol violation raises
+        after the frames received before it."""
 
-        # finally (not just the EOF return) so a malformed frame or an
-        # abandoned iteration doesn't pin the TCP transport open.
+        # finally: a malformed frame or an abandoned iteration must not pin
+        # a client's transport open (a session closes its own, after its
+        # responses).
         try:
             while True:
-                wedge = await read_wedge_frame(
-                    self._reader, max_frame_bytes=self._max_frame_bytes
-                )
-                if wedge is None:
-                    return
+                while not self._frames:
+                    if self._error is not None:
+                        raise self._error
+                    if self._ended:
+                        return
+                    self._arrived.clear()
+                    await self._arrived.wait()
+                wedge = self._frames.popleft()
+                self._buffered -= wedge.nbytes
+                if self._buffered <= self._read_ahead and not self._ended:
+                    self._transport.resume_reading()
                 yield wedge
         finally:
-            await self.aclose()
+            if self._session is None:
+                await self.aclose()
+
+    # -- send side -------------------------------------------------------
+    def write(self, data) -> None:
+        """Queue response bytes on the transport (see :meth:`drain`)."""
+
+        self._transport.write(data)
+
+    async def drain(self) -> None:
+        """Wait until the write buffer is back under its high-water mark;
+        raises :class:`ConnectionResetError` once the connection is lost."""
+
+        await self._writable.wait()
+        if self._closed.is_set():
+            raise ConnectionResetError("connection lost")
+
+    async def aclose(self) -> None:
+        """Flush, half-close and close the transport (idempotent)."""
+
+        transport = self._transport
+        if transport is None:
+            return
+        if not transport.is_closing():
+            try:
+                # Explicit half-close (TCP shutdown), not just close(): a
+                # process-backend worker forked while this connection was
+                # open inherits a duplicate of the socket fd, and a plain
+                # close() would never surface EOF to the peer.
+                if transport.can_write_eof():
+                    transport.write_eof()
+            except OSError:
+                pass
+            transport.close()
+        await self._closed.wait()
 
 
 def aiter_wedges(source) -> AsyncIterator[StreamItem]:

@@ -262,6 +262,46 @@ class TestAsyncBlockingLint:
         assert _rules(diags) == ["CL010", "CL010"]
 
 
+    def test_blocking_call_in_protocol_callback_flagged(self):
+        """The transport calls a protocol's sync callbacks on the loop
+        thread: a time.sleep in buffer_updated stalls every session."""
+
+        diags = lint_async_source(_src("""
+            import asyncio
+            import time
+
+            class Receiver(asyncio.BufferedProtocol):
+                def get_buffer(self, sizehint):
+                    return self._view
+
+                def buffer_updated(self, nbytes):
+                    time.sleep(0.1)
+
+            class Plain:
+                def buffer_updated(self, nbytes):
+                    time.sleep(0.1)
+        """), "m.py")
+        assert _rules(diags) == ["CL010"]
+        assert diags[0].scope == "m.py:Receiver.buffer_updated"
+        assert "protocol method" in diags[0].message
+
+    def test_bare_protocol_base_and_typing_protocol(self):
+        diags = lint_async_source(_src("""
+            import time
+            from asyncio import DatagramProtocol
+            from typing import Protocol
+
+            class Link(DatagramProtocol):
+                def datagram_received(self, data, addr):
+                    time.sleep(0.1)
+
+            class Shape(Protocol):
+                def area(self):
+                    time.sleep(0.1)
+        """), "m.py")
+        assert [d.scope for d in diags] == ["m.py:Link.datagram_received"]
+
+
 class TestResultTimeoutLint:
     def test_bare_result_flagged(self):
         diags = lint_result_timeout_source(_src("""

@@ -62,6 +62,30 @@ class TestRatchetBites:
         assert diag.rule == "HP001" and "injected_finding" in diag.scope
         assert diag.scope.endswith(":hot_loop")
 
+    def test_injected_protocol_callback_stall_is_new(self):
+        """CL010 reaches the sync callbacks of asyncio protocols — where
+        the gateway's frame receiver runs."""
+
+        report, _ = run_analysis(
+            passes=("concurrency",), extra_sources=(FIXTURE,))
+        new = report.new_findings(load_baseline(BASELINE))
+        assert [(d.rule, d.scope.rsplit(":", 1)[1]) for d in new] == [
+            ("CL010", "StallingReceiver.buffer_updated")]
+
+    def test_socket_source_callbacks_are_in_scope(self):
+        """The real receiver is seen as a protocol class (so the clean
+        repo-wide report above covers its callbacks)."""
+
+        import ast
+
+        import repro.serve.source as source
+        from repro.analysis.concurrency_lint import _protocol_methods
+
+        tree = ast.parse(Path(source.__file__).read_text())
+        assert {"connection_made", "get_buffer", "buffer_updated",
+                "eof_received", "connection_lost", "pause_writing",
+                "resume_writing"} <= {f.name for f in _protocol_methods(tree)}
+
     def test_missing_baseline_means_empty(self, tmp_path):
         assert load_baseline(tmp_path / "nope.json") == set()
 

@@ -167,6 +167,31 @@ class TestWallClockBudget:
             assert b.wait_s <= 0.1 + TOL
 
 
+class TestSourceFailure:
+    @pytest.mark.parametrize("budget", [0.0, BUDGET])
+    def test_wedges_before_a_source_failure_are_still_batched(self, budget):
+        """A source that raises mid-batch (a malformed socket frame) loses
+        nothing it already delivered: the partial batch flushes, then the
+        error surfaces."""
+
+        async def failing():
+            yield _wedge(0)
+            yield _wedge(1)
+            raise ValueError("malformed frame")
+
+        async def run():
+            got = []
+            with pytest.raises(ValueError, match="malformed"):
+                async for batch in AsyncMicroBatcher(4, budget).batches(
+                        aiter_wedges(failing())):
+                    got.append(batch)
+            return got
+
+        got = asyncio.run(run())
+        assert [int(w[0, 0, 0]) for b in got for w in b.wedges] == [0, 1]
+        assert got[-1].closed_by == "eof"
+
+
 class TestQueueSourceClose:
     def test_close_on_full_bounded_queue_still_ends_stream(self):
         """close() on a full bounded queue (no room for the sentinel) must
@@ -498,7 +523,7 @@ class TestSocketSource:
             with pytest.raises(FrameProtocolError):
                 async for item in source:
                     got.append(item)
-            assert source._writer is None  # transport closed by frames()
+            assert source._closed.is_set()  # transport closed by frames()
             server.close()
             await server.wait_closed()
             return got

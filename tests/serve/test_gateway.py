@@ -14,15 +14,22 @@ The promises under test are exact even where tolerances are loose:
 """
 
 import asyncio
+import gc
+import logging
 import os
+import struct
 import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import BCAECompressor, build_model
 from repro.serve import (
     MAX_FRAME_BYTES,
+    AsyncSocketSource,
     FrameProtocolError,
     GatewayConfig,
     MicroBatcher,
@@ -720,3 +727,518 @@ class TestAdaptiveSlab:
         # Fallbacks are a throughput signal, not a fault.
         assert stats.faults.total == 0
         assert "shm_fallbacks=" in stats.faults.row()
+
+
+# ----------------------------------------------------------------------
+# The frame receiver: one BufferedProtocol ingest (AsyncSocketSource)
+# ----------------------------------------------------------------------
+
+
+def _frame_bytes(array) -> bytes:
+    writes = []
+
+    class _Writer:
+        write = staticmethod(writes.append)
+
+    write_wedge_frame(_Writer(), array)
+    return b"".join(writes)
+
+
+def _raw_frame(dtype: bytes, dims, body: bytes = b"") -> bytes:
+    """A frame with an arbitrary (possibly hostile) header."""
+
+    return (b"WDG1" + struct.pack("<B", len(dtype)) + dtype
+            + struct.pack("<B", len(dims))
+            + struct.pack(f"<{len(dims)}I", *dims) + body)
+
+
+#: dtype strings outside the allow-list, each with a body of the size the
+#: header claims (four elements), so only the dtype can be what is refused.
+_BAD_DTYPES = {
+    "object": _raw_frame(b"O", (4,), bytes(32)),
+    "void": _raw_frame(b"|V8", (4,), bytes(32)),
+    "unicode": _raw_frame(b"<U2", (4,), bytes(32)),
+    "complex": _raw_frame(b"<c8", (4,), bytes(32)),
+    "structured": _raw_frame(b"<u2,<f4", (4,), bytes(24)),
+}
+
+#: Headers no receiver may accept, whatever follows them.
+_BAD_HEADERS = dict(
+    _BAD_DTYPES,
+    magic=b"WDG2" + _raw_frame(b"<u2", (2,), bytes(4))[4:],
+    over_cap=_raw_frame(b"<u2", (2**31,) * 4),
+    garbage_dtype=_raw_frame(b"zzz", (2,), bytes(4)),
+    non_ascii_dtype=_raw_frame(b"\xff\xfe", (2,), bytes(4)),
+)
+
+
+class _FakeTransport:
+    """What the receiver touches of a transport, minus the socket."""
+
+    def __init__(self, protocol):
+        self.protocol = protocol
+        self.reading = True
+        self.closing = False
+
+    def pause_reading(self):
+        self.reading = False
+
+    def resume_reading(self):
+        self.reading = True
+
+    def is_closing(self):
+        return self.closing
+
+    def can_write_eof(self):
+        return True
+
+    def write_eof(self):
+        pass
+
+    def close(self):
+        if not self.closing:
+            self.closing = True
+            self.protocol.connection_lost(None)
+
+
+def _receive(chunks, eof=True):
+    """Deliver ``chunks`` the way a selector transport does — one
+    ``get_buffer`` / ``buffer_updated`` round per recv, never more than
+    the offered buffer holds — then EOF.  Returns ``(arrays, errors,
+    bytes the receiver left unread)``."""
+
+    async def run():
+        source = AsyncSocketSource()
+        transport = _FakeTransport(source)
+        source.connection_made(transport)
+        unread = 0
+        for chunk in chunks:
+            chunk = memoryview(chunk)
+            while len(chunk) and transport.reading:
+                buffer = source.get_buffer(-1)
+                assert len(buffer) > 0
+                n = min(len(buffer), len(chunk))
+                buffer[:n] = chunk[:n]
+                chunk = chunk[n:]
+                source.buffer_updated(n)
+            unread += len(chunk)
+        if eof and transport.reading:
+            assert source.eof_received() is True  # half-close keeps writes
+        got, errors = [], []
+        try:
+            async for item in source:
+                got.append(item.wedge)
+        except FrameProtocolError as exc:
+            errors.append(exc)
+        assert transport.closing  # a client source closes at stream end
+        return got, errors, unread
+
+    return asyncio.run(run())
+
+
+def _cut(stream: bytes, sizes) -> list[bytes]:
+    chunks, pos = [], 0
+    for size in sizes:
+        if pos >= len(stream):
+            break
+        chunks.append(stream[pos:pos + size])
+        pos += size
+    if pos < len(stream):
+        chunks.append(stream[pos:])
+    return chunks
+
+
+_DTYPES = ["<u2", "|u1", "<f4", ">i4", "<f2", "|b1"]
+#: 0-d, zero-size, bodies far smaller than the receiver's header scratch
+#: (whole frame lands in it), and one larger than it.
+_SHAPES = [(), (0,), (3, 0, 2), (5,), (2, 3), (4, 6, 7), (50, 60)]
+
+
+@st.composite
+def _frames(draw):
+    arrays = []
+    for _ in range(draw(st.integers(1, 3))):
+        dtype = np.dtype(draw(st.sampled_from(_DTYPES)))
+        shape = draw(st.sampled_from(_SHAPES))
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        arrays.append(rng.integers(0, 2, size=shape).astype(dtype)
+                      if dtype.kind == "b"
+                      else rng.integers(0, 200, size=shape).astype(dtype))
+    return arrays
+
+
+class TestFrameReceiver:
+    @settings(max_examples=60, deadline=None)
+    @given(arrays=_frames(),
+           cutting=st.one_of(
+               st.just("bytewise"), st.just("whole"),
+               st.lists(st.integers(1, 5000), max_size=24)))
+    def test_any_cut_of_the_stream_yields_the_sent_arrays(
+            self, arrays, cutting):
+        # Raw headers: write_wedge_frame sends a 0-d array as shape (1,).
+        stream = b"".join(
+            _raw_frame(a.dtype.str.encode(), a.shape, a.tobytes())
+            for a in arrays)
+        sizes = ([1] * len(stream) if cutting == "bytewise"
+                 else [] if cutting == "whole" else cutting)
+        got, errors, unread = _receive(_cut(stream, sizes))
+        assert errors == [] and unread == 0
+        assert len(got) == len(arrays)
+        for have, want in zip(got, arrays):
+            assert have.dtype == want.dtype and have.shape == want.shape
+            assert have.flags.writeable
+        # Each array owns its memory: bump them all in place — aliasing
+        # with the scratch or with one another would corrupt a neighbour.
+        for have in got:
+            have[...] = ~have if have.dtype.kind == "b" else have + 1
+        for have, want in zip(got, arrays):
+            np.testing.assert_array_equal(
+                have, ~want if want.dtype.kind == "b" else want + 1)
+
+    def test_small_frames_coalesced_inside_the_header_scratch(self):
+        """Header + body + next header in one segment, and two whole
+        frames landing in the scratch at once."""
+
+        a = np.arange(6, dtype=np.uint16).reshape(2, 3)
+        b = np.array(7.5, dtype=np.float32)
+        c = np.arange(4000, dtype=np.uint16)
+        stream = _frame_bytes(a) + _frame_bytes(b) + _frame_bytes(c)
+        head_c = len(_frame_bytes(a)) + len(_frame_bytes(b)) + 10
+        for chunks in ([stream], [stream[:head_c], stream[head_c:]]):
+            got, errors, _ = _receive(chunks)
+            assert errors == []
+            for have, want in zip(got, (a, b, c), strict=True):
+                np.testing.assert_array_equal(have, want)
+
+    @pytest.mark.parametrize("victim", [
+        np.arange(6, dtype=np.uint16).reshape(2, 3),   # inside the scratch
+        np.arange(1500, dtype=np.uint16),               # body outgrows it
+    ], ids=["small", "large"])
+    def test_truncation_at_every_offset_is_one_error_and_no_partial_frame(
+            self, victim):
+        good = np.arange(10, dtype=np.float32)
+        lead, frame = _frame_bytes(good), _frame_bytes(victim)
+        stride = 1 if len(frame) < 100 else 89
+        offsets = sorted({*range(1, len(frame), stride), len(frame) - 1})
+        for cut in offsets:
+            for chunks in ([lead + frame[:cut]],
+                           [lead[:7], lead[7:] + frame[:cut]]):
+                got, errors, _ = _receive(chunks)
+                assert len(got) == 1, cut
+                np.testing.assert_array_equal(got[0], good)
+                assert len(errors) == 1, cut
+                assert "truncated" in str(errors[0])
+        # A cut *at* the frame boundary is a clean end of stream.
+        got, errors, _ = _receive([lead])
+        assert len(got) == 1 and errors == []
+
+    def test_connection_reset_is_one_error_with_the_cause_chained(self):
+        async def run(partial):
+            source = AsyncSocketSource()
+            source.connection_made(_FakeTransport(source))
+            buffer = source.get_buffer(-1)
+            buffer[:len(partial)] = partial
+            source.buffer_updated(len(partial))
+            source.connection_lost(ConnectionResetError("peer reset"))
+            with pytest.raises(FrameProtocolError) as info:
+                async for _item in source:
+                    pass
+            with pytest.raises(ConnectionResetError):
+                await source.drain()
+            return info.value
+
+        for partial in (b"", b"WDG1\x03<u"):  # between frames, mid-header
+            error = asyncio.run(run(partial))
+            assert "connection lost" in str(error)
+            assert isinstance(error.__cause__, ConnectionResetError)
+
+    @pytest.mark.parametrize("bad", sorted(_BAD_HEADERS))
+    def test_bad_header_is_one_error_after_the_frames_before_it(self, bad):
+        good = np.arange(12, dtype=np.uint16).reshape(3, 4)
+        tail = _frame_bytes(good)  # never looked at: nothing behind a
+        stream = _frame_bytes(good) + _BAD_HEADERS[bad] + tail  # violation
+        for sizes in ([], [1] * len(stream), [len(_frame_bytes(good)) + 3]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no ComplexWarning cast
+                got, errors, unread = _receive(_cut(stream, sizes))
+            assert len(got) == 1
+            np.testing.assert_array_equal(got[0], good)
+            assert len(errors) == 1
+            if len(sizes) > 1:  # bytewise: reading stopped at the header
+                assert unread >= len(tail)
+
+    @pytest.mark.parametrize("bad", sorted(_BAD_HEADERS))
+    def test_read_wedge_frame_refuses_the_same_headers(self, bad):
+        """One decoder: the StreamReader helper clients use and the
+        receiver accept and refuse exactly the same headers."""
+
+        async def run():
+            reader = asyncio.StreamReader()
+            reader.feed_data(_BAD_HEADERS[bad])
+            reader.feed_eof()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(FrameProtocolError):
+                    await read_wedge_frame(reader)
+
+        asyncio.run(run())
+
+    def test_cap_fires_before_the_body_buffer_exists(self):
+        """The header alone is refused: no body byte was offered a
+        buffer, none was allocated."""
+
+        header = _raw_frame(b"<u2", (2**31,) * 4)
+        got, errors, unread = _receive([header, bytes(4096)], eof=False)
+        assert got == [] and unread == 4096
+        assert "cap" in str(errors[0])
+
+
+def _capture_sources(gateway):
+    """Record each session's AsyncSocketSource as the gateway accepts it."""
+
+    sources, handle = [], gateway._handle_client
+
+    def capture(source):
+        sources.append(source)
+        return handle(source)
+
+    gateway._handle_client = capture
+    return sources
+
+
+class TestReceiverUnderTheGateway:
+    def test_bad_dtype_fails_its_session_alone_and_charges_no_shard(
+            self, model, wedges, ref_codes, caplog):
+        """Regression: an ``O`` header escaped the session as a bare
+        ValueError, and V/U/structured dtypes reached the worker and were
+        charged to the shard as failures."""
+
+        gateway = ServingGateway(_services(model, 1), GatewayConfig())
+
+        async def bad_session(frame):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", gateway.port)
+            writer.write(frame)
+            await writer.drain()
+            writer.write_eof()
+            answer = await asyncio.wait_for(read_wedge_frame(reader), 10.0)
+            writer.close()
+            await writer.wait_closed()
+            return answer
+
+        async def run():
+            await gateway.start()
+            before = await _produce(gateway.port, [wedges[0]])
+            answers = [await bad_session(frame)
+                       for frame in _BAD_DTYPES.values()]
+            health, stats = gateway.health(), gateway.stats()
+            after = await _produce(gateway.port, [wedges[0]])
+            await gateway.drain()
+            await gateway.aclose()
+            return before, answers, health, stats, after
+
+        with caplog.at_level(logging.WARNING), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            before, answers, health, stats, after = asyncio.run(run())
+        assert answers == [None] * len(_BAD_DTYPES)  # clean EOF, no frame
+        assert health.state == "healthy"
+        assert stats.faults.failures == 0 and stats.faults.total == 0
+        refused = [r for r in caplog.records
+                   if "not a real numeric type" in r.getMessage()]
+        assert len(refused) == len(_BAD_DTYPES)
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+        assert before[0].tobytes() == ref_codes[0].tobytes()
+        assert after[0].tobytes() == before[0].tobytes()
+
+    def test_frames_before_a_bad_one_are_answered(
+            self, model, wedges, ref_codes):
+        """Two good wedges and garbage in ONE segment: both responses
+        arrive, byte-identical, then EOF."""
+
+        gateway = ServingGateway(_services(model, 1), GatewayConfig())
+
+        async def run():
+            await gateway.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", gateway.port)
+            writer.write(_frame_bytes(wedges[0]) + _frame_bytes(wedges[1])
+                         + _BAD_HEADERS["magic"])
+            await writer.drain()
+            out = []
+            while (frame := await asyncio.wait_for(
+                    read_wedge_frame(reader), 10.0)) is not None:
+                out.append(frame)
+            writer.close()
+            await writer.wait_closed()
+            await gateway.drain()
+            await gateway.aclose()
+            return out
+
+        out = asyncio.run(run())
+        assert [f.tobytes() for f in out] == \
+            [c.tobytes() for c in ref_codes[:2]]
+
+    @pytest.mark.parametrize("policy", [None, "occupancy"],
+                             ids=["bcae", "adaptive"])
+    def test_fragmented_ingest_is_byte_identical_to_inline(
+            self, model, wedges, policy):
+        """Frames dribbled in odd-sized pieces (headers and bodies split
+        anywhere) answer with the inline path's bytes on both routes."""
+
+        from repro.rate.records import encode_record_frames
+
+        mixed = wedges.copy()
+        mixed[::2][mixed[::2] < 1015] = 0  # ~1 % occupancy: sparse route
+        cfg = ServiceConfig(max_batch=4, workers=0, rate_policy=policy)
+        payloads, _ = StreamingCompressionService(model, cfg).run(mixed)
+        if policy is None:
+            want = [c.tobytes() for p in payloads for c in p.codes_view()]
+        else:
+            want = [f.tobytes() for p in payloads
+                    for f in encode_record_frames(p)]
+            assert len({i for p in payloads for i in p.codec_ids}) > 1
+        gateway = ServingGateway(
+            [StreamingCompressionService(model, cfg)], GatewayConfig())
+
+        async def run():
+            await gateway.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", gateway.port)
+            stream = b"".join(_frame_bytes(w) for w in mixed)
+            for pos in range(0, len(stream), 7919):
+                writer.write(stream[pos:pos + 7919])
+                await writer.drain()
+                await asyncio.sleep(0)
+            writer.write_eof()
+            out = []
+            while (frame := await asyncio.wait_for(
+                    read_wedge_frame(reader), 10.0)) is not None:
+                out.append(frame.tobytes())
+            writer.close()
+            await writer.wait_closed()
+            await gateway.drain()
+            await gateway.aclose()
+            return out
+
+        assert asyncio.run(run()) == want
+
+    def test_stalled_shard_pauses_the_producer_at_the_read_ahead_bound(
+            self, model, wedges, ref_codes):
+        """With the shard stalled the session stops pulling frames; the
+        receiver pauses its transport once complete frames pass
+        ``max_frame_bytes`` — at most one frame over — and resumes when
+        the batcher drains."""
+
+        cap = 1 << 17
+        n_frames = 40  # ~7× the bound
+        service = GatedService(model, ServiceConfig(max_batch=1, workers=0))
+        gateway = ServingGateway([service], GatewayConfig(
+            inflight_per_shard=1, max_frame_bytes=cap))
+        sources = _capture_sources(gateway)
+        frame_bytes = wedges[0].nbytes
+        assert frame_bytes < cap < n_frames * frame_bytes
+
+        async def run():
+            await gateway.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", gateway.port)
+            for i in range(n_frames):
+                write_wedge_frame(writer, wedges[i % len(wedges)])
+            writer.write_eof()
+            peak, paused = 0, False
+            for _ in range(100):
+                await asyncio.sleep(0.01)
+                (source,) = sources
+                peak = max(peak, source._buffered)
+                paused = paused or not source._transport.is_reading()
+                if paused and source._buffered > cap:
+                    break
+            queued_while_stalled = len(source._frames)
+            service.gate.set()
+            out = []
+            while (frame := await asyncio.wait_for(
+                    read_wedge_frame(reader), 30.0)) is not None:
+                out.append(frame)
+            writer.close()
+            await writer.wait_closed()
+            await gateway.drain()
+            await gateway.aclose()
+            return peak, paused, queued_while_stalled, out, source._buffered
+
+        peak, paused, queued, out, left = asyncio.run(run())
+        assert paused and cap < peak <= cap + frame_bytes
+        assert queued < n_frames - 2  # the rest waited in the kernel
+        assert left == 0
+        assert len(out) == n_frames
+        for i, frame in enumerate(out):
+            assert frame.tobytes() == ref_codes[i % len(wedges)].tobytes()
+
+    def test_half_close_after_n_frames_returns_n_responses_then_eof(
+            self, model, wedges, ref_codes):
+        """What the e2e harness's ``hang_up`` asserts: ping-pong N wedges,
+        then half-close and read a clean EOF."""
+
+        gateway = ServingGateway(_services(model, 1), GatewayConfig())
+
+        async def run():
+            await gateway.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", gateway.port)
+            out = []
+            for w in wedges[:5]:
+                write_wedge_frame(writer, w)
+                await writer.drain()
+                out.append(await asyncio.wait_for(
+                    read_wedge_frame(reader), 10.0))
+            writer.write_eof()
+            clean = await asyncio.wait_for(
+                read_wedge_frame(reader), 10.0) is None
+            writer.close()
+            await writer.wait_closed()
+            await gateway.drain()
+            await gateway.aclose()
+            return out, clean
+
+        out, clean = asyncio.run(run())
+        assert clean
+        assert [f.tobytes() for f in out] == \
+            [c.tobytes() for c in ref_codes[:5]]
+
+    def test_teardown_with_a_session_mid_body_leaves_no_task(
+            self, model, wedges, caplog):
+        """drain() / aclose() while a producer sits halfway through a
+        body: no session task is left pending and nothing is logged as a
+        never-retrieved task exception."""
+
+        gateway = ServingGateway(_services(model, 1), GatewayConfig())
+        sources = _capture_sources(gateway)
+
+        async def run():
+            await gateway.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", gateway.port)
+            write_wedge_frame(writer, wedges[0])
+            frame = _frame_bytes(wedges[1])
+            writer.write(frame[:len(frame) // 2])
+            await writer.drain()
+            first = await asyncio.wait_for(read_wedge_frame(reader), 10.0)
+            sessions = list(gateway._sessions)
+            assert len(sessions) == 1 and not sessions[0].done()
+            assert await gateway.drain(timeout=0.2)
+            await gateway.aclose()
+            assert sessions[0].done() and not gateway._sessions
+            eof = await asyncio.wait_for(reader.read(), 10.0)
+            writer.close()
+            await writer.wait_closed()
+            others = asyncio.all_tasks() - {asyncio.current_task()}
+            return first, eof, others
+
+        with caplog.at_level(logging.WARNING):
+            first, eof, others = asyncio.run(run())
+            gc.collect()
+        assert first is not None and eof == b""
+        assert others == set()
+        (source,) = sources
+        assert source._closed.is_set()
+        assert [r for r in caplog.records
+                if r.name == "asyncio" or r.levelno >= logging.ERROR] == []
