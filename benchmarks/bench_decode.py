@@ -4,7 +4,8 @@ The paper's loop is bicephalous end to end: payloads written by the
 counting house must be decompressed offline at comparable throughput.  This
 bench measures the analysis-side fast path — both decoder heads and the
 masked combine compiled by the stage-plan engine
-(:class:`repro.core.FastDecoder2D` / :class:`repro.core.FastDecoder3D`),
+(:class:`repro.core.FastDecoder` — one wrapper, radial axis = channel or
+spatial),
 served via ``BCAECompressor.decompress_into`` and
 :class:`repro.serve.DecompressionService` — against the naive loop an
 analysis user would write: one module-graph ``decompress`` call per
@@ -26,9 +27,6 @@ Acceptance gates:
   hosts with ≥ 4 cores the widest configuration sustains **≥ 1.5×**
   single-thread throughput (the scaling gate is informational on smaller
   boxes — a 1-core container cannot demonstrate parallel speedup);
-* **fused bnorm** — the original BCAE's eval-mode affine stages decode at
-  least as fast through the fused one-pass kernel as through the 4-ufunc
-  broadcast chain (A/B via ``fast_plan._FUSED_BNORM``), bit for bit;
 * **ulp tier** — the opt-in ``precision="ulp"`` configuration decodes at
   least as fast as the bit tier (it keeps the BN→Conv folds the bit probe
   rejects), every engaged site's recorded bound stays within
@@ -214,62 +212,6 @@ def measure_threaded(model_name="bcae_ht", n_wedges=_N_WEDGES_PAPER,
     }
 
 
-def measure_fused_bnorm(n_wedges=2, repeats=_REPEATS, paper=True):
-    """A/B the fused one-pass BN affine against the 4-ufunc broadcast
-    chain on the original BCAE (the only zoo member with live eval-mode
-    norm stacks).  Same compressor, same archive — only the run-time
-    ``_FUSED_BNORM`` switch differs between timing rounds."""
-
-    import repro.core.fast_plan as fp
-    from repro.core import BCAECompressor, build_model
-
-    wedges = _stream(n_wedges, paper=paper)
-    model = build_model("bcae", wedge_spatial=wedges.shape[1:], seed=0)
-    model.eval()
-    comp = BCAECompressor(model)
-    payloads = [comp.compress(w) for w in wedges]
-    comp.decompress_into(payloads[0])  # compile + warm workspaces
-
-    def run_with(fused):
-        prev = fp._FUSED_BNORM
-        fp._FUSED_BNORM = fused
-        try:
-            return b"".join(
-                np.ascontiguousarray(comp.decompress_into(c)).tobytes()
-                for c in payloads
-            )
-        finally:
-            fp._FUSED_BNORM = prev
-
-    identical = run_with(True) == run_with(False)
-    fused_s, plain_s = _best_of_interleaved(
-        [lambda: run_with(True), lambda: run_with(False)], repeats
-    )
-    fused_wps = len(wedges) / fused_s
-    plain_wps = len(wedges) / plain_s
-    return {
-        "kind": "fused_bnorm",
-        "model": "bcae",
-        "wedge_shape": list(wedges.shape[1:]),
-        "paper_scale": bool(paper),
-        "n_wedges": len(wedges),
-        "rows": [
-            {
-                "backend": "fused affine",
-                "wedges_per_second": fused_wps,
-                "speedup_vs_broadcast": fused_wps / plain_wps,
-                "bit_identical": bool(identical),
-            },
-            {
-                "backend": "4-ufunc broadcast",
-                "wedges_per_second": plain_wps,
-                "speedup_vs_broadcast": 1.0,
-                "bit_identical": bool(identical),
-            },
-        ],
-    }
-
-
 def measure_ulp(model_name="bcae", n_wedges=2, repeats=_REPEATS,
                 paper=True):
     """The opt-in ulp tier vs the bit default on the same archive.
@@ -386,14 +328,6 @@ def _report_lines(section):
                    f"{row['speedup_vs_single_thread']:.2f}x single-thread  "
                    f"recon {'identical' if row['bit_identical'] else 'MISMATCH'}")
         return
-    if kind == "fused_bnorm":
-        yield f"Decode fused bnorm A/B — {section['model']} at {geom}"
-        for row in section["rows"]:
-            yield (f"    {row['backend']:18s}: "
-                   f"{row['wedges_per_second']:7.2f} w/s  "
-                   f"{row['speedup_vs_broadcast']:.2f}x broadcast  recon "
-                   f"{'identical' if row['bit_identical'] else 'MISMATCH'}")
-        return
     if kind == "ulp":
         yield f"Decode ulp tier — {section['model']} at {geom}"
         yield (f"    bit tier {section['bit_wps']:7.2f} w/s, ulp tier "
@@ -430,10 +364,6 @@ def _section_ok(section, gate):
         # ≥1.5× only where there are cores to scale onto.
         return identical, (best >= 1.5 if section["scaling_gated"]
                            else True), best
-    if kind == "fused_bnorm":
-        identical = all(r["bit_identical"] for r in section["rows"])
-        best = section["rows"][0]["speedup_vs_broadcast"]
-        return identical, best >= _AB_TOL, best
     if kind == "ulp":
         bounded = (section["max_site_ulp"] <= section["site_cap"]
                    and section["recon_grid_steps"] <= section["recon_cap"])
@@ -534,28 +464,6 @@ def test_decode_thread_scaling(benchmark):
     assert fast_enough, f"thread scaling only {best:.2f}x on ≥4 cores"
 
 
-def test_decode_fused_bnorm_ab(benchmark):
-    """Fused one-pass BN affine vs the 4-ufunc broadcast chain: identical
-    bits, at least broadcast speed (within timing-noise tolerance)."""
-
-    from conftest import report
-
-    results = {}
-
-    def measure_all():
-        results["r"] = measure_fused_bnorm(n_wedges=2, repeats=1, paper=True)
-        return results
-
-    benchmark.pedantic(measure_all, rounds=1, iterations=1)
-    section = results["r"]
-    for line in _report_lines(section):
-        report(line)
-
-    identical, fast_enough, best = _section_ok(section, 1.0)
-    assert identical, "fused affine diverges from the broadcast chain"
-    assert fast_enough, f"fused affine only {best:.2f}x the broadcast chain"
-
-
 def test_decode_ulp_tier(benchmark):
     """Opt-in ulp tier: every engaged site inside the recorded cap, recon
     within the end-to-end grid-step contract, no slower than bit."""
@@ -619,8 +527,6 @@ def main(argv=None) -> int:
             plan.append(lambda: measure_threaded(
                 "bcae_ht", n_wedges=args.wedges or 4, repeats=repeats,
                 paper=False))
-            plan.append(lambda: measure_fused_bnorm(
-                n_wedges=args.wedges or 4, repeats=repeats, paper=False))
             plan.append(lambda: measure_ulp(
                 n_wedges=args.wedges or 4, repeats=repeats, paper=False))
         else:
@@ -637,9 +543,6 @@ def main(argv=None) -> int:
             plan.append(lambda: measure_threaded(
                 "bcae_ht", n_wedges=args.wedges or 2, repeats=repeats,
                 paper=True))
-            # Fused affine vs 4-ufunc broadcast chain, paper grid.
-            plan.append(lambda: measure_fused_bnorm(
-                n_wedges=args.wedges or 2, repeats=repeats, paper=True))
             # The opt-in ulp serving tier vs the bit default.
             plan.append(lambda: measure_ulp(
                 n_wedges=args.wedges or 2, repeats=repeats, paper=True))

@@ -92,19 +92,13 @@ def analyze_model_plans(names=None, half: bool = True,
             ))
             continue
         enc = make_fast_encoder(model, half=half, precision=precision)
-        if hasattr(enc, "spatial"):           # 3D: single-channel volume
-            in_channels, in_spatial = 1, tuple(enc.spatial)
-        else:                                 # 2D: radial axis as channels
-            r, a, h = wedge_spatial
-            grid = 2 ** enc.d
-            in_channels = r
-            in_spatial = (a, -(-h // grid) * grid)
+        in_channels, in_spatial = enc.geometry.network_input(wedge_spatial)
         rec = verify_plan(enc.plan, in_channels, in_spatial,
                           LOG_INPUT_BOUND, label=f"{name}.encoder")
         dec = make_fast_decoder(model, half=half, precision=precision)
         if execute:
-            lead = (1,) if hasattr(enc, "spatial") else (1, in_channels)
-            codes = enc.encode(np.zeros(lead + in_spatial, np.float32))
+            padded = tuple(wedge_spatial[:2]) + in_spatial[-1:]
+            codes = enc.encode(np.zeros((1,) + padded, np.float32))
             dec.decode(codes.astype(np.float32))
         rec["stats"] = enc.plan.plan_stats()
         records.append(rec)

@@ -14,18 +14,9 @@ from .compressor import BCAECompressor, CompressedWedges
 from .decoder2d import BCAEDecoder2D
 from .encoder2d import BCAEEncoder2D
 from .fast_plan import CompiledStagePlan, fold_batchnorm, stage_kinds
-from .fast_encode import (
-    FastEncoder2D,
-    FastEncoder3D,
-    make_fast_encoder,
-    supports_fast_encode,
-)
-from .fast_decode import (
-    FastDecoder2D,
-    FastDecoder3D,
-    make_fast_decoder,
-    supports_fast_decode,
-)
+from .fast_encode import FastEncoder, make_fast_encoder, supports_fast_encode
+from .fast_decode import FastDecoder, make_fast_decoder, supports_fast_decode
+from .geometry import WedgeGeometry
 from .heads import BCAEOutput, BicephalousAutoencoder
 from .search import Candidate, enumerate_candidates, pareto_front, search, throughput_frontier
 from .model_zoo import (
@@ -57,14 +48,13 @@ __all__ = [
     "CompiledStagePlan",
     "fold_batchnorm",
     "stage_kinds",
-    "FastEncoder2D",
-    "FastEncoder3D",
+    "FastEncoder",
     "make_fast_encoder",
     "supports_fast_encode",
-    "FastDecoder2D",
-    "FastDecoder3D",
+    "FastDecoder",
     "make_fast_decoder",
     "supports_fast_decode",
+    "WedgeGeometry",
     "Candidate",
     "enumerate_candidates",
     "throughput_frontier",

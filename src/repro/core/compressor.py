@@ -17,21 +17,24 @@ path, bit-identical to each other:
     allocation-heavy, one batch at a time;
 ``compress_into`` / ``compress_stream``
     the serving hot path: persistent workspaces (no per-batch ``np.pad`` /
-    im2col / fp16-cast reallocation) via the compiled encoders of
-    :mod:`~repro.core.fast_encode` — :class:`FastEncoder2D` for the 2D
-    family, :class:`FastEncoder3D` for every 3D variant including the
-    original BCAE (eval-mode BatchNorm compiles to folded convolutions or
-    exact affine stages) — with a reusable-buffer fallback through the
-    module graph only for genuinely unknown stage stacks (custom modules,
-    or BatchNorm still in training mode).  Output bytes are identical to
-    ``compress`` for the same input;
+    im2col / fp16-cast reallocation) via the compiled
+    :class:`~repro.core.fast_encode.FastEncoder` — one wrapper for the 2D
+    family and every 3D variant including the original BCAE (eval-mode
+    BatchNorm compiles to folded convolutions or exact affine stages) —
+    with a reusable-buffer fallback through the module graph only for
+    genuinely unknown stage stacks (custom modules, or BatchNorm still in
+    training mode).  Output bytes are identical to ``compress`` for the
+    same input;
 ``decompress_into`` / ``decompress_stream``
     the analysis hot path: both decoder heads and the masked combine
-    compiled by :class:`~repro.core.fast_decode.FastDecoder2D` /
-    :class:`~repro.core.fast_decode.FastDecoder3D` (same stage-plan
-    engine, same bit-identity contract), with the same
+    compiled by :class:`~repro.core.fast_decode.FastDecoder` (same
+    stage-plan engine, same bit-identity contract), with the same
     unknown-stack-only fallback.  Both fast paths re-fingerprint their
     weights per call and recompile after any parameter update.
+
+Which wedges and codes fit a model — and where its radial axis rides — is
+asked of :class:`~repro.core.geometry.WedgeGeometry`; a wedge of the wrong
+geometry raises one ``ValueError`` from every entry point.
 """
 
 from __future__ import annotations
@@ -47,12 +50,12 @@ from ..tpc.transforms import (
     log_transform,
     inverse_log_transform,
     pad_horizontal,
-    padded_length,
     unpad_horizontal,
 )
 from .fast_decode import make_fast_decoder, supports_fast_decode
 from .fast_encode import Workspace, make_fast_encoder, supports_fast_encode
 from .fast_plan import PRECISIONS
+from .geometry import WedgeGeometry
 from .heads import BicephalousAutoencoder
 
 __all__ = ["CompressedWedges", "BCAECompressor"]
@@ -220,14 +223,18 @@ class BCAECompressor:
         self._scratch = Workspace()
 
     # ------------------------------------------------------------------
-    def _horizontal_target(self, horizontal: int) -> int:
-        """Padded horizontal length the encoder consumes."""
+    @property
+    def geometry(self) -> WedgeGeometry:
+        """Which wedges and codes fit the model, and where its radial axis
+        rides (see :class:`~repro.core.geometry.WedgeGeometry`)."""
 
-        if hasattr(self.model.encoder, "spatial"):
-            # 3D models carry their exact input spatial shape.
-            return int(self.model.encoder.spatial[-1])
-        # 2D models only need divisibility by 2^d.
-        return padded_length(horizontal, 2 ** self.model.encoder.d)
+        return WedgeGeometry.of(self.model)
+
+    def _horizontal_target(self, wedge_spatial) -> int:
+        """Padded horizontal length the encoder consumes for ``(R, A, H)``
+        wedges (``ValueError`` for a wedge the model cannot take)."""
+
+        return self.geometry.network_input(wedge_spatial)[1][-1]
 
     def _prepare(self, wedges: np.ndarray) -> tuple[np.ndarray, int]:
         """Raw ADC (B, R, A, H) → padded log-transformed network input."""
@@ -236,7 +243,7 @@ class BCAECompressor:
             wedges = wedges[None]
         horizontal = wedges.shape[-1]
         x = log_transform(wedges)
-        target = self._horizontal_target(horizontal)
+        target = self._horizontal_target(wedges.shape[1:])
         if target != horizontal:
             x = pad_horizontal(x, target)
         return x, horizontal
@@ -341,17 +348,16 @@ class BCAECompressor:
         if wedges.ndim == 3:
             wedges = wedges[None]
         horizontal = wedges.shape[-1]
+        target = self._horizontal_target(wedges.shape[1:])
         fast = self._fast_encoder()
+        x = self._log_into(wedges)
         if fast is not None:
-            x = self._log_into(wedges)
-            code16 = fast.encode(x, horizontal_target=self._horizontal_target(horizontal))
+            code16 = fast.encode(x, horizontal_target=target)
         else:
             # Module-graph fallback (genuinely unknown stage stacks, or
             # training-mode BatchNorm — every zoo model in eval mode
             # compiles): still avoids the per-call log/pad allocations of
             # the reference path.
-            x = self._log_into(wedges)
-            target = self._horizontal_target(horizontal)
             if target != horizontal:
                 xp = self._scratch.get("pad", x.shape[:-1] + (target,))
                 xp[..., horizontal:] = 0
@@ -541,21 +547,11 @@ class BCAECompressor:
 
         Derived from the encoder's stage arithmetic (divisibility for the 2D
         family, the solved stage plans for the 3D family), so it is cheap
-        enough for sizing arithmetic at import time.
+        enough for sizing arithmetic at import time.  Raises ``ValueError``
+        for a wedge the model cannot take.
         """
 
-        r, a, h = (int(v) for v in wedge_spatial)
-        encoder = self.model.encoder
-        if hasattr(encoder, "spatial"):
-            er, ea, eh = encoder.spatial
-            if (r, a) != (er, ea) or h > eh:
-                raise ValueError(
-                    f"wedge spatial {wedge_spatial} incompatible with "
-                    f"encoder input {encoder.spatial}"
-                )
-            return tuple(encoder.code_shape)
-        target = padded_length(h, 2 ** encoder.d)
-        return tuple(encoder.code_shape((a, target)))
+        return self.geometry.code_shape(wedge_spatial)
 
     def compression_ratio(self, wedge_spatial: tuple[int, int, int]) -> float:
         """Paper §3.1 ratio: input elements / code elements (both fp16).

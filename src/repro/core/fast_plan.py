@@ -7,10 +7,10 @@ allocations disappear, with **bit-identical** output.  The analysis side of
 the loop needs the same treatment for the decoders, and every future variant
 would otherwise grow its own 500-line kernel file.  This module is that
 machinery extracted into a reusable engine: a *stage-vocabulary compiler*
-plus an executor, shared by :class:`~repro.core.fast_encode.FastEncoder2D`,
-:class:`~repro.core.fast_decode.FastDecoder2D` and their 3D twins
-:class:`~repro.core.fast_encode.FastEncoder3D` /
-:class:`~repro.core.fast_decode.FastDecoder3D`.
+plus a rank-free executor, driven at whatever rank a model's stages have by
+one wrapper per direction: :class:`~repro.core.fast_encode.FastEncoder` and
+:class:`~repro.core.fast_decode.FastDecoder` (radial axis = channels or
+spatial, see :class:`~repro.core.geometry.WedgeGeometry`).
 
 Stage vocabulary
 ----------------
@@ -283,12 +283,6 @@ ULP_TIER_RECON_GRID_STEPS = 4
 #: Byte size of one cache-resident block of the fused BatchNorm affine
 #: kernel (see :meth:`_BNSpec.apply`).
 _BN_BLOCK = 1 << 18
-
-#: A/B switch for the fused BatchNorm traversal — flipped (to False) only
-#: by the decode bench to measure the fused kernel against the plain
-#: 4-ufunc broadcast chain.  Both evaluate the same per-channel affine in
-#: the same operation order, so bits are identical either way.
-_FUSED_BNORM = True
 
 
 def _resolve_panel_threads(requested: int | None) -> int:
@@ -729,8 +723,7 @@ class _BNSpec:
         Two traversals implement that same chain:
 
         * the broadcast path — four whole-array passes with per-channel
-          operand columns, used for small streams (and as the bench's A/B
-          reference via the ``_FUSED_BNORM`` switch);
+          operand columns, used for small streams;
         * the fused path — one pass over memory: per (channel, sample) the
           stream is cut into ``_BN_BLOCK``-sized row blocks, the first
           subtract pulls a block out of the (possibly strided) source into
@@ -741,7 +734,7 @@ class _BNSpec:
         """
 
         out = ws.get((key, "bn"), src.shape)
-        if not _FUSED_BNORM or src[:1].nbytes <= _BN_BLOCK:
+        if src[:1].nbytes <= _BN_BLOCK:
             return self.chain(src, out)
         mean, inv_std, gamma, beta = self.mean, self.inv_std, self.gamma, self.beta
         n = src.shape[1]

@@ -65,6 +65,7 @@ import numpy as np
 
 from ..core.compressor import BCAECompressor, CompressedWedges
 from ..core.fast_plan import PRECISIONS
+from ..core.geometry import WedgeGeometry
 from ..io.codes import split_compressed
 from ..perf.timing import FaultCounters, LatencySummary, ThroughputResult, summarize_latencies, throughput_from_batches
 from .batcher import AsyncMicroBatcher, MicroBatch, MicroBatcher
@@ -1379,7 +1380,7 @@ class DecompressionService(ModelPoolService):
     Consumes :class:`CompressedWedges` batches (e.g. loaded from
     :mod:`repro.io` archives), re-chunks them to ``max_batch`` wedges, and
     fans them out to workers calling ``BCAECompressor.decompress_into``
-    (the compiled :class:`~repro.core.fast_decode.FastDecoder2D` path where
+    (the compiled :class:`~repro.core.fast_decode.FastDecoder` path where
     the model supports it).  Reconstructions are owned float32 arrays
     ``(B, R, A, H)``, emitted in stream order, bit-identical to serial
     ``decompress`` calls.
@@ -1403,23 +1404,17 @@ class DecompressionService(ModelPoolService):
         """Slab size fitting ``max_batch`` wedges of payload and recon.
 
         The reconstruction dominates: fp32 at the full wedge geometry,
-        recovered from the payload header — 3D models carry their exact
-        input spatial shape; the 2D family's azimuthal extent is
-        ``code_shape[1] * 2**d`` (the encoder's downsampling inverted)
-        over ``in_channels`` radial layers and the unpadded horizontal.
+        recovered from the payload header by the model's
+        :class:`~repro.core.geometry.WedgeGeometry` (3D models carry
+        their exact input shape; the 2D family inverts the encoder's
+        downsampling of the code's azimuthal extent).
         """
 
         c = item.compressed
         n_wedges = max(1, int(c.n_wedges))
         per_payload = -(-int(c.nbytes) // n_wedges)
-        encoder = self.model.encoder
-        if hasattr(encoder, "spatial"):
-            per_recon = int(np.prod(encoder.spatial)) * 4
-        else:
-            upsample = 2 ** encoder.d
-            per_recon = (int(encoder.in_channels)
-                         * int(c.code_shape[1]) * upsample
-                         * int(c.original_horizontal) * 4)
+        per_recon = 4 * int(np.prod(WedgeGeometry.of(self.model).recon_shape(
+            c.code_shape, c.original_horizontal)))
         return self.config.max_batch * max(per_payload, per_recon)
 
     # ------------------------------------------------------------------

@@ -27,9 +27,8 @@ def _encoder_2d(seed=0):
 
 
 def _verify_2d(enc):
-    r, a, h = WEDGE
-    grid = 2 ** enc.d
-    return verify_plan(enc.plan, r, (a, -(-h // grid) * grid),
+    channels, spatial = enc.geometry.network_input(WEDGE)
+    return verify_plan(enc.plan, channels, spatial,
                        LOG_INPUT_BOUND, label="t.encoder")
 
 
@@ -71,11 +70,10 @@ class TestCleanPlans:
 
         enc = _encoder_2d()
         rec = _verify_2d(enc)
-        r, a, h = WEDGE
-        grid = 2 ** enc.d
         x = np.random.default_rng(0).normal(
-            size=(2, r, a, h)).astype(np.float32)
-        code = enc.encode(x, horizontal_target=-(-h // grid) * grid)
+            size=(2,) + WEDGE).astype(np.float32)
+        target = enc.geometry.network_input(WEDGE)[1][-1]
+        code = enc.encode(x, horizontal_target=target)
         out = rec["out"]
         assert code.shape == (2, out["channels"]) + tuple(out["spatial"])
 
@@ -167,8 +165,8 @@ class TestStackedSites:
 
     @staticmethod
     def _verify(enc):
-        return verify_plan(enc.plan, 1, tuple(enc.spatial), LOG_INPUT_BOUND,
-                           label="t.encoder3d")
+        return verify_plan(enc.plan, *enc.geometry.network_input(SMOKE_WEDGE),
+                           LOG_INPUT_BOUND, label="t.encoder3d")
 
     def _pv060(self, enc, idx):
         return [d for d in _errors(self._verify(enc))

@@ -1,4 +1,5 @@
-"""FastDecoder2D: bit-identity with the module path, plan vocabulary, reuse."""
+"""FastDecoder: bit-identity with the module path, plan vocabulary, reuse
+and code-geometry errors — every case runs on the 2D and the 3D families."""
 
 import numpy as np
 import pytest
@@ -7,13 +8,35 @@ from repro import nn
 from repro.core import BCAECompressor, build_model
 from repro.core.blocks import ResBlock2d
 from repro.core.fast_decode import (
-    FastDecoder2D,
-    FastDecoder3D,
+    FastDecoder,
+    _head_stages,
     make_fast_decoder,
     supports_fast_decode,
 )
 from repro.core.fast_plan import CompiledStagePlan, stage_kinds
 from repro.nn import Tensor
+
+#: (zoo name, raw wedge shape, 2D constructor arguments) — one row per rank
+#: and per BatchNorm / width variant; the wrapper under test is the same.
+FAMILIES = [
+    pytest.param("bcae_2d", (16, 24, 30), dict(m=2, n=2, d=2), id="bcae_2d"),
+    pytest.param("bcae_pp", (4, 16, 22), {}, id="bcae_pp"),
+    pytest.param("bcae_ht", (4, 16, 22), {}, id="bcae_ht"),
+    pytest.param("bcae", (4, 16, 22), {}, id="bcae"),
+]
+#: 2D depth / upsampling variants on top (``n > d``, ``d = 1``, no
+#: upsampling at all).
+VARIANTS = FAMILIES + [
+    pytest.param("bcae_2d", (16, 24, 32), dict(m=4, n=3, d=3), id="bcae_2d-d3"),
+    pytest.param("bcae_2d", (16, 24, 30), dict(m=3, n=2, d=1), id="bcae_2d-d1"),
+    pytest.param("bcae_2d", (16, 24, 30), dict(m=1, n=1, d=0), id="bcae_2d-d0"),
+]
+
+
+def _model(name, spatial, kwargs):
+    model = build_model(name, wedge_spatial=spatial, seed=0, **kwargs)
+    model.eval()  # the original BCAE's BatchNorm compiles in eval mode only
+    return model
 
 
 def _wedges(n, spatial, seed=0):
@@ -27,6 +50,18 @@ def _module_decode(model, codes, half):
     with nn.no_grad(), nn.amp.autocast(half):
         seg, reg = model.decode(Tensor(codes.astype(np.float32)))
     return seg.data, reg.data
+
+
+def _same(comp, fd, c):
+    """Fast reconstruction == module-path reconstruction for payload ``c``,
+    from the fp16 payload view and from an fp32 copy (what an analysis job
+    that edits codes hands in)."""
+
+    ref = comp.decompress(c)
+    return all(
+        np.array_equal(ref, fd.decompress(codes, c.original_horizontal))
+        for codes in (c.codes_view(), c.codes_view().astype(np.float32))
+    )
 
 
 class TestVocabulary:
@@ -63,16 +98,11 @@ class TestVocabulary:
 
 
 class TestSupports:
-    def test_2d_supported(self):
-        model = build_model("bcae_2d", wedge_spatial=(16, 24, 30), m=2, n=2, d=2, seed=0)
+    @pytest.mark.parametrize("name,spatial,kwargs", FAMILIES)
+    def test_zoo_models_compile_to_the_one_wrapper(self, name, spatial, kwargs):
+        model = _model(name, spatial, kwargs)
         assert supports_fast_decode(model)
-
-    def test_3d_variants_supported(self):
-        """BCAE++/HT decoders compile through the 3D stage kinds."""
-
-        for name in ("bcae_ht", "bcae_pp"):
-            model = build_model(name, wedge_spatial=(16, 24, 30), seed=0)
-            assert supports_fast_decode(model)
+        assert type(make_fast_decoder(model)) is FastDecoder
 
     def test_batchnorm_bcae_supported_in_eval(self):
         """The original BCAE's BatchNorm compiles in eval mode only:
@@ -85,196 +115,168 @@ class TestSupports:
         model.train()
         assert not supports_fast_decode(model)
 
-    def test_compile_rejects_unsupported(self):
-        model = build_model("bcae_ht", wedge_spatial=(16, 24, 30), seed=0)
+    @pytest.mark.parametrize("name,spatial,kwargs", FAMILIES)
+    def test_compile_rejects_unsupported(self, name, spatial, kwargs):
+        model = _model(name, spatial, kwargs)
+        for not_a_model in (model.encoder, model.seg_decoder, object()):
+            assert not supports_fast_decode(not_a_model)
+            with pytest.raises(TypeError):
+                FastDecoder(not_a_model)
+
+    def test_compile_rejects_training_mode_batchnorm(self):
+        model = build_model("bcae", wedge_spatial=(8, 24, 30), seed=0)
         with pytest.raises(TypeError):
-            FastDecoder2D(model)  # 3D decoders need FastDecoder3D
+            FastDecoder(model)
+
+    @pytest.mark.parametrize("name,spatial,kwargs", FAMILIES)
+    def test_plans_and_fold_exposure(self, name, spatial, kwargs):
+        fd = make_fast_decoder(_model(name, spatial, kwargs))
+        plans = fd.plans
+        assert list(plans) == ["seg", "reg"]
+        assert all(isinstance(p, CompiledStagePlan) for p in plans.values())
+        assert fd.bn_folds == plans["seg"].bn_folds + plans["reg"].bn_folds
+        assert bool(fd.bn_folds) == (name == "bcae")  # the only normed zoo member
 
 
 class TestBitIdentity:
     """The core contract: fast reconstruction values == module-path values."""
 
     @pytest.mark.parametrize("half", [True, False])
-    @pytest.mark.parametrize("mkw,spatial", [
-        (dict(m=2, n=2, d=2), (16, 24, 30)),
-        (dict(m=4, n=3, d=3), (16, 24, 32)),
-        (dict(m=3, n=2, d=1), (16, 24, 30)),
-    ])
-    def test_matches_module_path(self, mkw, spatial, half):
-        model = build_model("bcae_2d", wedge_spatial=spatial, seed=0, **mkw)
+    @pytest.mark.parametrize("name,spatial,kwargs", VARIANTS)
+    def test_matches_module_path(self, name, spatial, kwargs, half):
+        model = _model(name, spatial, kwargs)
         comp = BCAECompressor(model, half=half)
-        fd = FastDecoder2D(model, half=half)
-        for b in (1, 3, 8):
+        fd = FastDecoder(model, half=half)
+        for b in (1, 2, 3):
             c = comp.compress(_wedges(b, spatial, seed=b))
-            ref = comp.decompress(c)
-            fast = fd.decompress(c.codes_view(), c.original_horizontal)
-            assert np.array_equal(ref, np.asarray(fast))
+            assert _same(comp, fd, c)
 
     @pytest.mark.parametrize("half", [True, False])
-    def test_head_outputs_match(self, half):
-        """decode() reproduces both raw head outputs, not just the combine."""
+    @pytest.mark.parametrize("name,spatial,kwargs", FAMILIES)
+    def test_head_outputs_match(self, name, spatial, kwargs, half):
+        """decode() reproduces both raw head outputs (sigmoid + identity /
+        ``RegOutputTransform``), not just the combine, as ``(B, R, A, H)``."""
 
-        model = build_model("bcae_2d", wedge_spatial=(16, 24, 32), m=2, n=3, d=2, seed=0)
+        model = _model(name, spatial, kwargs)
         comp = BCAECompressor(model, half=half)
-        fd = FastDecoder2D(model, half=half)
-        c = comp.compress(_wedges(4, (16, 24, 32)))
+        fd = FastDecoder(model, half=half)
+        c = comp.compress(_wedges(4, spatial))
         seg_ref, reg_ref = _module_decode(model, c.codes_view(), half)
         seg, reg = fd.decode(c.codes_view())
+        assert seg.shape == seg_ref.shape == (4,) + spatial[:2] + seg.shape[-1:]
         assert np.array_equal(seg_ref, np.asarray(seg))
         assert np.array_equal(reg_ref, np.asarray(reg))
 
-    def test_no_upsample_decoder(self):
-        model = build_model("bcae_2d", wedge_spatial=(16, 24, 30), m=1, n=1, d=0, seed=0)
-        comp = BCAECompressor(model)
-        fd = FastDecoder2D(model)
-        c = comp.compress(_wedges(2, (16, 24, 30)))
-        assert np.array_equal(
-            comp.decompress(c),
-            np.asarray(fd.decompress(c.codes_view(), c.original_horizontal)),
-        )
-
+    # See test_fast_encode: the BN-fold probe's grid-step metric warns on a
+    # saturated reference at compile time.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in spacing")
     @pytest.mark.parametrize("scale", [40.0, 400.0])
-    def test_fp16_saturation_paths(self, scale):
+    @pytest.mark.parametrize("name,spatial,kwargs", FAMILIES)
+    def test_fp16_saturation_paths(self, name, spatial, kwargs, scale):
         """Huge weights push activations past ±65504: the elided clip must
         re-engage and still match quantize_fp16's saturate-then-cast."""
 
-        model = build_model("bcae_2d", wedge_spatial=(16, 24, 30), m=2, n=2, d=2, seed=0)
-        params = [*model.seg_decoder.parameters(), *model.reg_decoder.parameters()]
-        for p in params:
+        model = _model(name, spatial, kwargs)
+        for p in (*model.seg_decoder.parameters(), *model.reg_decoder.parameters()):
             p.data *= scale
-        try:
-            comp = BCAECompressor(model)
-            fd = FastDecoder2D(model)
-            c = comp.compress(_wedges(3, (16, 24, 30)))
-            assert np.array_equal(
-                comp.decompress(c),
-                np.asarray(fd.decompress(c.codes_view(), c.original_horizontal)),
-            )
-        finally:
-            for p in params:
-                p.data /= scale
+        comp = BCAECompressor(model)
+        c = comp.compress(_wedges(3, spatial))
+        assert _same(comp, FastDecoder(model), c)
 
-    def test_nonstandard_threshold(self):
-        model = build_model("bcae_2d", wedge_spatial=(16, 24, 30), m=2, n=2, d=2, seed=0)
+    @pytest.mark.parametrize("name,spatial,kwargs", FAMILIES)
+    def test_nonstandard_threshold(self, name, spatial, kwargs):
+        model = _model(name, spatial, kwargs)
         model.threshold = 0.31
         comp = BCAECompressor(model)
-        fd = FastDecoder2D(model)
-        c = comp.compress(_wedges(2, (16, 24, 30)))
-        assert np.array_equal(
-            comp.decompress(c),
-            np.asarray(fd.decompress(c.codes_view(), c.original_horizontal)),
-        )
+        c = comp.compress(_wedges(2, spatial))
+        assert _same(comp, FastDecoder(model), c)
 
-    def test_batch_size_change_reuses_instance(self):
-        model = build_model("bcae_2d", wedge_spatial=(16, 24, 30), m=2, n=2, d=2, seed=0)
+    @pytest.mark.parametrize("name,spatial,kwargs", FAMILIES)
+    def test_batch_size_change_reuses_instance(self, name, spatial, kwargs):
+        model = _model(name, spatial, kwargs)
         comp = BCAECompressor(model)
-        fd = FastDecoder2D(model)
-        for b in (4, 1, 7, 4):
-            c = comp.compress(_wedges(b, (16, 24, 30), seed=b))
-            assert np.array_equal(
-                comp.decompress(c),
-                np.asarray(fd.decompress(c.codes_view(), c.original_horizontal)),
-            )
+        fd = FastDecoder(model)
+        for b in (3, 1, 4, 3):
+            assert _same(comp, fd, comp.compress(_wedges(b, spatial, seed=b)))
 
 
 class TestWorkspace:
-    def test_buffers_are_reused(self):
-        model = build_model("bcae_2d", wedge_spatial=(16, 24, 30), m=2, n=2, d=2, seed=0)
-        comp = BCAECompressor(model)
-        fd = FastDecoder2D(model)
-        c = comp.compress(_wedges(4, (16, 24, 30)))
+    @pytest.mark.parametrize("name,spatial,kwargs", FAMILIES)
+    def test_buffers_are_reused(self, name, spatial, kwargs):
+        model = _model(name, spatial, kwargs)
+        fd = FastDecoder(model)
+        c = BCAECompressor(model).compress(_wedges(4, spatial))
         fd.decompress(c.codes_view(), c.original_horizontal)
         footprint = fd.workspace_bytes
         assert footprint > 0
         fd.decompress(c.codes_view(), c.original_horizontal)
         assert fd.workspace_bytes == footprint  # steady state: no growth
 
-    def test_output_buffer_is_reused(self):
-        model = build_model("bcae_2d", wedge_spatial=(16, 24, 30), m=2, n=2, d=2, seed=0)
-        comp = BCAECompressor(model)
-        fd = FastDecoder2D(model)
-        c = comp.compress(_wedges(2, (16, 24, 30)))
+    @pytest.mark.parametrize("name,spatial,kwargs", FAMILIES)
+    def test_outputs_are_views_of_reused_buffers(self, name, spatial, kwargs):
+        model = _model(name, spatial, kwargs)
+        fd = FastDecoder(model)
+        c = BCAECompressor(model).compress(_wedges(2, spatial))
         a = fd.decompress(c.codes_view(), c.original_horizontal)
         b = fd.decompress(c.codes_view(), c.original_horizontal)
         assert np.shares_memory(a, b)  # documented: copy before the next call
+        assert a.base is not None and a.shape == (2,) + spatial
+        seg, reg = fd.decode(c.codes_view())
+        assert seg.base is not None and reg.base is not None  # zero-copy
 
-    def test_heads_share_one_workspace(self):
+    @pytest.mark.parametrize("name,spatial,kwargs", FAMILIES)
+    def test_heads_share_one_workspace(self, name, spatial, kwargs):
         """The two structurally identical head plans reuse one buffer set —
         the decode footprint must stay well under two independent plans."""
 
-        model = build_model("bcae_2d", wedge_spatial=(16, 24, 30), m=2, n=2, d=2, seed=0)
-        comp = BCAECompressor(model)
-        fd = FastDecoder2D(model)
-        c = comp.compress(_wedges(2, (16, 24, 30)))
+        model = _model(name, spatial, kwargs)
+        fd = FastDecoder(model)
+        c = BCAECompressor(model).compress(_wedges(2, spatial))
         fd.decompress(c.codes_view(), c.original_horizontal)
-        shared = fd.workspace_bytes
-        assert shared < 2 * _single_head_bytes(model, c.codes_view())
+        assert fd.workspace_bytes < 2 * _single_head_bytes(model, c.codes_view())
 
 
-class TestBitIdentity3D:
-    """FastDecoder3D: fast reconstruction values == module-path values."""
+class TestCodeGeometryErrors:
+    """Codes the decoders cannot take raise one ``ValueError`` naming the
+    expected ``(C, …)`` — at the parent commit they died inside ``np.dot``."""
 
-    @pytest.mark.parametrize("half", [True, False])
-    @pytest.mark.parametrize("name", ["bcae_ht", "bcae_pp"])
-    def test_matches_module_path(self, name, half):
-        spatial = (8, 24, 30)
-        model = build_model(name, wedge_spatial=spatial, seed=0)
-        comp = BCAECompressor(model, half=half)
-        fd = make_fast_decoder(model, half=half)
-        assert isinstance(fd, FastDecoder3D)
-        for b in (1, 3):
-            c = comp.compress(_wedges(b, spatial, seed=b))
-            ref = comp.decompress(c)
-            codes = c.codes_view().astype(np.float32)
-            fast = fd.decompress(codes, c.original_horizontal)
-            assert np.array_equal(ref, np.asarray(fast))
-
-    @pytest.mark.parametrize("half", [True, False])
-    def test_head_outputs_match(self, half):
-        """decode() reproduces both raw head outputs (sigmoid + regout)."""
-
-        spatial = (8, 24, 30)
-        model = build_model("bcae_ht", wedge_spatial=spatial, seed=0)
-        comp = BCAECompressor(model, half=half)
-        fd = FastDecoder3D(model, half=half)
-        c = comp.compress(_wedges(2, spatial))
-        codes = c.codes_view().astype(np.float32)
-        seg_ref, reg_ref = _module_decode(model, codes, half)
-        seg, reg = fd.decode(codes)
-        assert np.array_equal(seg_ref, np.asarray(seg))
-        assert np.array_equal(reg_ref, np.asarray(reg))
-
-    def test_batch_size_change_reuses_instance(self):
-        spatial = (8, 24, 30)
-        model = build_model("bcae_pp", wedge_spatial=spatial, seed=0)
+    @pytest.mark.parametrize("name,spatial,kwargs", FAMILIES)
+    def test_wrong_channels_and_rank(self, name, spatial, kwargs):
+        model = _model(name, spatial, kwargs)
         comp = BCAECompressor(model)
-        fd = FastDecoder3D(model)
-        for b in (3, 1, 4, 3):
-            c = comp.compress(_wedges(b, spatial, seed=b))
-            codes = c.codes_view().astype(np.float32)
-            assert np.array_equal(
-                comp.decompress(c),
-                np.asarray(fd.decompress(codes, c.original_horizontal)),
-            )
-
-    def test_heads_share_one_workspace(self):
-        spatial = (8, 24, 30)
-        model = build_model("bcae_ht", wedge_spatial=spatial, seed=0)
-        comp = BCAECompressor(model)
-        fd = FastDecoder3D(model)
-        c = comp.compress(_wedges(2, spatial))
-        codes = c.codes_view().astype(np.float32)
-        fd.decompress(codes, c.original_horizontal)
+        fd = FastDecoder(model)
+        c = comp.compress(_wedges(1, spatial))
+        good = np.array(fd.decompress(c.codes_view(), c.original_horizontal))
         footprint = fd.workspace_bytes
-        assert footprint > 0
-        fd.decompress(codes, c.original_horizontal)
-        assert fd.workspace_bytes == footprint  # steady state: no growth
+        codes = c.codes()
+        channels = codes.shape[1]
+        for bad in (codes[:, : channels // 2], codes[0], codes[:, :, None]):
+            for call in (lambda: fd.decode(bad),
+                         lambda: fd.decompress(bad, c.original_horizontal)):
+                with pytest.raises(ValueError, match=f"C={channels}"):
+                    call()
+        assert fd.workspace_bytes == footprint
+        assert np.array_equal(
+            good, fd.decompress(c.codes_view(), c.original_horizontal))
+
+    def test_decompress_into_reports_the_geometry(self):
+        """Through the compressor: a payload header with the wrong code shape."""
+
+        import dataclasses
+
+        spatial = (4, 16, 22)
+        comp = BCAECompressor(_model("bcae_pp", spatial, {}))
+        c = comp.compress(_wedges(1, spatial))
+        halved = dataclasses.replace(
+            c, code_shape=(c.code_shape[0] // 2, 2) + tuple(c.code_shape[1:]))
+        with pytest.raises(ValueError, match="do not fit this model"):
+            comp.decompress_into(halved)
 
 
 def _single_head_bytes(model, codes) -> int:
-    plan = CompiledStagePlan(model.seg_decoder.stages)
-    n, ch, a, h = codes.shape
-    canvas, interior = plan.input_canvas(n, ch, (a, h))
-    np.copyto(interior, codes.transpose(1, 0, 2, 3))
-    plan.run(canvas, (a, h), 65504.0)
+    plan = CompiledStagePlan(_head_stages(model.seg_decoder))
+    n, ch = codes.shape[:2]
+    canvas, interior = plan.input_canvas(n, ch, codes.shape[2:])
+    np.copyto(interior, codes.swapaxes(0, 1))
+    plan.run(canvas, codes.shape[2:], 65504.0)
     return plan.workspace_bytes
