@@ -32,6 +32,13 @@ path to be legal and bit-exact:
   understated cached slope (which could wrongly elide a saturating clip)
   is an error; a decision that flips between the fp32 and float64 chains
   is flagged as boundary-unstable;
+* **lookup-tail re-derivation** — where an ``act+requant`` tail finishes
+  its panels with one table lookup instead of LeakyReLU → clip → snap, the
+  table is rebuilt from the module oracle (``Tensor.leaky_relu`` and
+  ``quantize_fp16``'s numpy cast pair — not the engine's integer snap) for
+  the site's slope and the re-derived clip decision and all 2^19 entries
+  are compared; the site must run in half mode with no norm between the
+  activation and the requantize;
 * **workspace lifetime** — fold sources (``w_raw``) must have been
   released after BN folding, canvases must stay fp32 across stage
   boundaries (the engine's documented invariant);
@@ -50,9 +57,13 @@ rejections are explainable) and any findings — is attached to the plan as
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.core.fast_plan import FP16_MAX, ULP_TIER_MAX_ULP
+from repro.nn import Tensor
+from repro.nn.amp import quantize_fp16
 
 from .diagnostics import Diagnostic
 
@@ -66,6 +77,28 @@ _SLOPE_TOL = 1e-5
 #: Stage kinds that produce / transform the result stream but consume no
 #: canvas — legal after an output head.
 _HEAD_KINDS = ("sigmoid", "regout")
+
+
+@functools.lru_cache(maxsize=None)
+def _requant_oracle(slope: float, clip: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Module-path ``act → requantize`` of every snapped-lane pattern.
+
+    Pattern ``i`` is the fp32 value with bits ``i << 13`` (sign, exponent,
+    10-bit mantissa — everything a lane on the fp16 grid can hold).
+    Returns ``(ref, check)``: the oracle's fp32 results and the patterns it
+    defines.  Under ``clip`` that is all of them
+    (``quantize_fp16(leaky_relu(x))``); where the bound proved the clip
+    away the engine omits it, and activations that are finite beyond ±65504
+    are outside its snap's domain (the first snap cannot emit them).
+    """
+
+    x = (np.arange(1 << 19, dtype=np.uint32) << np.uint32(13)).view(np.float32)
+    with np.errstate(invalid="ignore", over="ignore"):
+        act = Tensor(x).leaky_relu(slope).data
+        if clip:
+            return quantize_fp16(act), np.ones(x.shape, np.bool_)
+        ref = act.astype(np.float16).astype(np.float32)
+    return ref, ~(np.isfinite(act) & (np.abs(act) > FP16_MAX))
 
 
 def verify_plan(plan, in_channels: int, in_spatial: tuple[int, ...],
@@ -315,6 +348,45 @@ class _Verifier:
                       token=site, bound=float(bound), bound64=float(bound64))
         return min(bound, FP16_MAX)
 
+    def _check_requant(self, i: int, kind: str, site: str, slope: float,
+                       bn, bound: float) -> None:
+        """PV021: re-derive the lookup an ``act+requant`` tail would use.
+
+        ``bound`` is the requantize bound of the plan's own chain — what
+        :meth:`run` hands ``_store_tail`` — so the tail built here closes
+        over the very table a run would index.
+        """
+
+        tail = self.plan._store_tail(None, slope, bn, bound)
+        table = getattr(tail, "table", None)
+        if self.clip_sites and self.clip_sites[-1]["site"] == site:
+            self.clip_sites[-1]["requant"] = (
+                "sequence" if table is None else "table")
+        if table is None:
+            return
+        if bn is not None or not self.plan.half:
+            self.emit("PV021", "error", i, kind,
+                      f"site {site}: lookup tail engaged "
+                      + ("across a norm between activation and requantize"
+                         if bn is not None else "outside half mode")
+                      + " — the table is a function of the snapped lane "
+                      "alone", token=site)
+            return
+        ref, check = _requant_oracle(float(slope), bool(bound >= FP16_MAX))
+        # NaN patterns must stay NaN; their payload is not contractual.
+        same = (table == ref.view(np.uint32)) | (
+            np.isnan(table.view(np.float32)) & np.isnan(ref))
+        bad = np.flatnonzero(check & ~same)
+        if bad.size:
+            k = int(bad[0])
+            self.emit("PV021", "error", i, kind,
+                      f"site {site}: lookup table diverges from the module "
+                      f"oracle quantize_fp16(leaky_relu(x, {slope:g})) in "
+                      f"{bad.size} of {int(check.sum())} entries (first: "
+                      f"pattern {k:#x} -> {int(table[k]):#010x}, oracle "
+                      f"{int(ref.view(np.uint32)[k]):#010x})", token=site,
+                      mismatches=int(bad.size), first=k)
+
     # -- the walk -------------------------------------------------------
     def walk(self, c: int, spatial: tuple[int, ...], bound: float) -> None:
         plan = self.plan
@@ -448,6 +520,7 @@ class _Verifier:
                                b1_64 * abs(s1))
                 else:
                     b1, b1_64 = b1_raw, b1_64
+                self._check_requant(i, kind, "act1", s1, None, b1 * abs(s1))
                 b2_raw = spec2.out_bound(b1)
                 b2_64 = l1b * b1_64 + spec2.bias_max
                 if half:
@@ -566,8 +639,13 @@ class _Verifier:
                 b_mid = min(bn_b, FP16_MAX)
                 b_mid64 = min(bn_b64, FP16_MAX)
         else:
+            b1 = b1_raw
             b_mid = b1_raw if bn1 is None else bn1.out_bound(b1_raw)
             b_mid64 = b1_64 if bn1 is None else bn1.out_bound(b1_64)
+        # What _block3d hands the main conv's tail as its requantize bound.
+        self._check_requant(
+            i, kind, "act1" if bn1 is None else "bn1", s1, bn1,
+            b1 * abs(s1) if bn1 is None else bn1.out_bound(b1))
         b2_raw = inner.out_bound(b_mid)
         b2_64 = l1i * b_mid64 + inner.bias_max
         if half:

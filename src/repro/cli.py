@@ -870,10 +870,12 @@ def _print_plan_stats(rec: dict) -> None:
             # A stacked site serves two convolutions: show its member split.
             split = (" members=" + "+".join(map(str, g["members"]))
                      if "members" in g else "")
+            # An act+requant tail names the formulation it took.
+            requant = f"[{g['requant']}]" if "requant" in g else ""
             print(f"  stats  gemm {key}: {g['formulation']} "
                   f"m={g['m']} K={g['K']} o={g['o']}{split} "
                   f"panels={g['panels']} threads={g['threads']} "
-                  f"max_ulp={g['max_ulp']} tail={g['tail']} "
+                  f"max_ulp={g['max_ulp']} tail={g['tail']}{requant} "
                   f"staging_bytes={g['staging_bytes']}")
     else:
         print("  stats  gemm  (static verification only — no execution)")

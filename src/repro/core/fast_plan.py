@@ -114,11 +114,11 @@ innermost-axis rows and each panel is visited exactly once::
 
 The panel's im2col operand is gathered into the slot's ``(K, P)`` slab, one
 ``(O, K) @ (K, P)`` GEMM produces its outputs, and the bias, the saturating
-clip (only where the bound reaches ±65504) and the fp16-grid snap run on the
-``(O, P)`` block while it is cache-hot.  The stage's *tail* then finishes
-the values there and writes them straight into their destination rows: no
-``(O, M)`` staging array and no full-array activation or quantize post-pass
-exists.  Two tails cover the vocabulary:
+clip (only where the bound reaches ±65504 *and* a lane of the block does)
+and the fp16-grid snap run on the ``(O, P)`` block.  The stage's *tail* then
+finishes the values there and writes them straight into their destination
+rows: no ``(O, M)`` staging array and no full-array activation or quantize
+post-pass exists.  Two tails cover the vocabulary:
 
 * the **store tail** (``conv`` / ``conv3d`` / ``convtranspose3d``; the first
   and the skip convolution of a residual block) — optionally LeakyReLU
@@ -129,11 +129,16 @@ exists.  Two tails cover the vocabulary:
   ``upblock3d``) — LeakyReLU (→ norm), the fp32 residual sum with the skip
   rows into the carry stream, clip + snap, store into the next canvas.
 
-Pass budget, in elementwise passes over one cache-resident ``(O, P)`` block
-(``S`` = one snap: 7 integer passes, 12 when a lane sits in the fp16
-denormal range; ``[c]`` = the clip, present only where the bound saturates;
+The GEMM's operands (~1.8 MB) empty the L2, so every array the epilogue
+touches is fetched cold and costs its distinct bytes as much as its passes:
+a finished panel touches the GEMM block, one ``uint32`` block (the snap
+result) and the byte mask of fp16-denormal lanes (fixed up lane by lane),
+plus its destination rows.  Pass budget (``S`` = one snap: 7 integer passes
+and a scan of the mask; ``[c]`` = one ``max`` where the bound saturates;
 each norm adds 4): a plain store costs ``1 + [c] + S + 1``; activation +
-re-quantize ``1 + [c] + S + 2 + [c] + S + 1``; the sum tail
+re-quantize ``1 + [c] + S + 2 + 1`` — for a snapped lane it is a function of
+19 bits, one shift and one lookup (:func:`_act_table`; with a norm in
+between, ``2 + 4 + [c] + S``); the sum tail
 ``1 + [c] + S + 2 + 2 + [c] + S + 1``.  LeakyReLU is ``maximum(x, x·slope)``
 — exact for the compiled slopes ``0 < slope ≤ 1`` — instead of a mask and a
 masked merge.
@@ -195,7 +200,9 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
 import itertools
+import math
 import os
 
 import numpy as np
@@ -911,6 +918,7 @@ _FAST_SNAP_OK: bool | None = None
 
 #: f32 bit patterns: |x| below this is in the f16 denormal range (2^-14).
 _F16_NORMAL_MIN_BITS = np.uint32(0x38800000)
+_FP16_MAX_BITS = np.float32(_FP16_MAX).view(np.uint32)
 _ABS_MASK = np.uint32(0x7FFFFFFF)
 _ROUND_BIAS = np.uint32(0x0FFF)
 _MANTISSA_KEEP = np.uint32(0xFFFFE000)
@@ -920,47 +928,66 @@ _MANTISSA_KEEP = np.uint32(0xFFFFE000)
 _DENORM_MAGIC = np.float32(0.75)
 
 
+def _denormal_dense(src: np.ndarray, uf: np.ndarray, mask: np.ndarray,
+                    d: np.ndarray) -> None:
+    """Exact RNE of the ``mask`` lanes onto the 2^-24 grid via the magic
+    add (ties land on the sum's mantissa parity = the grid index parity),
+    computed full-array then merged by mask.  The magic add collapses -tiny
+    to +0.0 where the cast keeps -0.0, so the source sign is copied back
+    (a no-op on every nonzero lane).  errstate hides the invalid flag of
+    signalling-NaN lanes (never selected)."""
+
+    with np.errstate(invalid="ignore"):
+        np.add(src, _DENORM_MAGIC, out=d)
+    np.subtract(d, _DENORM_MAGIC, out=d)
+    np.copysign(d, src, out=d)
+    np.copyto(uf, d, where=mask)
+
+
 def _snap_bits(src: np.ndarray, u: np.ndarray, uf: np.ndarray,
-               a: np.ndarray, mask: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Round contiguous fp32 ``src`` to the f16 grid; returns ``uf``.
+               mask: np.ndarray, d: np.ndarray,
+               clip: np.ndarray | None = None) -> np.ndarray:
+    """Round fp32 ``src`` to the f16 grid; returns ``uf``.
 
     numpy's f16 conversions are software on many builds (~20× slower than a
     copy), and the quantize-everywhere semantics of §3.3 make them the hot
     path's single largest cost.  This is the same round-to-nearest-even in
     vectorized integer ops: add ``0x0FFF + lsb`` at the 13-bit boundary and
     mask (IEEE bit encoding carries mantissa rollover into the exponent
-    correctly), with the f16-denormal range (|x| < 2^-14, coarser fixed
-    grid) handled by the exact magic-add.  ``u``/``a``/``mask``/``d`` are
-    caller-owned scratch of ``src``'s shape; ``uf`` is the fp32 view of
-    ``u``, which doubles as the result (no output copy pass).
+    correctly), with the lanes of the f16-denormal range (|x| < 2^-14,
+    coarser fixed grid) fixed up after it: gathered and cast (a panel has a
+    handful), or by the exact magic-add over the full array once they are
+    the majority (a network-entry wedge is mostly zeros; the two costs
+    cross there).  ``u``/``mask``/``d`` are caller-owned scratch of ``src``'s
+    shape and ``uf``, the fp32 view of ``u``, doubles as the result; a
+    panel's arrays are re-fetched cold after every GEMM, so only ``src``,
+    ``u`` and the byte ``mask`` are touched (``|x|`` lives in ``u`` until
+    the rounding overwrites it, ``d`` is for the dense fix-up).
 
-    Domain: callers guarantee ``|x| ≤ 65504`` (values are post-clip or
-    carry a proven bound), so the cast's overflow-to-inf region never
-    arises; NaN and ±inf lanes pass through like the cast pair.
+    Domain: ``|x| ≤ 65504`` plus NaN and ±inf lanes, which pass through
+    like the cast pair.  A caller whose bound does not prove that passes
+    ``clip``, the array receiving ``quantize_fp16``'s saturating clip
+    (``src`` itself to clip in place); the clip runs only if some lane's
+    ``|x|`` bits exceed 65504's (NaN and inf do) — else it is the identity.
     """
 
     bits = src.view(np.uint32)
-    np.bitwise_and(bits, _ABS_MASK, out=a)
-    np.less(a, _F16_NORMAL_MIN_BITS, out=mask)
+    np.bitwise_and(bits, _ABS_MASK, out=u)
+    if clip is not None and u.max() > _FP16_MAX_BITS:
+        src = np.clip(src, -_FP16_MAX, _FP16_MAX, out=clip)
+        bits = src.view(np.uint32)
+        np.bitwise_and(bits, _ABS_MASK, out=u)
+    np.less(u, _F16_NORMAL_MIN_BITS, out=mask)
     np.right_shift(bits, 13, out=u)
     np.bitwise_and(u, np.uint32(1), out=u)
     np.add(u, _ROUND_BIAS, out=u)
     np.add(bits, u, out=u)
     np.bitwise_and(u, _MANTISSA_KEEP, out=u)
-    if mask.any():
-        # Denormal lanes: exact RNE onto the 2^-24 grid via the magic add
-        # (ties land on the sum's mantissa parity = the grid index parity),
-        # computed full-array then merged by mask.  The magic add collapses
-        # -tiny to +0.0 where the cast keeps -0.0, so the source sign bit
-        # is OR-ed back (a no-op on every nonzero lane).  errstate hides
-        # the invalid flag of signalling-NaN lanes (never selected).
-        with np.errstate(invalid="ignore"):
-            np.add(src, _DENORM_MAGIC, out=d)
-        np.subtract(d, _DENORM_MAGIC, out=d)
-        dbits = d.view(np.uint32)
-        np.bitwise_and(bits, np.uint32(0x80000000), out=a)
-        np.bitwise_or(dbits, a, out=dbits)
-        np.copyto(uf, d, where=mask)
+    lanes = mask.ravel().nonzero()[0]
+    if 2 * lanes.size > mask.size:
+        _denormal_dense(src, uf, mask, d)
+    elif lanes.size:
+        uf.flat[lanes] = src.flat[lanes].astype(np.float16)  # the reference
     return uf
 
 
@@ -968,10 +995,13 @@ def _fast_snap_ok() -> bool:
     """Calibrate :func:`_snap_bits` against numpy's cast pair, once.
 
     The probe covers every f16 bit pattern (all grid points, ±inf, NaNs),
-    rounding midpoints on both sides, the denormal/normal boundary and
-    dense randoms across the exponent range; equality is checked on raw
-    bits.  A build where any lane deviates falls back to the two-cast
-    path — behaviour is never traded for speed.
+    rounding midpoints on both sides, the denormal/normal boundary, dense
+    randoms across the exponent range and lanes beyond ±65504 (the gated
+    clip against ``np.clip``); equality is checked on raw bits.  Every
+    lane is presented to both denormal fix-ups: a few denormal-range lanes
+    at a time among normal ones, and densely.  A build where any lane of
+    either deviates falls back to the two-cast path — behaviour is never
+    traded for speed.
     """
 
     global _FAST_SNAP_OK
@@ -987,60 +1017,110 @@ def _fast_snap_ok() -> bool:
         # to (signed) zero, and the cast keeps the sign of -tiny and -0.0.
         tiny = np.float32(2.0) ** np.arange(-30, -22).astype(np.float32)
         tiny = np.concatenate([tiny, np.float32(1.5) * tiny, np.float32([0.0])])
-        probes = [
+        v = np.concatenate([
             grid,
             np.nextafter(finite, np.float32(np.inf), dtype=np.float32),
             np.nextafter(finite, np.float32(-np.inf), dtype=np.float32),
             mid, -mid, tiny, -tiny,
-            # A wide random sweep.
+            # A wide random sweep, reaching past ±65504.
             (rng.uniform(-1.0, 1.0, 4096).astype(np.float32)
-             * np.float32(2.0) ** rng.integers(-30, 17, 4096).astype(np.float32)),
-        ]
-        v = np.concatenate(probes)
-        # Restrict to the call domain: |x| ≤ 65504 plus non-finite lanes
-        # (the pipeline clips or bounds everything else before snapping).
-        v = np.ascontiguousarray(v[(np.abs(v) <= np.float32(_FP16_MAX))
-                                   | ~np.isfinite(v)])
-        ref = v.astype(np.float16).astype(np.float32)
-        u = np.empty(v.shape, np.uint32)
-        out = _snap_bits(
-            v, u, u.view(np.float32), np.empty(v.shape, np.uint32),
-            np.empty(v.shape, np.bool_), np.empty_like(v),
-        )
-        _FAST_SNAP_OK = bool(
-            np.array_equal(out.view(np.uint32), ref.view(np.uint32))
-        )
+             * np.float32(2.0) ** rng.integers(-30, 20, 4096).astype(np.float32)),
+        ])
+
+        def agrees(lanes: np.ndarray, ref: np.ndarray, clip: bool) -> bool:
+            u = np.empty(lanes.shape, np.uint32)
+            out = _snap_bits(lanes, u, u.view(np.float32),
+                             np.empty(lanes.shape, np.bool_),
+                             np.empty_like(lanes),
+                             np.empty_like(lanes) if clip else None)
+            return np.array_equal(out.view(np.uint32), ref.view(np.uint32))
+
+        def both(lanes: np.ndarray, clip: bool) -> bool:
+            # Every lane for each denormal fix-up: as they come (one lane
+            # in thirty is denormal-range: gathered), then the normal ones
+            # outnumbered by the denormal-range ones repeated (dense).
+            ref = np.clip(lanes, -_FP16_MAX, _FP16_MAX) if clip else lanes
+            ref = ref.astype(np.float16).astype(np.float32)
+            low = np.abs(lanes) < np.float32(2.0 ** -14)
+            few, rest = np.flatnonzero(low), np.flatnonzero(~low)
+            dense = np.hstack([rest, np.resize(few, rest.size + 1)])
+            return (agrees(lanes, ref, clip)
+                    and agrees(lanes[dense], ref[dense], clip))
+
+        # The call domain (|x| ≤ 65504 and the non-finite lanes) unclipped,
+        # then every lane through the gated clip.
+        beyond = np.isfinite(v) & (np.abs(v) > np.float32(_FP16_MAX))
+        _FAST_SNAP_OK = both(v[~beyond], False) and both(v, True)
     return _FAST_SNAP_OK
 
 
 def _scratch(ws: "Workspace", key, shape, *extra):
     """Scratch of one snap site, carved out of the grow-only arena ``key``.
 
-    Returns ``(scr, extras)``: ``scr = (u, uf, a, mask, d, t, s16)`` is the
+    Returns ``(scr, extras)``: ``scr = (u, uf, mask, d, s16)`` is the
     :func:`_snap_bits` bundle (``uf``, the fp32 view of ``u``, is the snap
-    result), one fp32 temporary ``t`` and the fp16 staging of the cast-pair
-    fallback; ``extras`` are the requested ``(shape, dtype)`` arrays.  An
-    arena serves every site in turn, so its bytes are bounded by the
-    largest request and stay cache-resident from panel to panel.
+    result) and the fp16 staging of the cast-pair fallback — of which a
+    snap touches ``u`` and ``mask`` only unless it meets dense denormal
+    lanes or the fallback; ``extras`` are the requested ``(shape, dtype)``
+    arrays.  An arena serves every site in turn, so its bytes are bounded
+    by the largest request and the pages a site never touches never fault
+    in.
     """
 
-    u, a, mask, d, t, s16, *rest = ws.carve(
-        key, (shape, np.uint32), (shape, np.uint32), (shape, np.bool_),
-        (shape, _F32), (shape, _F32), (shape, np.float16), *extra)
-    return (u, u.view(_F32), a, mask, d, t, s16), rest
+    u, mask, d, s16, *rest = ws.carve(
+        key, (shape, np.uint32), (shape, np.bool_), (shape, _F32),
+        (shape, np.float16), *extra)
+    return (u, u.view(_F32), mask, d, s16), rest
 
 
-def _snap(src: np.ndarray, scr: tuple) -> np.ndarray:
-    """``quantize_fp16``'s cast pair on ``src`` (``|x| ≤ 65504``): returns
-    ``scr``'s result array holding the values snapped onto the fp16 grid —
-    :func:`_snap_bits` where calibration proved it bit-equal, else (and for
-    non-fp32 input) the two casts themselves."""
+def _snap(src: np.ndarray, scr: tuple,
+          clip: np.ndarray | None = None) -> np.ndarray:
+    """``quantize_fp16`` on ``src``: returns ``scr``'s result array holding
+    the values snapped onto the fp16 grid — :func:`_snap_bits` where
+    calibration proved it bit-equal, else (and for non-fp32 input) the
+    clip and the two casts themselves.  ``clip`` is None where the
+    caller's bound proves ``|x| ≤ 65504``, else the clip's destination."""
 
     if src.dtype == np.float32 and _fast_snap_ok():
-        return _snap_bits(src, *scr[:5])
-    np.copyto(scr[6], src, casting="unsafe")
-    np.copyto(scr[1], scr[6])
+        return _snap_bits(src, *scr[:4], clip)
+    if clip is not None:
+        src = np.clip(src, -_FP16_MAX, _FP16_MAX, out=clip)
+    np.copyto(scr[4], src, casting="unsafe")
+    np.copyto(scr[1], scr[4])
     return scr[1]
+
+
+def _act(v: np.ndarray, t: np.ndarray, slope: float, bn=None) -> np.ndarray:
+    """LeakyReLU (→ norm) of a finished block into the temporary ``t``.
+
+    ``maximum(x, x·slope)`` is the module's ``x·where(x > 0, 1, slope)``
+    for ``0 < slope ≤ 1`` (the only slopes compiled): positive lanes keep
+    their exact value (``x·slope ≤ x``), the rest become the fp32 product.
+    """
+
+    np.multiply(v, np.float32(slope), out=t)
+    np.maximum(v, t, out=t)
+    return t if bn is None else bn.chain(t, t)
+
+
+@functools.lru_cache(maxsize=None)
+def _act_table(slope: float, clip: bool) -> np.ndarray:
+    """The ``act+requant`` tail as a lookup, shared read-only by every plan.
+
+    A snapped lane is one of 2^19 ``(sign, exponent, 10-bit mantissa)``
+    patterns — its f32 bits ``>> 13`` — and LeakyReLU → (``clip`` →) snap
+    is a pure function of it: entry ``i`` holds the f32 bits the tail's own
+    sequence, run here, gives pattern ``i``.  (Finite patterns beyond ±65504
+    are off the snap's domain and never indexed: no first snap emits one.)
+    """
+
+    x = (np.arange(1 << 19, dtype=np.uint32) << np.uint32(13)).view(_F32)
+    scr, (t,) = _scratch(Workspace(), "table", x.shape, (x.shape, _F32))
+    with np.errstate(invalid="ignore", over="ignore"):  # sNaN, off-domain
+        table = _snap(_act(x, t, slope), scr, t if clip else None)
+    table = table.view(np.uint32).copy()
+    table.flags.writeable = False
+    return table
 
 
 def _row_boxes(r0: int, r1: int, dims: tuple[int, ...], j: int = 0) -> list:
@@ -1384,7 +1464,7 @@ class Workspace:
         of two calls alias — use one call's arrays before the next call.
         """
 
-        nbytes = [int(np.prod(shape)) * np.dtype(dtype).itemsize
+        nbytes = [math.prod(shape) * np.dtype(dtype).itemsize
                   for shape, dtype in specs]
         # Each array starts its own 64-byte slot (cache-line aligned).
         starts = [0, *itertools.accumulate(-(-b // 64) * 64 for b in nbytes)]
@@ -1703,7 +1783,9 @@ class CompiledStagePlan:
         Returns a plain-dict observability record: per-stage kind counts,
         BN fold decisions, per-GEMM-site formulation/panel/thread stats,
         tail kind (a stacked site lists its ``members`` split and both
-        tails, ``"act+requant|act"``) and ``staging_bytes`` — workspace
+        tails, ``"act+requant|act"``; an ``act+requant`` tail adds its
+        ``requant`` formulation, ``"table"`` or ``"sequence"``) and
+        ``staging_bytes`` — workspace
         bytes keyed to the site, 0 since every output is finished inside
         its panel — (as recorded by the most recent :meth:`run`; empty until a run has happened, since
         panel counts depend on the batch geometry), ulp-tier engagements,
@@ -1887,9 +1969,9 @@ class CompiledStagePlan:
 
         c, n = canvas.shape[:2]
         out_spatial = spec.out_spatial(canvas.shape[2:])
-        rows = int(np.prod(out_spatial))
+        rows = math.prod(out_spatial)
         m = n * rows
-        K = c * int(np.prod(spec.kernel))
+        K = c * math.prod(spec.kernel)
         o = spec.out_channels
         # m = n·prod(out_spatial) is a whole multiple of ow by construction,
         # so panels always cover whole innermost-axis rows.
@@ -1922,12 +2004,15 @@ class CompiledStagePlan:
         else:
             form, P = ("reference", True, 0, 0), rows
         name, ref, opad, u = form
+        tails = tail if splits else (tail,)
         self._panels(key, spec, canvas, out_spatial, P, ref, opad, T, bound,
-                     tail if splits else (tail,), crop)
+                     tails, crop)
         self._gemm_stats[key] = {
             "formulation": name, "m": m, "K": K, "o": o, "opad": opad,
             "panels": -(-m // P), "threads": T, "max_ulp": int(u),
             "tail": kind, **({"members": list(splits)} if splits else {}),
+            **{"requant": "sequence" if t.table is None else "table"
+               for t in tails if hasattr(t, "table")},
         }
         return True
 
@@ -1967,7 +2052,10 @@ class CompiledStagePlan:
         real output channels, and the :func:`_scratch` bundle in the same
         layout — and, per member of the spec, the row block of the
         finished values and of the bundle its tail is handed (cut here, not
-        in every panel).  ``wt_op`` is the transposed-orientation operand
+        in every panel), which ends in the tail's fp32 temporary: the dead
+        one of the GEMM block and the snap result (the finished values are
+        the latter in half mode, the former otherwise).  ``wt_op`` is the
+        transposed-orientation operand
         (zero-padded rows for ``blocked_pad``); None selects the reference
         orientation, whose panels are ``(rows·ow, O)`` in memory — their
         channel-major views are transposed, and elementwise passes over
@@ -1975,7 +2063,7 @@ class CompiledStagePlan:
         """
 
         o = spec.out_channels
-        pw, K = rows * ow, c * int(np.prod(spec.kernel))
+        pw, K = rows * ow, c * math.prod(spec.kernel)
         if wt_op is None:
             scr, (g, yp) = _scratch(
                 self._ws, ("slab", slot), (rows, ow, o),
@@ -1990,10 +2078,10 @@ class CompiledStagePlan:
                 ((c,) + spec.kernel + (rows, ow), _F32), ((oy, rows, ow), _F32))
             a, b, y, v = wt_op, g.reshape(K, pw), yp.reshape(oy, pw), yp[:o]
         # The snap leaves the finished block in the bundle's result array.
-        fin = scr[1] if self.half else v
+        fin, tmp = (scr[1], v) if self.half else (v, scr[1])
         cuts = [0, *itertools.accumulate(spec.members or (o,))]
         return g, a, b, y, v, scr, [
-            (fin[lo:hi], tuple(x[lo:hi] for x in scr))
+            (fin[lo:hi], tuple(x[lo:hi] for x in scr + (tmp,)))
             for lo, hi in zip(cuts, cuts[1:])]
 
     def _panels(self, key, spec: _ConvSpec, canvas: np.ndarray,
@@ -2024,7 +2112,7 @@ class CompiledStagePlan:
         c, n = canvas.shape[:2]
         nd = len(spec.kernel)
         ow = out_spatial[-1]
-        m = n * int(np.prod(out_spatial))
+        m = n * math.prod(out_spatial)
         pre = () if ref else (slice(None),) * (1 + nd)
 
         cached = self._wins.get(key)
@@ -2067,9 +2155,7 @@ class CompiledStagePlan:
             if bias is not None:
                 np.add(v, bias, out=v)
             if snap:
-                if clip:
-                    np.clip(v, -_FP16_MAX, _FP16_MAX, out=v)
-                _snap(v, scr)
+                _snap(v, scr, v if clip else None)
             for tail, (rows, rscr) in zip(tails, parts):
                 tail(rows, panel[1], rscr)
 
@@ -2101,16 +2187,14 @@ class CompiledStagePlan:
         Returns ``src``'s values snapped onto the fp16 grid — an array of
         the shared ``"grid"`` arena, consume it before the next call — and
         the stored bound.  The saturating clip runs only when ``bound``
-        says ±65504 is reachable — elsewhere it is provably the identity —
-        and never mutates ``src``: the residual stream keeps its unclipped
-        fp32 values.
+        says ±65504 is reachable and a lane is beyond it — elsewhere it is
+        the identity — and never mutates ``src``: the residual stream
+        keeps its unclipped fp32 values.
         """
 
-        scr, _ = _scratch(self._ws, "grid", src.shape)
-        if bound >= _FP16_MAX:
-            src = np.clip(src, -_FP16_MAX, _FP16_MAX, out=scr[5])
-            bound = _FP16_MAX
-        return _snap(src, scr), bound
+        scr, (t,) = _scratch(self._ws, "grid", src.shape, (src.shape, _F32))
+        clip = t if bound >= _FP16_MAX else None
+        return _snap(src, scr, clip), min(bound, _FP16_MAX)
 
     def _cap(self, bound: float) -> float:
         """Magnitude bound of a conv output as stored (saturated in half)."""
@@ -2141,20 +2225,6 @@ class CompiledStagePlan:
                                spatial, padding, self._cdtype, dilation)
 
     # ------------------------------------------------------------------
-    def _act(self, v: np.ndarray, scr: tuple, slope: float, bn) -> np.ndarray:
-        """LeakyReLU (→ norm) of a finished panel into ``scr``'s temporary.
-
-        ``maximum(x, x·slope)`` is the module's ``x·where(x > 0, 1,
-        slope)`` for ``0 < slope ≤ 1`` (the only slopes compiled):
-        positive lanes keep their exact value (``x·slope ≤ x``), the rest
-        become the fp32 product.
-        """
-
-        t = scr[5]
-        np.multiply(v, np.float32(slope), out=t)
-        np.maximum(v, t, out=t)
-        return t if bn is None else bn.chain(t, t)
-
     def _store_tail(self, dest: np.ndarray, slope: float | None = None,
                     bn=None, requant_bound: float | None = None):
         """Panel tail: (activation → norm → requantize →) store into ``dest``.
@@ -2164,22 +2234,32 @@ class CompiledStagePlan:
         they are snapped back onto the grid — the activation fused with
         the *next* convolution's entry quantize (positive lanes are grid
         values already, so only the scaled lanes move), clipped first
-        where the bound says ±65504 is reachable.
+        where the bound says ±65504 is reachable.  With no norm in between,
+        activation + requantize of the snapped block is one
+        :func:`_act_table` lookup of its bits ``>> 13`` (``tail.table``,
+        None where the sequence runs, for :meth:`plan_stats` and the plan
+        verifier).
         """
 
         requant = self.half and requant_bound is not None
         clip = requant and requant_bound >= _FP16_MAX
+        table = (_act_table(slope, clip)
+                 if requant and bn is None and _fast_snap_ok() else None)
 
         def tail(v, boxes, scr) -> None:
-            if slope is not None:
-                v = self._act(v, scr, slope, bn)
-                if clip:
-                    np.clip(v, -_FP16_MAX, _FP16_MAX, out=v)
+            if table is not None:
+                np.right_shift(scr[0], 13, out=scr[0])
+                v = np.take(table, scr[0], out=scr[5].view(np.uint32),
+                            mode="wrap").view(_F32)
+            elif slope is not None:
+                v = _act(v, scr[5], slope, bn)
                 if requant:
-                    v = _snap(v, scr)
+                    v = _snap(v, scr, v if clip else None)
             for box in boxes:
                 np.copyto(dest[box[4]], _rows(v, box))
 
+        if requant:
+            tail.table = table
         return tail
 
     def _sum_tail(self, slope: float, bn, skip: np.ndarray,
@@ -2193,17 +2273,15 @@ class CompiledStagePlan:
         clip = self.half and bound >= _FP16_MAX
 
         def tail(v, boxes, scr) -> None:
-            t = self._act(v, scr, slope, bn)
+            t = _act(v, scr[5], slope, bn)
             for box in boxes:
                 rows = _rows(t, box)
                 np.add(skip[box[4]], rows, out=rows)
                 np.copyto(carry[box[4]], rows)
             if dest is None:
                 return
-            if clip:
-                np.clip(t, -_FP16_MAX, _FP16_MAX, out=t)
             if self.half:
-                t = _snap(t, scr)
+                t = _snap(t, scr, t if clip else None)
             for box in boxes:
                 np.copyto(dest[box[4]], _rows(t, box))
 

@@ -9,6 +9,7 @@ clip-elision intervals re-derived, and a deliberately corrupted plan
 import numpy as np
 import pytest
 
+import repro.core.fast_plan as fp
 from repro.core import MODEL_NAMES, build_model
 from repro.core.fast_decode import make_fast_decoder
 from repro.core.fast_encode import LOG_INPUT_BOUND, make_fast_encoder
@@ -214,6 +215,78 @@ class TestStackedSites:
         enc, idx, op = self._encoder_3d()
         op[9].members = (op[9].out_channels, 0)
         assert self._pv060(enc, idx)
+
+
+class TestLookupTails:
+    """PV021: the table an ``act+requant`` tail looks up is re-derived from
+    the module oracle, like PV020 re-derives clip elision."""
+
+    @staticmethod
+    def _pv021(rec):
+        return [d for d in _errors(rec) if d.rule == "PV021"]
+
+    def test_clean_zoo_ledger(self):
+        """Norm-free ``act1`` sites take the table and verify against the
+        oracle; a site with a norm before the requantize (``bn1``, the
+        original BCAE where the fold probe rejected) keeps the sequence;
+        full-precision plans requantize nowhere."""
+
+        _diags, records = analyze_model_plans(wedge_spatial=SMOKE_WEDGE)
+        requant = {}
+        for rec in records:
+            assert not self._pv021(rec)
+            for site in rec["clip_sites"]:
+                if "requant" in site:
+                    requant.setdefault(site["site"], set()).add(site["requant"])
+        assert requant == {"act1": {"table"}, "bn1": {"sequence"}}
+        _diags, records = analyze_model_plans(
+            names=["bcae_2d", "bcae"], half=False, wedge_spatial=SMOKE_WEDGE)
+        assert all(r["ok"] for r in records)
+        assert not any("requant" in site for rec in records
+                       for site in rec["clip_sites"])
+
+    def test_diverged_entry_flagged_with_stage_name(self, monkeypatch):
+        enc = _encoder_2d()
+        assert not self._pv021(_verify_2d(enc))
+        real = fp._act_table
+
+        def corrupted(slope, clip):
+            table = real(slope, clip).copy()
+            table[0x1FC00] ^= np.uint32(0x2000)  # 1.0 -> the next grid point
+            return table
+
+        monkeypatch.setattr(fp, "_act_table", corrupted)
+        errs = self._pv021(_verify_2d(enc))
+        assert errs and all(":res]" in d.scope for d in errs)
+        assert " in 1 of " in errs[0].message
+        assert errs[0].details["first"] == 0x1FC00
+
+    @pytest.mark.parametrize("how", ["across-norm", "full-precision"])
+    def test_illegal_engagement_flagged(self, how, monkeypatch):
+        """A tail that looks lanes up where they are not a function of the
+        snapped pattern alone — a norm sits in between, or nothing was
+        snapped — is an error whatever its table holds."""
+
+        half = how == "across-norm"
+        model = build_model("bcae" if half else "bcae_pp",
+                            wedge_spatial=SMOKE_WEDGE, seed=0)
+        model.eval()
+        enc = make_fast_encoder(model, half=half)
+        real = fp.CompiledStagePlan._store_tail
+
+        def forced(self, dest, slope=None, bn=None, requant_bound=None):
+            tail = real(self, dest, slope, bn, requant_bound)
+            if requant_bound is not None:
+                tail.table = fp._act_table(slope, False)
+            return tail
+
+        monkeypatch.setattr(fp.CompiledStagePlan, "_store_tail", forced)
+        rec = verify_plan(enc.plan, *enc.geometry.network_input(SMOKE_WEDGE),
+                          LOG_INPUT_BOUND, label="t.bcae")
+        errs = self._pv021(rec)
+        assert errs and all(":down3d]" in d.scope for d in errs)
+        want = ("norm between activation" if half else "outside half mode")
+        assert any(want in d.message for d in errs)
 
 
 class TestUlpLedger:

@@ -10,6 +10,8 @@ Everything is compared against the module-graph oracle.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.fast_plan as fp
 from repro import nn
@@ -20,6 +22,7 @@ from repro.core.fast_plan import (
     grid_steps_at_scale,
 )
 from repro.nn import Tensor
+from repro.nn.amp import quantize_fp16
 
 MID = {
     "bcae_2d": dict(wedge_spatial=(16, 64, 64), m=1, n=2, d=1),
@@ -160,6 +163,28 @@ class TestBlockedSitesMatchOracle:
                     assert sum(g["members"]) == g["o"]
                     assert g["formulation"] in ("blocked", "transposed")
 
+    @pytest.mark.parametrize("name", ["bcae", "bcae_pp"])
+    def test_full_precision_tails(self, name):
+        """In full precision nothing is snapped, so a tail's input *is* the
+        GEMM block: its activation temporary must be the other block, with
+        a BatchNorm between activation and store (``bcae``) and without."""
+
+        model = _model(name)
+        comp = BCAECompressor(model, half=False)
+        w = _wedges(2, MID[name]["wedge_spatial"], seed=7)
+        ref = comp.compress(w)
+        assert bytes(comp.compress_into(w).payload) == bytes(ref.payload)
+        codes = ref.codes_view().astype(np.float32)
+        with nn.no_grad(), nn.amp.autocast(False):
+            seg_ref, reg_ref = model.decode(Tensor(codes))
+        seg, reg = comp._fast_decoder().decode(codes)
+        assert np.array_equal(seg_ref.data, np.asarray(seg))
+        assert np.array_equal(reg_ref.data, np.asarray(reg))
+        for plan in comp._fast_decoder().plans.values():
+            assert _blocked(plan) and not plan.half
+            # No snap, no lookup: the table is a half-mode formulation.
+            assert not any("requant" in g for g in _gemms(plan))
+
     @pytest.mark.parametrize("name", ["bcae_2d", "bcae"])
     def test_ulp_tier_within_recorded_bounds(self, name):
         """The opt-in ulp tier runs through the same tails: every
@@ -203,8 +228,8 @@ class TestWorkingSet:
         slabs = sum(b.nbytes for k, b in ws._bufs.items()
                     if isinstance(k, tuple) and k[0] == "slab")
         # Beside the per-slot panel arenas: ≤ 3 canvases + 2 streams per
-        # geometry (a 4/3 pyramid), the 19 B/element stream-quantize
-        # arena, the head buffers — 12.2 canvases on bcae_2d today.
+        # geometry (a 4/3 pyramid), the 15 B/element stream-quantize
+        # arena, the head buffers — 11.2 canvases on bcae_2d today.
         assert ws.nbytes() - slabs <= 14 * canvas
 
     def test_batch_change_does_not_accumulate(self):
@@ -222,9 +247,109 @@ class TestWorkingSet:
             assert comp._fast_decoder().workspace_bytes <= largest
 
 
+def _snap_ref(v, clip):
+    """The module's ``quantize_fp16`` (``np.clip`` → the cast pair), or the
+    cast pair alone where the engine's bound elides the clip."""
+
+    return quantize_fp16(v) if clip else v.astype(np.float16).astype(np.float32)
+
+
+#: What ``_run_snap`` pre-fills the clip destination with.
+_UNTOUCHED = np.float32(123.0)
+
+
+def _run_snap(src, clip):
+    """``_snap_bits`` over fresh scratch laid out like ``src``; returns
+    the result and the clip destination (None when not requested)."""
+
+    def like(dtype):
+        # Same strides as ``src`` (a transposed view stays transposed).
+        order = np.argsort(src.strides)[::-1]
+        base = np.empty([src.shape[i] for i in order], dtype)
+        return base.transpose(np.argsort(order))
+
+    u = like(np.uint32)
+    dest = None
+    if clip:
+        dest = like(np.float32)
+        dest[...] = _UNTOUCHED
+    out = fp._snap_bits(src, u, u.view(np.float32), like(np.bool_),
+                        like(np.float32), dest)
+    return out, dest
+
+
+#: Lane classes of the snap property: name -> generator of n lanes.
+_LANES = {
+    "normal": lambda rng, n: (rng.standard_normal(n)
+                              * 2.0 ** rng.integers(-13, 15, n)),
+    "denormal": lambda rng, n: (rng.uniform(-1, 1, n)
+                                * 2.0 ** rng.integers(-30, -14, n)),
+    "zero": lambda rng, n: rng.choice([0.0, -0.0], n),
+    "nonfinite": lambda rng, n: rng.choice([np.inf, -np.inf, np.nan], n),
+    "beyond": lambda rng, n: (rng.choice([-1.0, 1.0], n)
+                              * rng.uniform(65504.0, 1e9, n)),
+}
+
+
 class TestSnapKernel:
     def test_probe_accepts_shipped_kernel(self):
         assert fp._fast_snap_ok()
+
+    def test_probe_drives_both_fixups_and_the_gated_clip(self, monkeypatch):
+        """The probe snaps its lanes four times — the call domain unclipped
+        and every lane through the gated clip, each once with a minority
+        of denormal-range lanes (gathered fix-up) and once with a majority
+        (dense) — and a build where any of the three formulations deviates
+        is rejected, which puts the engine on the two casts."""
+
+        real_dense, real_snap = fp._denormal_dense, fp._snap_bits
+        dense, snaps = [], []
+
+        def spy_dense(src, uf, mask, d):
+            dense.append(mask.size)
+            real_dense(src, uf, mask, d)
+
+        def spy_snap(src, u, uf, mask, d, clip=None):
+            out = real_snap(src, u, uf, mask, d, clip)
+            snaps.append((src.size, clip is not None, int(mask.sum()),
+                          bool((np.isfinite(src)
+                                & (np.abs(src) > fp.FP16_MAX)).any())))
+            return out
+
+        monkeypatch.setattr(fp, "_denormal_dense", spy_dense)
+        monkeypatch.setattr(fp, "_snap_bits", spy_snap)
+        monkeypatch.setattr(fp, "_FAST_SNAP_OK", None)
+        assert fp._fast_snap_ok()
+        assert [c for _n, c, _l, _b in snaps] == [False, False, True, True]
+        # Finite lanes beyond ±65504 appear exactly where the clip is on.
+        assert [b for _n, _c, _l, b in snaps] == [False, False, True, True]
+        few, many = snaps[0::2], snaps[1::2]
+        assert all(0 < 2 * lanes <= n for n, _c, lanes, _b in few)
+        assert all(2 * lanes > n for n, _c, lanes, _b in many)
+        assert dense == [n for n, _c, _l, _b in many]
+        # All 65 536 f16 patterns and both their neighbours are in each.
+        assert min(n for n, _c, _l, _b in snaps) > 3 * 65536
+
+        def flip_gathered(src, u, uf, mask, d, clip=None):
+            out = real_snap(src, u, uf, mask, d, clip)
+            lanes = np.flatnonzero(mask)
+            if 0 < 2 * lanes.size <= mask.size:
+                out.view(np.uint32).flat[lanes[0]] ^= np.uint32(0x2000)
+            return out
+
+        for broken in ("dense", "gathered", "gate"):
+            with monkeypatch.context() as m:
+                m.setattr(fp, "_FAST_SNAP_OK", None)
+                m.setattr(fp, "_denormal_dense", real_dense)
+                m.setattr(fp, "_snap_bits", real_snap)
+                if broken == "dense":
+                    m.setattr(fp, "_denormal_dense",
+                              lambda src, uf, mask, d: None)
+                elif broken == "gathered":
+                    m.setattr(fp, "_snap_bits", flip_gathered)
+                else:  # a gate that never fires: lanes beyond stay beyond
+                    m.setattr(fp, "_FP16_MAX_BITS", np.uint32(0xFFFFFFFF))
+                assert not fp._fast_snap_ok(), broken
 
     def test_negative_midpoints_and_signed_zero(self):
         """Round-half-even on the negative side, and the sign of lanes
@@ -236,12 +361,71 @@ class TestSnapKernel:
         tiny = np.float32(2.0) ** np.arange(-30, -22).astype(np.float32)
         v = np.concatenate([-mid, mid, -tiny, -np.float32(1.5) * tiny,
                             np.float32([-0.0, 0.0])])
-        u = np.empty(v.shape, np.uint32)
-        out = fp._snap_bits(v, u, u.view(np.float32),
-                            np.empty(v.shape, np.uint32),
-                            np.empty(v.shape, np.bool_), np.empty_like(v))
-        ref = v.astype(np.float16).astype(np.float32)
+        out, _ = _run_snap(v, clip=False)
+        assert np.array_equal(out.view(np.uint32),
+                              _snap_ref(v, False).view(np.uint32))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1),
+           shape=st.sampled_from([(7,), (4, 33), (3, 5, 16), (8, 2, 31)]),
+           denormal=st.sampled_from([0, 1, 3, "many"]),
+           extras=st.sets(st.sampled_from(["zero", "nonfinite", "beyond"])),
+           clip=st.booleans(), transposed=st.booleans())
+    def test_snap_bits_equals_clip_and_cast_pair(self, seed, shape, denormal,
+                                                 extras, clip, transposed):
+        """Bits equal ``np.clip`` → ``astype(float16).astype(float32)`` for
+        blocks with no, one, a few and a majority of denormal-range lanes,
+        ±0.0, NaN / ±inf lanes and lanes beyond ±65504 (those only under
+        the clip flag — without it they are outside the domain), in the
+        contiguous and the reference-orientation layout; ``src`` is never
+        written unless it is itself the clip destination."""
+
+        rng = np.random.default_rng(seed)
+        n = int(np.prod(shape))
+        if "beyond" in extras and not clip:
+            extras = extras - {"beyond"}
+        v = _LANES["normal"](rng, n)
+        k = n // 2 + 1 if denormal == "many" else min(denormal, n)
+        v[rng.choice(n, k, replace=False)] = _LANES["denormal"](rng, k)
+        for kind in sorted(extras):
+            at = rng.choice(n, min(n, 1 + int(rng.integers(0, 4))),
+                            replace=False)
+            v[at] = _LANES[kind](rng, at.size)
+        v = v.astype(np.float32).reshape(shape)
+        if transposed and v.ndim == 3:
+            # (rows, ow, o) memory viewed channel-major, as ``_slab`` does.
+            v = np.ascontiguousarray(v.transpose(1, 2, 0)).transpose(2, 0, 1)
+        keep = v.copy()
+        ref = _snap_ref(v, clip)
+
+        out, dest = _run_snap(v, clip)
         assert np.array_equal(out.view(np.uint32), ref.view(np.uint32))
+        assert np.array_equal(v.view(np.uint32), keep.view(np.uint32))
+        if clip and not extras & {"beyond", "nonfinite"}:
+            # The gate held: no clip pass ran.
+            assert (dest == _UNTOUCHED).all()
+
+        if clip:  # in place, as the panel epilogue clips
+            u = np.empty(v.shape, np.uint32)
+            out = fp._snap_bits(v, u, u.view(np.float32),
+                                np.empty(v.shape, np.bool_),
+                                np.empty(v.shape, np.float32), v)
+            assert np.array_equal(out.view(np.uint32), ref.view(np.uint32))
+
+    def test_gate_threshold_is_the_first_pattern_beyond(self):
+        """65504 itself passes the gate untouched; the next fp32 pattern
+        (which the cast pair alone would round back to 65504 — the clip is
+        what keeps 65520 from becoming inf) takes the clip."""
+
+        top = np.float32(fp.FP16_MAX)
+        for lane in (top, np.nextafter(top, np.float32(np.inf)),
+                     np.float32(65520.0), np.float32(-65520.0)):
+            v = np.full(40, 0.5, np.float32)
+            v[17] = lane
+            out, dest = _run_snap(v, clip=True)
+            assert np.array_equal(out.view(np.uint32),
+                                  _snap_ref(v, True).view(np.uint32))
+            assert abs(out[17]) == top
 
     def test_cast_pair_fallback_same_bits(self, monkeypatch):
         """A build that fails the probe runs the two casts through the
@@ -259,15 +443,78 @@ class TestSnapKernel:
             np.asarray(slow.decompress_into(slow.compress_into(w))), recon)
 
 
+class TestActTable:
+    @pytest.mark.parametrize("clip", [False, True])
+    @pytest.mark.parametrize("slope", [0.01, 0.2, 1.0])
+    def test_every_entry_equals_the_module_oracle(self, slope, clip):
+        """All 2^19 patterns: entry = ``quantize_fp16(leaky_relu(x))`` —
+        the module's own ``x·where(x > 0, 1, slope)`` and cast pair.
+        Without the clip (the bound proved it away) finite patterns beyond
+        ±65504 are outside the domain: the first snap cannot emit them."""
+
+        table = fp._act_table(slope, clip)
+        assert table.shape == (1 << 19,) and table.dtype == np.uint32
+        assert not table.flags.writeable
+        assert fp._act_table(slope, clip) is table  # one per (slope, clip)
+        x = (np.arange(1 << 19, dtype=np.uint32) << np.uint32(13)).view(
+            np.float32)
+        with np.errstate(invalid="ignore", over="ignore"):
+            act = Tensor(x).leaky_relu(slope).data
+            if clip:
+                ref = quantize_fp16(act)
+                domain = np.ones(x.shape, bool)
+            else:
+                ref = act.astype(np.float16).astype(np.float32)
+                domain = ~(np.isfinite(act) & (np.abs(act) > fp.FP16_MAX))
+        nan = np.isnan(ref)
+        assert np.array_equal(np.isnan(table.view(np.float32)), nan)
+        same = (table == ref.view(np.uint32)) | nan
+        assert same[domain].all()
+        assert domain.sum() > (1 << 18)
+
+    def test_paper_geometry_decode_takes_the_table_and_no_dense_fixup(
+            self, monkeypatch):
+        """One BCAE-2D wedge at the paper's geometry: every ``act+requant``
+        site ran the lookup, and no snap met a majority of denormal-range
+        lanes (the dense fix-up is for mostly-zero entry streams)."""
+
+        from repro.tpc import generate_wedge_stream
+
+        w = np.asarray(generate_wedge_stream(1, seed=3))
+        model = build_model("bcae_2d", w.shape[1:], seed=0)
+        model.eval()
+        comp = BCAECompressor(model)
+        rec = comp.compress_into(w)
+        dense = []
+        real = fp._denormal_dense
+        monkeypatch.setattr(
+            fp, "_denormal_dense",
+            lambda src, uf, mask, d: (dense.append(mask.shape),
+                                      real(src, uf, mask, d))[1])
+        recon = np.asarray(comp.decompress_into(rec))
+        assert recon.shape == w.shape and np.isfinite(recon).all()
+        panels = 0
+        for plan in comp._fast_decoder().plans.values():
+            sites = _gemms(plan)
+            requant = [g for g in sites if "act+requant" in g["tail"]]
+            assert requant and all(g["requant"] == "table" for g in requant)
+            assert all("requant" not in g for g in sites
+                       if "act+requant" not in g["tail"])
+            panels += sum(g["panels"] for g in sites)
+        assert panels > 3000 and not dense
+
+
 class TestVocabularySlopes:
+    @pytest.mark.parametrize("act", ["act1", "act2"])
     @pytest.mark.parametrize("slope", [0.0, -0.1, 1.5])
-    def test_out_of_range_slope_stays_on_module_path(self, slope):
-        """``maximum(x, x·slope)`` is LeakyReLU only for 0 < slope ≤ 1."""
+    def test_out_of_range_slope_stays_on_module_path(self, slope, act):
+        """``maximum(x, x·slope)`` — and the table built from it, for
+        ``act1`` — is LeakyReLU only for 0 < slope ≤ 1."""
 
         from repro.core.blocks import ResBlock2d
 
         block = ResBlock2d(4)
         stages = nn.Sequential(block, nn.Conv2d(4, 4, 1))
         assert fp.stage_kinds(stages) is not None
-        block.act2.negative_slope = slope
+        getattr(block, act).negative_slope = slope
         assert fp.stage_kinds(stages) is None
