@@ -26,13 +26,7 @@ Acceptance gates:
   1/2/4 yields byte-identical reconstructions at every width, and on
   hosts with ≥ 4 cores the widest configuration sustains **≥ 1.5×**
   single-thread throughput (the scaling gate is informational on smaller
-  boxes — a 1-core container cannot demonstrate parallel speedup);
-* **ulp tier** — the opt-in ``precision="ulp"`` configuration decodes at
-  least as fast as the bit tier (it keeps the BN→Conv folds the bit probe
-  rejects), every engaged site's recorded bound stays within
-  ``ULP_TIER_MAX_ULP`` grid steps, and the end-to-end reconstruction
-  deviates from the bit tier by at most ``ULP_TIER_RECON_GRID_STEPS``
-  stored-grid steps at scale.
+  boxes — a 1-core container cannot demonstrate parallel speedup).
 
 Every run (including ``--smoke``) appends a machine-readable entry to the
 ``BENCH_decode.json`` trajectory (model, wedge shape, backend, wedges/s,
@@ -212,78 +206,6 @@ def measure_threaded(model_name="bcae_ht", n_wedges=_N_WEDGES_PAPER,
     }
 
 
-def measure_ulp(model_name="bcae", n_wedges=2, repeats=_REPEATS,
-                paper=True):
-    """The opt-in ulp tier vs the bit default on the same archive.
-
-    Reports the tier's decode speedup, every engaged site's recorded
-    bound, and the end-to-end reconstruction deviation in stored-grid
-    steps at scale — all three are gates (sites ≤ ``ULP_TIER_MAX_ULP``,
-    recon ≤ ``ULP_TIER_RECON_GRID_STEPS``, speedup ≥ 1 within tolerance).
-    """
-
-    from repro.core import BCAECompressor, build_model
-    from repro.core.fast_plan import (
-        ULP_TIER_MAX_ULP,
-        ULP_TIER_RECON_GRID_STEPS,
-        grid_steps_at_scale,
-    )
-
-    wedges = _stream(n_wedges, paper=paper)
-    model = build_model(model_name, wedge_spatial=wedges.shape[1:], seed=0)
-    model.eval()
-    comp_bit = BCAECompressor(model, precision="bit")
-    comp_ulp = BCAECompressor(model, precision="ulp")
-    payloads = [comp_bit.compress(w) for w in wedges]
-
-    rec_bit = [np.array(comp_bit.decompress_into(c), copy=True)
-               for c in payloads]
-    rec_ulp = [np.array(comp_ulp.decompress_into(c), copy=True)
-               for c in payloads]
-    recon_steps = max(
-        grid_steps_at_scale(u, b, comp_bit.half)
-        for u, b in zip(rec_ulp, rec_bit)
-    )
-
-    sites = []
-    dec = comp_ulp._fast_decoder()
-    plans = [("encoder", comp_ulp._fast_encoder().plan)]
-    plans += [(f"decoder.{head}", plan) for head, plan in dec.plans.items()]
-    for where, plan in plans:
-        for s in plan.ulp_sites:
-            sites.append({
-                "plan": where,
-                "site": s.get("site"),
-                "placement": s.get("placement") or repr(s.get("key")),
-                "max_ulp": int(s["max_ulp"]),
-            })
-
-    bit_s, ulp_s = _best_of_interleaved(
-        [
-            lambda: [comp_bit.decompress_into(c) for c in payloads],
-            lambda: [comp_ulp.decompress_into(c) for c in payloads],
-        ],
-        repeats,
-    )
-    bit_wps = len(wedges) / bit_s
-    ulp_wps = len(wedges) / ulp_s
-    return {
-        "kind": "ulp",
-        "model": model_name,
-        "wedge_shape": list(wedges.shape[1:]),
-        "paper_scale": bool(paper),
-        "n_wedges": len(wedges),
-        "bit_wps": bit_wps,
-        "ulp_wps": ulp_wps,
-        "speedup_vs_bit": ulp_wps / bit_wps,
-        "ulp_sites": sites,
-        "max_site_ulp": max((s["max_ulp"] for s in sites), default=0),
-        "site_cap": ULP_TIER_MAX_ULP,
-        "recon_grid_steps": int(recon_steps),
-        "recon_cap": ULP_TIER_RECON_GRID_STEPS,
-    }
-
-
 def write_bench_json(sections, smoke, path=_BENCH_JSON, label=None):
     """Append one run to the perf-trajectory record future PRs diff against.
 
@@ -328,17 +250,6 @@ def _report_lines(section):
                    f"{row['speedup_vs_single_thread']:.2f}x single-thread  "
                    f"recon {'identical' if row['bit_identical'] else 'MISMATCH'}")
         return
-    if kind == "ulp":
-        yield f"Decode ulp tier — {section['model']} at {geom}"
-        yield (f"    bit tier {section['bit_wps']:7.2f} w/s, ulp tier "
-               f"{section['ulp_wps']:7.2f} w/s  "
-               f"({section['speedup_vs_bit']:.2f}x)")
-        yield (f"    {len(section['ulp_sites'])} relaxed site(s), max "
-               f"recorded bound {section['max_site_ulp']} grid step(s) "
-               f"(cap {section['site_cap']}); recon deviation "
-               f"{section['recon_grid_steps']} grid step(s) at scale "
-               f"(cap {section['recon_cap']})")
-        return
     yield f"Decode — {section['model']} at {geom}"
     yield (f"  stream: {section['n_wedges']} single-wedge payloads, "
            f"module-graph serial {section['module_graph_wps']:7.2f} w/s")
@@ -347,11 +258,6 @@ def _report_lines(section):
                f"{row['wedges_per_second']:7.2f} w/s  "
                f"speedup {row['speedup_vs_module_graph']:.2f}x  recon "
                f"{'identical' if row['bit_identical'] else 'MISMATCH'}")
-
-
-#: Timing-noise slack for the A/B gates ("at least as fast"): on a busy
-#: 1-core runner a true tie jitters a few percent either way.
-_AB_TOL = 0.90
 
 
 def _section_ok(section, gate):
@@ -364,11 +270,6 @@ def _section_ok(section, gate):
         # ≥1.5× only where there are cores to scale onto.
         return identical, (best >= 1.5 if section["scaling_gated"]
                            else True), best
-    if kind == "ulp":
-        bounded = (section["max_site_ulp"] <= section["site_cap"]
-                   and section["recon_grid_steps"] <= section["recon_cap"])
-        return bounded, section["speedup_vs_bit"] >= _AB_TOL, \
-            section["speedup_vs_bit"]
     identical = all(r["bit_identical"] for r in section["rows"])
     best = max(r["speedup_vs_module_graph"] for r in section["rows"])
     return identical, best >= gate, best
@@ -464,31 +365,6 @@ def test_decode_thread_scaling(benchmark):
     assert fast_enough, f"thread scaling only {best:.2f}x on ≥4 cores"
 
 
-def test_decode_ulp_tier(benchmark):
-    """Opt-in ulp tier: every engaged site inside the recorded cap, recon
-    within the end-to-end grid-step contract, no slower than bit."""
-
-    from conftest import report
-
-    results = {}
-
-    def measure_all():
-        results["r"] = measure_ulp(n_wedges=2, repeats=1, paper=True)
-        return results
-
-    benchmark.pedantic(measure_all, rounds=1, iterations=1)
-    section = results["r"]
-    for line in _report_lines(section):
-        report(line)
-
-    bounded, fast_enough, best = _section_ok(section, 1.0)
-    assert bounded, (
-        f"ulp bounds exceeded: max site {section['max_site_ulp']} (cap "
-        f"{section['site_cap']}), recon {section['recon_grid_steps']} "
-        f"(cap {section['recon_cap']})")
-    assert fast_enough, f"ulp tier only {best:.2f}x the bit tier"
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
@@ -521,14 +397,12 @@ def main(argv=None) -> int:
             # fold/affine stages at tiny geometry, relaxed gate.
             plan.append(lambda: measure("bcae", n_wedges=args.wedges or 4,
                                         repeats=repeats, paper=False))
-            # Wiring checks for the gated sections at tiny geometry: the
-            # determinism / bound gates are exact at any scale, only the
-            # speed claims need the paper grid.
+            # Wiring check for the thread-scaling section at tiny geometry:
+            # the determinism gate is exact at any scale, only the speed
+            # claim needs the paper grid.
             plan.append(lambda: measure_threaded(
                 "bcae_ht", n_wedges=args.wedges or 4, repeats=repeats,
                 paper=False))
-            plan.append(lambda: measure_ulp(
-                n_wedges=args.wedges or 4, repeats=repeats, paper=False))
         else:
             # The blocked-gather acceptance gate: 3D decode at the paper grid.
             plan.append(lambda: measure(
@@ -543,9 +417,6 @@ def main(argv=None) -> int:
             plan.append(lambda: measure_threaded(
                 "bcae_ht", n_wedges=args.wedges or 2, repeats=repeats,
                 paper=True))
-            # The opt-in ulp serving tier vs the bit default.
-            plan.append(lambda: measure_ulp(
-                n_wedges=args.wedges or 2, repeats=repeats, paper=True))
 
     sections = []
     failed = False
@@ -558,9 +429,7 @@ def main(argv=None) -> int:
         name = f"{section['model']}/{kind}"
         identical, fast_enough, best = _section_ok(section, gate)
         if not identical:
-            reason = ("ulp bound exceeded" if kind == "ulp"
-                      else "reconstruction mismatch")
-            print(f"FAIL: {name} {reason}")
+            print(f"FAIL: {name} reconstruction mismatch")
             failed = True
         elif not fast_enough:
             print(f"FAIL: {name} best speedup {best:.2f}x below gate")

@@ -41,13 +41,11 @@ path to be legal and bit-exact:
   activation and the requantize;
 * **workspace lifetime** — fold sources (``w_raw``) must have been
   released after BN folding, canvases must stay fp32 across stage
-  boundaries (the engine's documented invariant);
-* **ulp-tier ledger** — a ``precision="bit"`` plan must carry zero
-  relaxed-numerics sites (any entry is an error: a probe-rejected
-  formulation ran without the opt-in), and every recorded site's measured
-  deviation must stay within ``ULP_TIER_MAX_ULP`` grid steps at stage
-  scale; bounded sites on ulp-tier plans are surfaced as ``info``
-  diagnostics and summarised under the record's ``"ulp"`` key.
+  boundaries (the engine's documented invariant).
+
+Numerics need no ledger of their own: every formulation a plan compiles to,
+and every BN fold it keeps, was accepted by a bit-equality calibration probe
+at compile time, and the record's BN-fold entries are that decision trail.
 
 The full record — per-stage state trace, quantize-site intervals,
 BN-fold decisions (surfaced as ``info`` diagnostics so calibration-probe
@@ -61,7 +59,7 @@ import functools
 
 import numpy as np
 
-from repro.core.fast_plan import FP16_MAX, ULP_TIER_MAX_ULP
+from repro.core.fast_plan import FP16_MAX
 from repro.nn import Tensor
 from repro.nn.amp import quantize_fp16
 
@@ -123,7 +121,7 @@ def verify_plan(plan, in_channels: int, in_spatial: tuple[int, ...],
     Returns the verification record (also stored on ``plan.verification``)::
 
         {"label", "ok", "in", "out", "stages", "clip_sites",
-         "ulp", "bn_folds", "diagnostics"}
+         "bn_folds", "diagnostics"}
 
     ``ok`` is True iff no ``error``-severity diagnostic was produced.
     """
@@ -685,49 +683,8 @@ class _Verifier:
             out_bound, out_b64 = carry, carry64
         return inner.out_channels, out_sp, out_bound, out_b64
 
-    # -- ulp-tier bound chain -------------------------------------------
-    def _check_ulp_sites(self) -> list[dict]:
-        """Verify the plan's relaxed-numerics ledger against its tier.
-
-        A ``precision="bit"`` plan must carry an empty ``ulp_sites`` list —
-        any entry means a probe-rejected formulation ran without the opt-in
-        (PV050, error).  Under ``precision="ulp"`` every recorded site must
-        stay within :data:`ULP_TIER_MAX_ULP` grid steps at stage scale —
-        the cap is part of the tier's contract, so an over-cap record means
-        the compile-time gate is broken (PV051, error).  Well-bounded sites
-        are surfaced as PV052 info diagnostics so the relaxations stay
-        explainable, mirroring the PV040 bn-fold decision records.
-        """
-
-        sites = [dict(s) for s in getattr(self.plan, "ulp_sites", [])]
-        precision = getattr(self.plan, "precision", "bit")
-        if precision == "bit" and sites:
-            self.emit("PV050", "error", None, None,
-                      f"bit-precision plan carries {len(sites)} ulp site(s) "
-                      "— relaxed-numerics formulations may only engage "
-                      "under the opt-in ulp tier", token="ulp_sites",
-                      sites=sites)
-        for s in sites:
-            u = int(s.get("max_ulp", 0))
-            where = s.get("placement") or s.get("key") or "?"
-            if u > ULP_TIER_MAX_ULP:
-                self.emit("PV051", "error", s.get("stage"), s.get("site"),
-                          f"ulp site {s.get('site')} at {where}: recorded "
-                          f"bound {u} grid step(s) exceeds the tier cap "
-                          f"{ULP_TIER_MAX_ULP} — the compile-time gate "
-                          "failed to refuse this formulation",
-                          token="ulp_bound", site=dict(s))
-            elif precision == "ulp":
-                self.emit("PV052", "info", s.get("stage"), s.get("site"),
-                          f"ulp site {s.get('site')} at {where}: measured "
-                          f"max {u} grid step(s) at stage scale (cap "
-                          f"{ULP_TIER_MAX_ULP})", token="ulp_site",
-                          site=dict(s))
-        return sites
-
     # -- record ---------------------------------------------------------
     def record(self) -> dict:
-        ulp_sites = self._check_ulp_sites()
         for entry in getattr(self.plan, "bn_folds", []):
             self.diags.append(Diagnostic(
                 pass_name="plan", rule="PV040", severity="info",
@@ -744,11 +701,6 @@ class _Verifier:
             "out": getattr(self, "_final", None),
             "stages": self.stages,
             "clip_sites": self.clip_sites,
-            "ulp": {"precision": getattr(self.plan, "precision", "bit"),
-                    "sites": ulp_sites,
-                    "max_ulp": max((int(s.get("max_ulp", 0))
-                                    for s in ulp_sites), default=0),
-                    "cap": ULP_TIER_MAX_ULP},
             "bn_folds": list(getattr(self.plan, "bn_folds", [])),
             "diagnostics": [d.as_dict() for d in self.diags],
             "diagnostic_objects": self.diags,

@@ -51,7 +51,7 @@ def _package_root() -> Path:
 
 def analyze_model_plans(names=None, half: bool = True,
                         wedge_spatial: tuple[int, int, int] = SMOKE_WEDGE,
-                        precision: str = "bit", execute: bool = False,
+                        execute: bool = False,
                         ) -> tuple[list[Diagnostic], list[dict]]:
     """Verify encoder + decoder plans of the zoo models; returns
     ``(diagnostics, verification records)``.
@@ -91,11 +91,11 @@ def analyze_model_plans(names=None, half: bool = True,
                 token="vocabulary",
             ))
             continue
-        enc = make_fast_encoder(model, half=half, precision=precision)
+        enc = make_fast_encoder(model, half=half)
         in_channels, in_spatial = enc.geometry.network_input(wedge_spatial)
         rec = verify_plan(enc.plan, in_channels, in_spatial,
                           LOG_INPUT_BOUND, label=f"{name}.encoder")
-        dec = make_fast_decoder(model, half=half, precision=precision)
+        dec = make_fast_decoder(model, half=half)
         if execute:
             padded = tuple(wedge_spatial[:2]) + in_spatial[-1:]
             codes = enc.encode(np.zeros((1,) + padded, np.float32))
@@ -116,17 +116,14 @@ def analyze_model_plans(names=None, half: bool = True,
 
 
 def run_analysis(passes=("plan", "hotpath", "concurrency", "api"),
-                 extra_sources=(), half: bool = True,
-                 precision: str = "bit", execute: bool = False,
+                 extra_sources=(), half: bool = True, execute: bool = False,
                  ) -> tuple[AnalysisReport, list[dict]]:
     """Run the selected passes; returns ``(report, plan records)``.
 
     ``extra_sources`` are additional file paths fed to the hot-path and
     concurrency lints — the CI injected-finding fixture uses this to prove
-    the gate fails on a fresh finding.  ``precision`` selects the compile
-    tier for the plan pass (``"ulp"`` exercises the relaxed-numerics
-    ledger rules PV050–PV052); ``execute`` also runs every plan once so
-    the records' stats carry the per-GEMM-site execution entries.
+    the gate fails on a fresh finding.  ``execute`` also runs every plan
+    once so the records' stats carry the per-GEMM-site execution entries.
     """
 
     root = _package_root()
@@ -134,9 +131,7 @@ def run_analysis(passes=("plan", "hotpath", "concurrency", "api"),
     records: list[dict] = []
     extra = [Path(p) for p in extra_sources]
     if "plan" in passes:
-        plan_diags, records = analyze_model_plans(half=half,
-                                                  precision=precision,
-                                                  execute=execute)
+        plan_diags, records = analyze_model_plans(half=half, execute=execute)
         diags.extend(plan_diags)
     if "hotpath" in passes:
         diags.extend(hotpath_lint_paths(hotpath_targets(root),

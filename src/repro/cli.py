@@ -136,11 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the asyncio ingestion gateway (wall-clock "
                         "latency budget, paced arrival replay)")
     v.add_argument("--full", action="store_true", help="fp32 instead of fp16 inference")
-    v.add_argument("--precision", choices=("bit", "ulp"), default="bit",
-                   help="compilation tier: bit (default, payload bytes "
-                        "proven identical to the module path) or the "
-                        "opt-in ulp serving tier with recorded error "
-                        "bounds")
     v.add_argument("--panel-threads", type=int, default=None,
                    help="intra-plan panel executor width (default: the "
                         "REPRO_PANEL_THREADS env knob; bytes identical at "
@@ -227,8 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="slab size [MiB] of the shm transport ring "
                         "(default: adaptive — sized from the first unit)")
     x.add_argument("--full", action="store_true", help="fp32 instead of fp16 inference")
-    x.add_argument("--precision", choices=("bit", "ulp"), default="bit",
-                   help="compilation tier (see `serve --precision`)")
     x.add_argument("--panel-threads", type=int, default=None,
                    help="intra-plan panel executor width (default: the "
                         "REPRO_PANEL_THREADS env knob)")
@@ -266,10 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     z.add_argument("--stats", action="store_true",
                    help="print each verified plan's plan_stats() summary "
                         "(stage kinds, GEMM formulations, panel/thread "
-                        "counts, fold decisions, ulp sites)")
-    z.add_argument("--precision", choices=("bit", "ulp"), default="bit",
-                   help="compile tier for the plan pass; 'ulp' exercises "
-                        "the relaxed-numerics ledger rules (PV050-PV052)")
+                        "counts, fold decisions)")
 
     return parser
 
@@ -482,7 +472,6 @@ def _cmd_serve(args) -> int:
         transport=args.transport,
         shm_slab_mb=args.shm_slab_mb,
         half=not args.full,
-        precision=args.precision,
         panel_threads=args.panel_threads,
         unit_timeout_s=args.unit_timeout_s,
         max_retries=args.max_retries,
@@ -576,21 +565,9 @@ def _cmd_serve(args) -> int:
             return 0
         got = np.concatenate([np.asarray(p.codes_view()) for p in payloads])
         ref = np.concatenate([np.asarray(p.codes_view()) for p in serial])
-        if args.precision == "ulp":
-            # The ulp tier's payload bytes may deviate from the module
-            # path within the recorded stored-grid bounds; gate on the
-            # end-to-end grid-step contract instead of byte equality.
-            from .core.fast_plan import ULP_TIER_RECON_GRID_STEPS, grid_steps_at_scale
-
-            steps = grid_steps_at_scale(got, ref, not args.full)
-            parity = steps <= ULP_TIER_RECON_GRID_STEPS
-            print(f"ulp-tier payload deviation: {steps} grid step(s) at "
-                  f"scale (cap {ULP_TIER_RECON_GRID_STEPS}) "
-                  f"{'OK' if parity else 'EXCEEDED'}")
-        else:
-            parity = got.tobytes() == ref.tobytes()
-            print(f"payload parity with serial path: "
-                  f"{'OK' if parity else 'MISMATCH'}")
+        parity = got.tobytes() == ref.tobytes()
+        print(f"payload parity with serial path: "
+              f"{'OK' if parity else 'MISMATCH'}")
         if not parity:
             return 1
 
@@ -802,7 +779,6 @@ def _cmd_decompress(args) -> int:
         transport=args.transport,
         shm_slab_mb=args.shm_slab_mb,
         half=not args.full,
-        precision=args.precision,
         panel_threads=args.panel_threads,
         # Mixed archives need the adaptive tier on the decode side too —
         # the policy itself is irrelevant for decoding, but the wrapper
@@ -826,18 +802,9 @@ def _cmd_decompress(args) -> int:
             ).decompress(compressed)
         else:
             reference = reference_compressor.decompress(compressed)
-        if args.precision == "ulp":
-            from .core.fast_plan import ULP_TIER_RECON_GRID_STEPS, grid_steps_at_scale
-
-            steps = grid_steps_at_scale(recon, reference, not args.full)
-            parity = steps <= ULP_TIER_RECON_GRID_STEPS
-            print(f"ulp-tier recon deviation: {steps} grid step(s) at "
-                  f"scale (cap {ULP_TIER_RECON_GRID_STEPS}) "
-                  f"{'OK' if parity else 'EXCEEDED'}")
-        else:
-            parity = np.array_equal(reference, recon)
-            print(f"parity with module-graph decompress: "
-                  f"{'OK' if parity else 'MISMATCH'}")
+        parity = np.array_equal(reference, recon)
+        print(f"parity with module-graph decompress: "
+              f"{'OK' if parity else 'MISMATCH'}")
         if not parity:
             return 1
 
@@ -859,8 +826,8 @@ def _print_plan_stats(rec: dict) -> None:
     kinds = " ".join(f"{k}:{v}" for k, v in
                      sorted(stats["stage_kinds"].items()))
     folds = stats["bn_folds"]
-    print(f"  stats  precision={stats['precision']} "
-          f"half={stats['half']} panel_threads={stats['panel_threads']}")
+    print(f"  stats  half={stats['half']} "
+          f"panel_threads={stats['panel_threads']}")
     print(f"  stats  stages  {kinds}")
     print(f"  stats  bn-folds  {folds['folded']} folded / "
           f"{folds['kept']} kept")
@@ -875,14 +842,10 @@ def _print_plan_stats(rec: dict) -> None:
             print(f"  stats  gemm {key}: {g['formulation']} "
                   f"m={g['m']} K={g['K']} o={g['o']}{split} "
                   f"panels={g['panels']} threads={g['threads']} "
-                  f"max_ulp={g['max_ulp']} tail={g['tail']}{requant} "
+                  f"tail={g['tail']}{requant} "
                   f"staging_bytes={g['staging_bytes']}")
     else:
         print("  stats  gemm  (static verification only — no execution)")
-    for s in stats.get("ulp_sites", []):
-        where = s.get("placement") or s.get("key") or "?"
-        print(f"  stats  ulp-site {s['site']} at {where}: "
-              f"max {s['max_ulp']} grid step(s)")
 
 
 def _cmd_analyze(args) -> int:
@@ -894,7 +857,6 @@ def _cmd_analyze(args) -> int:
     report, records = run_analysis(passes=passes,
                                    extra_sources=args.extra_source,
                                    half=not args.full,
-                                   precision=args.precision,
                                    execute=args.stats)
     baseline = None if args.baseline is None else load_baseline(args.baseline)
     if args.json:

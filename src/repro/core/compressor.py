@@ -54,7 +54,6 @@ from ..tpc.transforms import (
 )
 from .fast_decode import make_fast_decoder, supports_fast_decode
 from .fast_encode import Workspace, make_fast_encoder, supports_fast_encode
-from .fast_plan import PRECISIONS
 from .geometry import WedgeGeometry
 from .heads import BicephalousAutoencoder
 
@@ -192,13 +191,6 @@ class BCAECompressor:
     half:
         Run inference in the paper's half-precision mode (default True —
         "the most likely computation model for future deployment", §3.3).
-    precision:
-        Compiled-plan numerics tier: ``"bit"`` (default — fast paths are
-        probe-proven bit-identical to the module graph) or the opt-in
-        ``"ulp"`` serving tier (bounded-ulp relaxations kept for speed;
-        see :class:`~repro.core.fast_plan.CompiledStagePlan`).  The
-        reference :meth:`compress`/:meth:`decompress` module paths are
-        unaffected — only the compiled ``*_into`` hot paths change.
     panel_threads:
         Intra-plan panel executor width for the compiled fast paths
         (None → the ``REPRO_PANEL_THREADS`` environment knob, default 1).
@@ -206,15 +198,9 @@ class BCAECompressor:
     """
 
     def __init__(self, model: BicephalousAutoencoder, half: bool = True,
-                 precision: str = "bit",
                  panel_threads: int | None = None) -> None:
         self.model = model
         self.half = bool(half)
-        if precision not in PRECISIONS:
-            raise ValueError(
-                f"precision must be one of {PRECISIONS}, got {precision!r}"
-            )
-        self.precision = precision
         self.panel_threads = panel_threads
         self._fast = None
         self._fast_signature: tuple = ()
@@ -315,7 +301,6 @@ class BCAECompressor:
         signature = self._weights_signature()
         if self._fast is None or signature != self._fast_signature:
             self._fast = make_fast_encoder(self.model, half=self.half,
-                                           precision=self.precision,
                                            panel_threads=self.panel_threads)
             self._fast_signature = signature
         return self._fast
@@ -483,7 +468,6 @@ class BCAECompressor:
         signature = self._decoder_signature()
         if self._fast_dec is None or signature != self._fast_dec_signature:
             self._fast_dec = make_fast_decoder(self.model, half=self.half,
-                                               precision=self.precision,
                                                panel_threads=self.panel_threads)
             self._fast_dec_signature = signature
         return self._fast_dec

@@ -99,15 +99,13 @@ def supports_fast_decode(model) -> bool:
     return True
 
 
-def make_fast_decoder(model, half: bool = True, precision: str = "bit",
+def make_fast_decoder(model, half: bool = True,
                       panel_threads: int | None = None) -> "FastDecoder":
     """Build the compiled decoder pair for a model that passes
-    :func:`supports_fast_decode`.  ``precision`` and ``panel_threads``
-    forward to both head plans
-    (:class:`~repro.core.fast_plan.CompiledStagePlan`)."""
+    :func:`supports_fast_decode`.  ``panel_threads`` forwards to both head
+    plans (:class:`~repro.core.fast_plan.CompiledStagePlan`)."""
 
-    return FastDecoder(model, half=half, precision=precision,
-                       panel_threads=panel_threads)
+    return FastDecoder(model, half=half, panel_threads=panel_threads)
 
 
 class FastDecoder:
@@ -124,14 +122,11 @@ class FastDecoder:
     half:
         Replicate the fp16 autocast numerics (§3.3 deployment mode); False
         replicates the full-precision module path.
-    precision:
-        ``"bit"`` (default) or the opt-in ``"ulp"`` serving tier — see
-        :class:`~repro.core.fast_plan.CompiledStagePlan`.
     panel_threads:
         Intra-plan panel executor width (None → ``REPRO_PANEL_THREADS``).
     """
 
-    def __init__(self, model, half: bool = True, precision: str = "bit",
+    def __init__(self, model, half: bool = True,
                  panel_threads: int | None = None) -> None:
         if not supports_fast_decode(model):
             raise TypeError(
@@ -149,7 +144,7 @@ class FastDecoder:
         self._seg, self._reg = (
             CompiledStagePlan(_head_stages(head), half=self.half,
                               workspace=self._ws, prefix="d",
-                              precision=precision, panel_threads=panel_threads)
+                              panel_threads=panel_threads)
             for head in (model.seg_decoder, model.reg_decoder)
         )
 

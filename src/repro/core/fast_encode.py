@@ -88,15 +88,14 @@ def supports_fast_encode(model) -> bool:
                                                  _ENCODER_KINDS)
 
 
-def make_fast_encoder(model, half: bool = True, precision: str = "bit",
+def make_fast_encoder(model, half: bool = True,
                       panel_threads: int | None = None) -> "FastEncoder":
     """Build the compiled encoder for a model (or bare encoder) that passes
-    :func:`supports_fast_encode`.  ``precision`` and ``panel_threads``
-    forward to :class:`~repro.core.fast_plan.CompiledStagePlan` (the opt-in
-    ulp tier and the intra-plan panel executor)."""
+    :func:`supports_fast_encode`.  ``panel_threads`` forwards to
+    :class:`~repro.core.fast_plan.CompiledStagePlan` (the intra-plan panel
+    executor)."""
 
-    return FastEncoder(model, half=half, precision=precision,
-                       panel_threads=panel_threads)
+    return FastEncoder(model, half=half, panel_threads=panel_threads)
 
 
 class FastEncoder:
@@ -111,14 +110,11 @@ class FastEncoder:
     half:
         Replicate the fp16 autocast numerics (the deployment mode, §3.3).
         When False the full-precision module path is replicated instead.
-    precision:
-        ``"bit"`` (default) or the opt-in ``"ulp"`` serving tier — see
-        :class:`~repro.core.fast_plan.CompiledStagePlan`.
     panel_threads:
         Intra-plan panel executor width (None → ``REPRO_PANEL_THREADS``).
     """
 
-    def __init__(self, encoder, half: bool = True, precision: str = "bit",
+    def __init__(self, encoder, half: bool = True,
                  panel_threads: int | None = None) -> None:
         encoder = getattr(encoder, "encoder", encoder)
         if not supports_fast_encode(encoder):
@@ -130,7 +126,6 @@ class FastEncoder:
         #: Where the radial axis rides and which wedges fit (the 2D/3D rule).
         self.geometry = WedgeGeometry.of(encoder)
         self._plan = CompiledStagePlan(_encoder_stages(encoder), half=self.half,
-                                       precision=precision,
                                        panel_threads=panel_threads)
         self._ws = self._plan.workspace
 

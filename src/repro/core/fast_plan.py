@@ -149,8 +149,10 @@ never materializes; below it the whole result is one panel (one per sample
 in the reference orientation) through the same routine, epilogue and tails.
 Which orientation and panel width reproduce the module path's per-sample
 contraction bit for bit is decided per problem shape by calibration probes
-(:func:`_transposed_gemm_matches`, :func:`_blocked_gemm_ulp` and
-friends) before a formulation is used — behaviour is never traded for speed.
+(:func:`_transposed_gemm_matches`, :func:`_blocked_gemm_matches` and
+friends) before a formulation is used — behaviour is never traded for speed:
+a shape whose probe rejects a formulation runs the next one its own probe
+accepts.
 
 A panel is a row range of the flattened output grid, but a padded canvas is
 not uniformly strided across that grid, so gathers and stores address a
@@ -220,14 +222,9 @@ __all__ = [
     "DECODE_ENTRY_KINDS",
     "FP16_MAX",
     "PANEL_THREADS_ENV",
-    "PRECISIONS",
-    "ULP_TIER_MAX_ULP",
-    "ULP_TIER_RECON_GRID_STEPS",
     "Workspace",
     "entry_kinds_ok",
     "fold_batchnorm",
-    "grid_steps_at_scale",
-    "max_ulp_diff",
     "stage_kinds",
 ]
 
@@ -259,34 +256,6 @@ _PANEL_BYTES = 1 << 20
 #: output bits are identical at every thread count.
 PANEL_THREADS_ENV = "REPRO_PANEL_THREADS"
 
-#: The two compilation tiers: ``"bit"`` (default — every fast formulation
-#: must be proven bit-identical by its calibration probe) and ``"ulp"``
-#: (opt-in serving tier — BN→Conv folds and panel-blocked GEMM formulations
-#: whose probe measures a nonzero but bounded stored-grid deviation are
-#: kept, each engagement recorded on :attr:`CompiledStagePlan.ulp_sites`).
-PRECISIONS = ("bit", "ulp")
-
-#: Per-site cap of the ulp tier: a probe-rejected fold/formulation may be
-#: kept under ``precision="ulp"`` only when the probe measured its maximum
-#: absolute deviation at or below this many **grid steps at the stage's
-#: magnitude scale** — the stored grid's spacing evaluated at the probe's
-#: maximum reference magnitude (fp16 grid in half mode, the deployment
-#: representation every stage output is snapped onto; fp32 in full).  This
-#: is the range-relative error bound of the SZ/ZFP error-bounded-lossy
-#: tradition expressed in units of the stored grid (see
-#: :func:`grid_steps_at_scale`); *elementwise* ulp distance is deliberately
-#: not the metric — reassociated cancellation noise near zero measures in
-#: the billions of elementwise ulps while being physically negligible.
-ULP_TIER_MAX_ULP = 2
-
-#: End-to-end contract of the ulp tier, asserted by the archive round-trip
-#: test and the bench: reconstructions deviate from the bit tier's by at
-#: most this many grid steps at the reconstruction scale
-#: (``grid_steps_at_scale(recon_ulp, recon_bit, True)``; measured
-#: deviations are typically ≤ 1 — the slack covers the rare multi-stage
-#: compounding of single-step flips through downstream convolutions).
-ULP_TIER_RECON_GRID_STEPS = 4
-
 #: Byte size of one cache-resident block of the fused BatchNorm affine
 #: kernel (see :meth:`_BNSpec.apply`).
 _BN_BLOCK = 1 << 18
@@ -305,78 +274,6 @@ def _resolve_panel_threads(requested: int | None) -> int:
                 f"{PANEL_THREADS_ENV} must be an integer, got {env!r}"
             ) from None
     return max(1, int(requested))
-
-
-def max_ulp_diff(a: np.ndarray, b: np.ndarray) -> int:
-    """Largest elementwise distance between two same-dtype float arrays,
-    in units-in-the-last-place of that dtype's grid.
-
-    The IEEE-754 bit patterns are mapped onto a monotone integer scale
-    (two's-complement folding of the sign), where adjacent representable
-    floats differ by exactly 1 — the standard ulp metric the calibration
-    probes record and the ulp tier bounds.  float16 inputs are measured on
-    the fp16 grid (one ulp = one grid step of the stored deployment
-    representation), everything else on the fp32 grid.  Any non-finite
-    lane on either side that is not bit-equal counts as an infinite
-    distance (the probes only feed finite values, so this is defensive).
-    """
-
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.dtype == np.float16 and b.dtype == np.float16:
-        itype, sign_fold = np.int16, np.int64(-1) << 15
-        ai = a.view(np.int16).astype(np.int64)
-        bi = b.view(np.int16).astype(np.int64)
-    else:
-        itype = np.int32
-        sign_fold = np.int64(-1) << 31
-        a = np.asarray(a, dtype=np.float32)
-        b = np.asarray(b, dtype=np.float32)
-        ai = a.view(np.int32).astype(np.int64)
-        bi = b.view(np.int32).astype(np.int64)
-    np.subtract(sign_fold, ai, out=ai, where=ai < 0)
-    np.subtract(sign_fold, bi, out=bi, where=bi < 0)
-    d = np.abs(ai - bi)
-    finite = np.isfinite(a) & np.isfinite(b)
-    if not finite.all():
-        if not np.array_equal(a[~finite].view(itype), b[~finite].view(itype)):
-            return int(np.iinfo(np.int64).max)
-        d[~finite] = 0
-    return int(d.max()) if d.size else 0
-
-
-def grid_steps_at_scale(got, ref, half: bool) -> int:
-    """Deviation of ``got`` from ``ref`` in grid steps at the data's scale.
-
-    The metric of the ulp tier: the maximum absolute elementwise deviation,
-    divided by the stored grid's spacing at the reference's maximum
-    magnitude (the fp16 grid in half mode, fp32 in full), rounded up.
-    0 means value-equal; 1 means every value moved by less than one grid
-    step *as measured at the stage's largest output* — the range-relative
-    bound of the SZ/ZFP error-bounded tradition in stored-grid units.
-
-    Elementwise ulp distance (:func:`max_ulp_diff`) is deliberately not
-    used here: reassociated fp32 rounding flips the sign of outputs that
-    cancel to ≈0, and the elementwise metric counts every denormal between
-    them — billions of ulps for a physically negligible deviation — so it
-    can never certify a real BN fold.  Scaling the absolute deviation by
-    the stage's own grid spacing bounds what any downstream consumer of
-    the stored representation can observe.
-    """
-
-    got = np.asarray(got, dtype=np.float32)
-    ref = np.asarray(ref, dtype=np.float32)
-    if got.size == 0 or np.array_equal(got, ref):
-        return 0
-    err = float(np.max(np.abs(got - ref)))
-    if not np.isfinite(err):
-        return int(np.iinfo(np.int64).max)
-    scale = float(np.max(np.abs(ref)))
-    if half:
-        step = float(np.spacing(np.float16(min(scale, _FP16_MAX))))
-    else:
-        step = float(np.spacing(np.float32(scale)))
-    return int(np.ceil(err / step))
 
 
 def _leaky_ok(*acts) -> bool:
@@ -831,7 +728,7 @@ def fold_batchnorm(bn_spec, conv_weight: np.ndarray, conv_bias,
 
 
 def _bn_fold_matches(bn_spec, spec: "_ConvSpec", folded: "_ConvSpec",
-                     half: bool) -> tuple[bool, int]:
+                     half: bool) -> bool:
     """Calibrate one speculative ``BatchNorm → Conv`` fold.
 
     The exact chain is ``q(((x−μ)·i)·γ + β)`` into the convolution (``q``
@@ -841,16 +738,11 @@ def _bn_fold_matches(bn_spec, spec: "_ConvSpec", folded: "_ConvSpec",
     negatives, values straddling the fp16 denormal boundary where
     power-of-two scale folds break — is pushed through both.
 
-    Returns ``(bit_ok, grid_ulp)``: whether the final (post-quantize, in
-    half mode) outputs are bit-equal — the only signal the default
-    ``precision="bit"`` tier consults — and the measured maximum deviation
-    of those outputs in grid steps at the stage's scale
-    (:func:`grid_steps_at_scale`), which the opt-in ulp tier bounds
-    against :data:`ULP_TIER_MAX_ULP`.  Under the bit tier any deviation rejects
-    the fold and the stage runs as the exact affine pass instead; for
-    non-trivial statistics the reassociated fp32 rounding deviates and
-    this probe is expected to reject (recorded on the plan).  Behaviour is
-    never traded for speed.
+    Returns whether the final (post-quantize, in half mode) outputs are
+    bit-equal.  Any deviation rejects the fold and the stage runs as the
+    exact affine pass instead; for non-trivial statistics the reassociated
+    fp32 rounding deviates and this probe is expected to reject (recorded
+    on the plan).  Behaviour is never traded for speed.
     """
 
     nd = len(spec.kernel)
@@ -876,40 +768,25 @@ def _bn_fold_matches(bn_spec, spec: "_ConvSpec", folded: "_ConvSpec",
     got = conv_forward(q(x), folded.w_raw, folded.stride, folded.padding,
                        bias=folded.bias)
     if half:
-        refq = quantize_fp16(ref)
-        gotq = quantize_fp16(got)
-        return (bool(np.array_equal(gotq, refq)),
-                grid_steps_at_scale(gotq, refq, True))
-    return bool(np.array_equal(got, ref)), grid_steps_at_scale(got, ref, False)
+        return bool(np.array_equal(quantize_fp16(got), quantize_fp16(ref)))
+    return bool(np.array_equal(got, ref))
 
 
-def _try_fold_bn_conv(bn_spec, spec: "_ConvSpec", half: bool,
-                      precision: str = "bit",
-                      ) -> tuple["_ConvSpec | None", str, int]:
+def _try_fold_bn_conv(bn_spec, spec: "_ConvSpec",
+                      half: bool) -> tuple["_ConvSpec | None", str]:
     """Speculatively fold ``BN → Conv``.
 
-    Returns ``(folded spec | None, reason, max_ulp)``.  Under the default
-    ``precision="bit"`` only a probe-proven bit-equal fold is kept
-    (``max_ulp`` is then 0 by definition of the probe).  Under
-    ``precision="ulp"`` a probe-rejected fold is still kept when its
-    measured deviation in grid steps at the stage's scale
-    (:func:`grid_steps_at_scale`) is within :data:`ULP_TIER_MAX_ULP` — the
-    caller must record the returned bound on the plan's
-    :attr:`~CompiledStagePlan.ulp_sites`.
+    Returns ``(folded spec | None, reason)``: only a probe-proven bit-equal
+    fold is kept.
     """
 
     w_f, b_f = fold_batchnorm(bn_spec, spec.w_raw, spec.bias, "bn_conv")
     folded = _ConvSpec._from_weight(w_f, b_f, spec.kernel, spec.stride,
                                     spec.padding)
-    bit_ok, raw_ulp = _bn_fold_matches(bn_spec, spec, folded, half)
-    if bit_ok:
-        return folded, "folded: probe proved bit-equality", 0
-    if precision == "ulp" and raw_ulp <= ULP_TIER_MAX_ULP:
-        return folded, (f"folded under ulp tier: probe measured max "
-                        f"{raw_ulp} grid step(s) at stage scale "
-                        f"(cap {ULP_TIER_MAX_ULP})"), raw_ulp
+    if _bn_fold_matches(bn_spec, spec, folded, half):
+        return folded, "folded: probe proved bit-equality"
     return None, ("kept affine stage: fold reassociates fp32 rounding "
-                  "(calibration probe mismatch on this build)"), raw_ulp
+                  "(calibration probe mismatch on this build)")
 
 
 #: None until calibrated: whether the integer round-to-nearest-even grid
@@ -1268,11 +1145,10 @@ def _transposed_gemm_matches(n: int, rows: int, K: int, o: int,
     return hit
 
 
-#: (n, rows, K, O | splits, P) → ``(ulp32, ulp16)``: measured max deviation
-#: of the panel-blocked transposed GEMMs from the per-sample reference
-#: contraction on this BLAS build, in raw fp32 ulps and in fp16 grid steps
-#: of the quantized outputs ((0, 0) = bit-identical).
-_BLOCKED_GEMM_ULP: dict = {}
+#: (n, rows, K, O | splits, P) → whether the panel-blocked transposed GEMMs
+#: reproduce the per-sample reference contraction bit for bit on this BLAS
+#: build.
+_BLOCKED_GEMM_OK: dict = {}
 
 #: (n, rows, K, O, P) → whether reference-orientation row panels reproduce
 #: the per-sample reference contraction bit for bit on this BLAS build.
@@ -1300,8 +1176,8 @@ def _panel_cols(K: int, ow: int, m: int) -> int:
     return min(int(rows) * ow, m)
 
 
-def _blocked_gemm_ulp(n: int, rows: int, K: int, o: int, P: int,
-                      splits: tuple[int, ...] | None = None) -> tuple[int, int]:
+def _blocked_gemm_matches(n: int, rows: int, K: int, o: int, P: int,
+                          splits: tuple[int, ...] | None = None) -> bool:
     """Calibrate the panel-blocked GEMM formulation for one problem shape.
 
     The blocked executor runs one ``(O, K) @ (K, P)`` GEMM per gathered
@@ -1309,60 +1185,34 @@ def _blocked_gemm_ulp(n: int, rows: int, K: int, o: int, P: int,
     Each output element is the same K-term dot product as the reference
     per-sample contraction, and BLAS's k-accumulation order is a function
     of problem shape only — so one dense-random probe per shape, comparing
-    every panel against the per-sample reference on raw bits, measures the
-    formulation's deviation once per (batch, shape, panel) — comparable in
-    cost to a single module-path convolution at the same shape.
-
-    Returns ``(ulp32, ulp16)``: the maximum deviation in grid steps at the
-    probe's scale (:func:`grid_steps_at_scale`) measured on the fp32
-    results and on their fp16-snapped images.  ``ulp32 == 0`` means
-    bit-identical — the only value the default ``precision="bit"`` tier
-    accepts; the opt-in ulp tier bounds the metric of the plan's stored
-    grid (``ulp16`` when the fp16 snap follows, ``ulp32`` otherwise)
-    against :data:`ULP_TIER_MAX_ULP`.  Behaviour is never traded for
-    speed.  ``splits`` probes a stacked operand against its members'
-    references (:func:`_probe_problem`).
+    the panels against the per-sample reference on raw bits until the
+    first mismatch, decides the formulation once per (batch, shape, panel)
+    — comparable in cost to a single module-path convolution at the same
+    shape.  Behaviour is never traded for speed.  ``splits`` probes a
+    stacked operand against its members' references (:func:`_probe_problem`).
     """
 
     key = (n, rows, K, splits or o, P)
-    hit = _BLOCKED_GEMM_ULP.get(key)
+    hit = _BLOCKED_GEMM_OK.get(key)
     if hit is None:
         m = n * rows
         a, b, ref = _probe_problem(0xB10C, n, rows, K, o, splits)
         bt = np.ascontiguousarray(b.T)
         panel = np.empty((K, P), dtype=np.float32)
         got = np.empty((o, P), dtype=np.float32)
-        err32 = err16 = 0.0
-        exact = True
+        hit = True
         for c0 in range(0, m, P):
             pw = min(P, m - c0)
             if pw == P:
                 np.copyto(panel, a[c0:c0 + P].T)
                 np.dot(bt, panel, out=got)
-                gp = got.T
+                hit = np.array_equal(got.T, ref[c0:c0 + P])
             else:
                 tail = np.ascontiguousarray(a[c0:c0 + pw].T)
-                gp = np.dot(bt, tail).T
-            rp = ref[c0:c0 + pw]
-            if not np.array_equal(gp, rp):
-                exact = False
-                err32 = max(err32, float(np.max(np.abs(gp - rp))))
-                # Probe dot products stay far inside the fp16 range
-                # (|x| ≲ 4·√K), so the plain cast is the grid snap.
-                d16 = (gp.astype(np.float16).astype(np.float32)
-                       - rp.astype(np.float16).astype(np.float32))
-                err16 = max(err16, float(np.max(np.abs(d16))))
-        if exact:
-            hit = (0, 0)
-        else:
-            scale = float(np.max(np.abs(ref)))
-            s32 = float(np.spacing(np.float32(scale)))
-            s16 = float(np.spacing(np.float16(min(scale, _FP16_MAX))))
-            # A non-bit-equal probe must report ≥ 1 on the fp32 metric:
-            # ulp32 == 0 is the bit tier's acceptance signal.
-            hit = (max(1, int(np.ceil(err32 / s32))),
-                   int(np.ceil(err16 / s16)))
-        _BLOCKED_GEMM_ULP[key] = hit
+                hit = np.array_equal(np.dot(bt, tail).T, ref[c0:c0 + pw])
+            if not hit:
+                break
+        hit = _BLOCKED_GEMM_OK[key] = bool(hit)
     return hit
 
 
@@ -1370,7 +1220,7 @@ def _blocked_pad_gemm_matches(n: int, rows: int, K: int, o: int, P: int) -> int:
     """Calibrate the repacked (zero-padded output channel) panel GEMM.
 
     The two paper-scale transposed-conv GEMMs with O ≤ 2 fail
-    :func:`_blocked_gemm_ulp` because BLAS dispatches a narrow
+    :func:`_blocked_gemm_matches` because BLAS dispatches a narrow
     matrix-vector-ish kernel for 1–2 result rows whose k-accumulation
     differs from the per-sample reference.  Repacking the weight operand as
     ``(O_pad, K)`` with ``O_pad − O`` zero rows makes the same panels
@@ -1426,7 +1276,7 @@ def _blocked_ref_gemm_matches(n: int, rows: int, K: int, o: int, P: int) -> bool
     calibration (very small output-channel counts dispatch to different
     BLAS kernels per orientation); m-blocking almost always preserves bits
     because BLAS packs row panels independently.  Same probe protocol as
-    :func:`_blocked_gemm_ulp`.
+    :func:`_blocked_gemm_matches`.
     """
 
     key = (n, rows, K, o, P)
@@ -1537,17 +1387,6 @@ class CompiledStagePlan:
         but lose the steady-state reuse.
     prefix:
         Workspace key namespace for this plan's buffers.
-    precision:
-        ``"bit"`` (default): every fast formulation must be proven
-        bit-identical by its calibration probe — behaviour is never traded
-        for speed.  ``"ulp"`` (opt-in serving tier): BN→Conv folds and
-        panel-blocked GEMM formulations whose probe measured a nonzero but
-        bounded deviation (≤ :data:`ULP_TIER_MAX_ULP` fp32 ulps per site)
-        are kept for speed; every engagement is recorded on
-        :attr:`ulp_sites` and checked by the plan verifier's bound chain.
-        Outputs remain deterministic — the same plan produces the same
-        bits on every run at every thread count — they are just no longer
-        the module graph's bits at the relaxed sites.
     panel_threads:
         Worker count for the intra-plan panel executor (blocked im2col
         panels of one GEMM run concurrently; NumPy releases the GIL inside
@@ -1559,7 +1398,6 @@ class CompiledStagePlan:
 
     def __init__(self, stages, half: bool = True,
                  workspace: Workspace | None = None, prefix: str = "",
-                 precision: str = "bit",
                  panel_threads: int | None = None) -> None:
         kinds = stage_kinds(stages)
         if kinds is None:
@@ -1567,21 +1405,10 @@ class CompiledStagePlan:
                 "stage sequence is outside the compiled vocabulary; "
                 "guard with stage_kinds()"
             )
-        if precision not in PRECISIONS:
-            raise ValueError(
-                f"precision must be one of {PRECISIONS}, got {precision!r}"
-            )
         self.half = bool(half)
-        self.precision = precision
         self.panel_threads = _resolve_panel_threads(panel_threads)
         self.prefix = prefix
         self._ws = Workspace() if workspace is None else workspace
-        #: Relaxed-numerics engagements of the ulp tier: one record per
-        #: site (BN fold or blocked-GEMM formulation) the bit-equality
-        #: probe rejected but the ulp tier kept, with the probe's measured
-        #: max fp32-ulp deviation.  Always empty under ``precision="bit"``
-        #: — the plan verifier errors otherwise.
-        self.ulp_sites: list[dict] = []
         #: Per-GEMM-site execution stats (formulation, panel/thread counts)
         #: recorded by :meth:`_gemm` on each run — see :meth:`plan_stats`.
         self._gemm_stats: dict = {}
@@ -1691,18 +1518,12 @@ class CompiledStagePlan:
                         k for k in range(i + 1, len(self._ops))
                         if self._ops[k][0] != "identity"
                     )
-                    folded, reason, fold_ulp = _try_fold_bn_conv(
-                        op, self._ops[j][1], self.half, self.precision
+                    folded, reason = _try_fold_bn_conv(
+                        op, self._ops[j][1], self.half
                     )
                     if folded is not None:
                         self._ops[i] = ("identity", None)
                         self._ops[j] = (self._ops[j][0], folded)
-                        if fold_ulp:
-                            self.ulp_sites.append(
-                                {"site": "bn-fold", "stage": i,
-                                 "placement": "bnorm->conv",
-                                 "max_ulp": fold_ulp}
-                            )
                     self.bn_folds.append(
                         {"stage": i, "site": "bnorm->conv",
                          "folded": folded is not None, "reason": reason}
@@ -1719,18 +1540,11 @@ class CompiledStagePlan:
                     continue
                 bn1, bn2, bn3 = norms
                 if bn1 is not None:
-                    folded, reason, fold_ulp = _try_fold_bn_conv(
-                        bn1, specs[1], self.half, self.precision
-                    )
+                    folded, reason = _try_fold_bn_conv(bn1, specs[1],
+                                                       self.half)
                     if folded is not None:
                         specs = specs[:1] + (folded,) + specs[2:]
                         bn1 = None
-                        if fold_ulp:
-                            self.ulp_sites.append(
-                                {"site": "bn-fold", "stage": i,
-                                 "placement": "norm1->inner-conv",
-                                 "max_ulp": fold_ulp}
-                            )
                     self.bn_folds.append(
                         {"stage": i, "site": "norm1->inner-conv",
                          "folded": folded is not None, "reason": reason}
@@ -1788,16 +1602,14 @@ class CompiledStagePlan:
         ``staging_bytes`` — workspace
         bytes keyed to the site, 0 since every output is finished inside
         its panel — (as recorded by the most recent :meth:`run`; empty until a run has happened, since
-        panel counts depend on the batch geometry), ulp-tier engagements,
-        and the workspace footprint.  Printed by ``repro-tpc analyze
-        --stats``.
+        panel counts depend on the batch geometry) and the workspace
+        footprint.  Printed by ``repro-tpc analyze --stats``.
         """
 
         kind_counts: dict[str, int] = {}
         for kind, _op in self._ops:
             kind_counts[kind] = kind_counts.get(kind, 0) + 1
         return {
-            "precision": self.precision,
             "half": self.half,
             "panel_threads": self.panel_threads,
             "stage_kinds": kind_counts,
@@ -1810,7 +1622,6 @@ class CompiledStagePlan:
                 repr(k): dict(v, staging_bytes=self._ws.nbytes(owner=k))
                 for k, v in sorted(self._gemm_stats.items(), key=repr)
             },
-            "ulp_sites": [dict(s) for s in self.ulp_sites],
             "workspace_bytes": self.workspace_bytes,
         }
 
@@ -1979,37 +1790,31 @@ class CompiledStagePlan:
         splits = spec.members
         form = None
         if m * K * 4 >= _BLOCKED_MIN_BYTES:
-            u32, u16 = _blocked_gemm_ulp(n, rows, K, o, P, splits)
-            # The stored grid's metric governs: fp16 steps where the panel
-            # epilogue snaps this GEMM's output, raw fp32 ulps otherwise.
-            u = u16 if self.half else u32
-            if u32 == 0 or (self.precision == "ulp" and u <= ULP_TIER_MAX_ULP):
-                if u:
-                    self._note_ulp_site(key, "blocked-gemm", u)
-                form = ("blocked", False, 0, u)
+            if _blocked_gemm_matches(n, rows, K, o, P, splits):
+                form = ("blocked", False, 0)
             elif splits:
                 return False
             elif o <= _PAD_MAX_O and (
                     opad := _blocked_pad_gemm_matches(n, rows, K, o, P)):
-                form = ("blocked_pad", False, opad, 0)
+                form = ("blocked_pad", False, opad)
             elif _blocked_ref_gemm_matches(n, rows, K, o, P):
-                form = ("blocked_ref", True, 0, 0)
+                form = ("blocked_ref", True, 0)
         T = 1
         if form is not None:
             T = max(1, min(self.panel_threads, m // P))
         elif _transposed_gemm_matches(n, rows, K, o, splits):
-            form, P = ("transposed", False, 0, 0), m
+            form, P = ("transposed", False, 0), m
         elif splits:
             return False
         else:
-            form, P = ("reference", True, 0, 0), rows
-        name, ref, opad, u = form
+            form, P = ("reference", True, 0), rows
+        name, ref, opad = form
         tails = tail if splits else (tail,)
         self._panels(key, spec, canvas, out_spatial, P, ref, opad, T, bound,
                      tails, crop)
         self._gemm_stats[key] = {
             "formulation": name, "m": m, "K": K, "o": o, "opad": opad,
-            "panels": -(-m // P), "threads": T, "max_ulp": int(u),
+            "panels": -(-m // P), "threads": T,
             "tail": kind, **({"members": list(splits)} if splits else {}),
             **{"requant": "sequence" if t.table is None else "table"
                for t in tails if hasattr(t, "table")},
@@ -2017,16 +1822,6 @@ class CompiledStagePlan:
         return True
 
     # ------------------------------------------------------------------
-    def _note_ulp_site(self, key, site: str, max_ulp: int) -> None:
-        """Record one ulp-tier engagement (idempotent per (key, site))."""
-
-        for rec in self.ulp_sites:
-            if rec.get("key") == key and rec["site"] == site:
-                return
-        self.ulp_sites.append(
-            {"site": site, "key": key, "max_ulp": int(max_ulp)}
-        )
-
     def _panel_pool(self, workers: int) -> concurrent.futures.ThreadPoolExecutor:
         """The plan's shared panel executor, (re)built for ≥ ``workers``."""
 

@@ -78,10 +78,6 @@ class AdaptiveCompressor:
         return self.inner.half
 
     @property
-    def precision(self) -> str:
-        return self.inner.precision
-
-    @property
     def panel_threads(self):
         return self.inner.panel_threads
 

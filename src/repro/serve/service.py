@@ -64,7 +64,6 @@ from typing import AsyncIterator, Iterable, Iterator, Sequence
 import numpy as np
 
 from ..core.compressor import BCAECompressor, CompressedWedges
-from ..core.fast_plan import PRECISIONS
 from ..core.geometry import WedgeGeometry
 from ..io.codes import split_compressed
 from ..perf.timing import FaultCounters, LatencySummary, ThroughputResult, summarize_latencies, throughput_from_batches
@@ -173,11 +172,6 @@ class ServiceConfig:
         waste address space (too large).  Units that still exceed their
         slab fall back to pickle per unit, now *counted* on
         ``ServiceStats.faults.shm_fallbacks``.
-    precision:
-        Compilation tier of every pooled compressor: ``"bit"`` (default —
-        payload bytes proven identical to the module path) or the opt-in
-        ``"ulp"`` serving tier with its recorded stored-grid error bounds
-        (see :data:`repro.core.fast_plan.ULP_TIER_MAX_ULP`).
     panel_threads:
         Intra-plan panel executor width for every pooled compressor
         (``None`` → the ``REPRO_PANEL_THREADS`` environment knob).  Output
@@ -229,7 +223,7 @@ class ServiceConfig:
     >>> ServiceConfig(max_batch=16, workers=4, backend="process").transport
     'shm'
     >>> ServiceConfig(max_delay_s=0.002)          # 2 ms latency budget
-    ServiceConfig(max_batch=8, max_delay_s=0.002, workers=0, backend='thread', half=True, inflight=8, transport='shm', shm_slab_mb=None, precision='bit', panel_threads=None, unit_timeout_s=None, max_retries=0, backoff_base_s=0.05, degrade_after=3, rate_policy=None, rate_budget_mbps=None)
+    ServiceConfig(max_batch=8, max_delay_s=0.002, workers=0, backend='thread', half=True, inflight=8, transport='shm', shm_slab_mb=None, panel_threads=None, unit_timeout_s=None, max_retries=0, backoff_base_s=0.05, degrade_after=3, rate_policy=None, rate_budget_mbps=None)
     """
 
     max_batch: int = 8
@@ -240,7 +234,6 @@ class ServiceConfig:
     inflight: int = 8
     transport: str = "shm"
     shm_slab_mb: float | None = None
-    precision: str = "bit"
     panel_threads: int | None = None
     unit_timeout_s: float | None = None
     max_retries: int = 0
@@ -265,10 +258,6 @@ class ServiceConfig:
         if self.degrade_after < 1:
             raise ValueError(
                 f"degrade_after must be >= 1, got {self.degrade_after}"
-            )
-        if self.precision not in PRECISIONS:
-            raise ValueError(
-                f"precision must be one of {PRECISIONS}, got {self.precision!r}"
             )
         if self.inflight < 1:
             raise ValueError(f"inflight must be >= 1, got {self.inflight}")
@@ -543,9 +532,8 @@ class ModelPoolService:
     # ------------------------------------------------------------------
     def _build_compressor(self) -> BCAECompressor:
         cfg = self.config
-        return _make_compressor(self.model, cfg.half, cfg.precision,
-                                cfg.panel_threads, cfg.rate_policy,
-                                cfg.rate_budget_mbps)
+        return _make_compressor(self.model, cfg.half, cfg.panel_threads,
+                                cfg.rate_policy, cfg.rate_budget_mbps)
 
     def _acquire(self) -> BCAECompressor:
         with self._pool_lock:
@@ -1649,8 +1637,7 @@ _PROCESS_COMPRESSOR: BCAECompressor | None = None
 _PROCESS_RING: SlabRing | None = None
 
 
-def _make_compressor(model, half: bool, precision: str,
-                     panel_threads: int | None,
+def _make_compressor(model, half: bool, panel_threads: int | None,
                      rate_policy: str | None = None,
                      rate_budget_mbps: float | None = None):
     """One pooled compressor — plain BCAE, or the adaptive tier around it.
@@ -1660,8 +1647,7 @@ def _make_compressor(model, half: bool, precision: str,
     hosts the *same* compressor construction (the serving-parity contract).
     """
 
-    compressor = BCAECompressor(model, half=half, precision=precision,
-                                panel_threads=panel_threads)
+    compressor = BCAECompressor(model, half=half, panel_threads=panel_threads)
     if rate_policy is None:
         return compressor
     from ..rate import AdaptiveCompressor, make_policy
@@ -1671,15 +1657,14 @@ def _make_compressor(model, half: bool, precision: str,
     )
 
 
-def _process_init(model, half: bool, ring_spec=None, precision: str = "bit",
+def _process_init(model, half: bool, ring_spec=None,
                   panel_threads: int | None = None,
                   rate_policy: str | None = None,
                   rate_budget_mbps: float | None = None) -> None:
     global _PROCESS_COMPRESSOR, _PROCESS_RING, _IN_POOL_WORKER
     _IN_POOL_WORKER = True
-    _PROCESS_COMPRESSOR = _make_compressor(model, half, precision,
-                                           panel_threads, rate_policy,
-                                           rate_budget_mbps)
+    _PROCESS_COMPRESSOR = _make_compressor(model, half, panel_threads,
+                                           rate_policy, rate_budget_mbps)
     _PROCESS_RING = SlabRing.attach(ring_spec) if ring_spec is not None else None
 
 
@@ -1902,8 +1887,8 @@ class _ProcessTransport:
     def initargs(self) -> tuple:
         cfg = self._service.config
         spec = self.ring.spec() if self.ring is not None else None
-        return (self._service.model, cfg.half, spec, cfg.precision,
-                cfg.panel_threads, cfg.rate_policy, cfg.rate_budget_mbps)
+        return (self._service.model, cfg.half, spec, cfg.panel_threads,
+                cfg.rate_policy, cfg.rate_budget_mbps)
 
     # -- per-kind payload plumbing --------------------------------------
     def _unit_array(self, item) -> np.ndarray:

@@ -66,6 +66,37 @@ class TestCleanPlans:
         # bn_folds decisions surface as info diagnostics (explainability).
         assert rec["bn_folds"] == enc.bn_folds
 
+    def test_rejected_folds_verify_clean_as_info(self):
+        """A BatchNorm plan whose folds the probe refused verifies clean:
+        each decision is one PV040 info diagnostic naming its stage, and
+        no rule grades a plan against a relaxed-numerics budget."""
+
+        model = build_model("bcae", wedge_spatial=WEDGE, seed=0)
+        rng = np.random.default_rng(3)
+        for _name, m in model.named_modules():
+            if hasattr(m, "running_var"):
+                c = m.num_features
+                m.set_buffer("running_mean",
+                             rng.normal(0, 0.5, c).astype(np.float32))
+                m.set_buffer("running_var",
+                             (0.5 + rng.random(c)).astype(np.float32))
+        model.eval()
+        enc = make_fast_encoder(model)
+        assert any(not d["folded"] for d in enc.bn_folds)
+        channels, spatial = enc.geometry.network_input(WEDGE)
+        rec = verify_plan(enc.plan, channels, spatial, LOG_INPUT_BOUND,
+                          label="t.encoder")
+        assert rec["ok"]
+        infos = [d for d in rec["diagnostic_objects"] if d.rule == "PV040"]
+        assert len(infos) == len(enc.bn_folds)
+        for d, fold in zip(infos, enc.bn_folds):
+            assert d.severity == "info" and f"stage {fold['stage']}" in d.scope
+            assert d.message.startswith(
+                "bn-fold applied" if fold["folded"] else "bn-fold rejected")
+        assert {d.rule for d in rec["diagnostic_objects"]} <= {
+            "PV020", "PV031", "PV040"}
+        assert "ulp" not in rec
+
     def test_static_shape_chain_matches_runtime(self):
         """The inferred output shape equals what run() actually produces."""
 
@@ -287,60 +318,3 @@ class TestLookupTails:
         assert errs and all(":down3d]" in d.scope for d in errs)
         want = ("norm between activation" if half else "outside half mode")
         assert any(want in d.message for d in errs)
-
-
-class TestUlpLedger:
-    """PV050–PV052: the relaxed-numerics ledger rules."""
-
-    def test_bit_plan_with_sites_is_error(self):
-        """A bit-tier plan carrying ulp sites means a probe-rejected
-        formulation ran without the opt-in — hard error."""
-
-        enc = _encoder_2d()
-        enc.plan.ulp_sites.append(
-            {"site": "blocked-gemm", "key": ("x",), "max_ulp": 1})
-        rec = _verify_2d(enc)
-        assert not rec["ok"]
-        assert any(d.rule == "PV050" for d in _errors(rec))
-
-    def test_over_cap_site_is_error(self):
-        """Even on an ulp-tier plan, a recorded bound above the tier cap
-        means the compile-time gate is broken."""
-
-        from repro.core.fast_plan import ULP_TIER_MAX_ULP
-
-        model = build_model("bcae_2d", wedge_spatial=WEDGE, seed=0,
-                            m=2, n=2, d=2)
-        model.eval()
-        enc = make_fast_encoder(model, precision="ulp")
-        enc.plan.ulp_sites.append(
-            {"site": "bn-fold", "stage": 1, "placement": "bnorm->conv",
-             "max_ulp": ULP_TIER_MAX_ULP + 1})
-        rec = _verify_2d(enc)
-        assert not rec["ok"]
-        assert any(d.rule == "PV051" for d in _errors(rec))
-
-    def test_bounded_sites_info_and_summary(self):
-        """Well-bounded sites on an ulp plan verify clean, surface as
-        PV052 info diagnostics, and land in the record's ulp summary."""
-
-        model = build_model("bcae_2d", wedge_spatial=WEDGE, seed=0,
-                            m=2, n=2, d=2)
-        model.eval()
-        enc = make_fast_encoder(model, precision="ulp")
-        enc.plan.ulp_sites.append(
-            {"site": "blocked-gemm", "key": ("k",), "max_ulp": 1})
-        rec = _verify_2d(enc)
-        assert rec["ok"]
-        infos = [d for d in rec["diagnostic_objects"] if d.rule == "PV052"]
-        assert len(infos) == 1
-        assert rec["ulp"]["precision"] == "ulp"
-        assert rec["ulp"]["max_ulp"] == 1
-        assert rec["ulp"]["sites"]
-
-    def test_clean_bit_plan_summary_empty(self):
-        rec = _verify_2d(_encoder_2d())
-        assert rec["ok"]
-        assert rec["ulp"] == {"precision": "bit", "sites": [],
-                              "max_ulp": 0,
-                              "cap": rec["ulp"]["cap"]}

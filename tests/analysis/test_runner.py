@@ -110,7 +110,6 @@ class TestPlanStatsRecords:
         assert records
         for rec in records:
             stats = rec["stats"]
-            assert stats["precision"] == "bit"
             assert stats["panel_threads"] >= 1
             assert stats["stage_kinds"]
             # Static verification never executes the plan.
@@ -129,17 +128,34 @@ class TestPlanStatsRecords:
             assert sites
             assert all(g["tail"] and g["staging_bytes"] == 0 for g in sites)
 
-    def test_ulp_precision_threads_through(self):
-        """The ulp tier compiles and verifies clean through the runner
-        (seed-0 folds engage with recorded 1-step bounds)."""
+    def test_cli_stats_prints_every_site(self, capsys, monkeypatch):
+        """``repro-tpc analyze --stats`` prints one ``stats  gemm`` line per
+        executed GEMM site of every plan, read from the same records the
+        runner returned."""
 
-        from repro.analysis import analyze_model_plans
+        import repro.analysis as analysis
+        from repro import cli
 
-        diags, records = analyze_model_plans(names=["bcae"],
-                                             precision="ulp")
-        assert not [d for d in diags if d.severity == "error"]
-        stats = {rec["label"]: rec["stats"] for rec in records}
-        assert all(s["precision"] == "ulp" for s in stats.values())
-        sites = [s for st in stats.values() for s in st["ulp_sites"]]
-        assert sites and all(s["max_ulp"] <= rec["ulp"]["cap"]
-                             for s in sites for rec in records)
+        records = []
+        real = analysis.run_analysis
+
+        def capture(*args, **kwargs):
+            report, recs = real(*args, **kwargs)
+            records.extend(recs)
+            return report, recs
+
+        monkeypatch.setattr(analysis, "run_analysis", capture)
+        assert cli.main(["analyze", "--passes", "plan", "--stats"]) == 0
+        out = capsys.readouterr().out
+        printed: dict[str, int] = {}
+        label = None
+        for line in out.splitlines():
+            if line.startswith("plan "):
+                label = line.split()[1]
+                printed[label] = 0
+            elif line.startswith("  stats  gemm "):
+                printed[label] += 1
+        assert printed == {rec["label"]: len(rec["stats"]["gemms"])
+                           for rec in records}
+        assert len(printed) == 12 and all(printed.values())
+        assert "ulp" not in out and "precision=" not in out

@@ -24,7 +24,12 @@ from repro.core.fast_plan import (
     fold_batchnorm,
     stage_kinds,
 )
-from repro.core.fast_plan import _BNSpec
+from repro.core.fast_plan import (
+    _BNSpec,
+    _ConvSpec,
+    _bn_fold_matches,
+    _try_fold_bn_conv,
+)
 from repro.nn import Tensor
 from repro.nn.amp import quantize_fp16
 from repro.nn.convolution import conv_forward
@@ -156,6 +161,36 @@ class TestFoldDecisions:
         (rec,) = plan.bn_folds
         assert not rec["folded"]
         assert "probe" in rec["reason"] or "reassociates" in rec["reason"]
+
+    @pytest.mark.parametrize("half", [True, False])
+    def test_fold_probe_is_a_predicate(self, half):
+        """The probe answers bit-equal or not; the fold keeps the fused
+        spec only on ``True`` and otherwise returns ``None`` with a reason
+        — there is no measured-deviation answer to relax against."""
+
+        nn.init.seed(6)
+        spec = _ConvSpec.from_module(nn.Conv2d(4, 2, 3, padding=1), half)
+        exact = BatchNorm2d(4, eps=0.0)
+        general = BatchNorm2d(4)
+        rng = np.random.default_rng(3)
+        general.set_buffer("running_mean",
+                           rng.normal(0, 1, 4).astype(np.float32))
+        general.set_buffer("running_var",
+                           (0.3 + rng.random(4)).astype(np.float32))
+        general.weight.data[:] = rng.normal(1, 0.3, 4).astype(np.float32)
+        general.bias.data[:] = rng.normal(0, 0.3, 4).astype(np.float32)
+        for bn, want in ((exact, True), (general, False)):
+            bn.eval()
+            bn_spec = _BNSpec.from_module(bn)
+            w_f, b_f = fold_batchnorm(bn_spec, spec.w_raw, spec.bias,
+                                      "bn_conv")
+            candidate = _ConvSpec._from_weight(w_f, b_f, spec.kernel,
+                                               spec.stride, spec.padding)
+            verdict = _bn_fold_matches(bn_spec, spec, candidate, half)
+            assert verdict is want
+            folded, reason = _try_fold_bn_conv(bn_spec, spec, half)
+            assert (folded is not None) is want
+            assert reason.startswith("folded" if want else "kept affine")
 
     def test_block_norms_recorded_per_site(self):
         """Every BatchNorm in a residual block gets a per-stage record:

@@ -1,7 +1,7 @@
 """Panel epilogue contract: every conv output is finished inside its panel.
 
 The blocked GEMM sites are exercised at a geometry that engages them on
-its own (no threshold monkeypatching — `test_parallel_ulp.py` covers the
+its own (no threshold monkeypatching — `test_parallel_panels.py` covers the
 shrunk-threshold variant): 64×64 spatial with K = 288 puts the 2-D
 decoder's im2col above ``_BLOCKED_MIN_BYTES``, and the 3-D geometries do
 the same for the transposed-conv tails of BCAE++ and the BatchNorm BCAE.
@@ -16,11 +16,6 @@ from hypothesis import strategies as st
 import repro.core.fast_plan as fp
 from repro import nn
 from repro.core import BCAECompressor, build_model
-from repro.core.fast_plan import (
-    ULP_TIER_MAX_ULP,
-    ULP_TIER_RECON_GRID_STEPS,
-    grid_steps_at_scale,
-)
 from repro.nn import Tensor
 from repro.nn.amp import quantize_fp16
 
@@ -184,25 +179,6 @@ class TestBlockedSitesMatchOracle:
             assert _blocked(plan) and not plan.half
             # No snap, no lookup: the table is a half-mode formulation.
             assert not any("requant" in g for g in _gemms(plan))
-
-    @pytest.mark.parametrize("name", ["bcae_2d", "bcae"])
-    def test_ulp_tier_within_recorded_bounds(self, name):
-        """The opt-in ulp tier runs through the same tails: every
-        engagement is recorded within its cap and the reconstruction stays
-        within the tier's end-to-end bound of the bit tier."""
-
-        model = _model(name)
-        w = _wedges(3, MID[name]["wedge_spatial"], seed=5)
-        bit = BCAECompressor(model, precision="bit")
-        ulp = BCAECompressor(model, precision="ulp", panel_threads=2)
-        r_bit = np.array(bit.decompress_into(bit.compress_into(w)))
-        r_ulp = np.array(ulp.decompress_into(ulp.compress_into(w)))
-        assert (grid_steps_at_scale(r_ulp, r_bit, True)
-                <= ULP_TIER_RECON_GRID_STEPS)
-        plans = [ulp._fast_encoder().plan, *ulp._fast_decoder().plans.values()]
-        for plan in plans:
-            assert all(s["max_ulp"] <= ULP_TIER_MAX_ULP for s in plan.ulp_sites)
-        assert not bit._fast_encoder().plan.ulp_sites
 
 
 class TestWorkingSet:

@@ -1,14 +1,10 @@
-"""Slot-parallel panel executor + opt-in ulp tier: determinism and bounds.
+"""Slot-parallel panel executor: determinism at every width.
 
 The executor's contract is *bit-identity at any width*: slot ``s`` of ``T``
 owns panels ``s, s+T, …`` with per-slot workspace slabs and deterministic
 output placement, so the payload and reconstruction bytes cannot depend on
-the thread count.  The ulp tier's contract is *bounded, recorded
-relaxation*: a probe-rejected formulation is kept only when its measured
-deviation fits :data:`~repro.core.fast_plan.ULP_TIER_MAX_ULP` grid steps
-at stage scale, every engagement lands on ``plan.ulp_sites``, and the
-archive round trip stays within
-:data:`~repro.core.fast_plan.ULP_TIER_RECON_GRID_STEPS` of the bit tier.
+the thread count.  There is one numerics contract: a formulation whose
+probe sees any deviation, however small, is not compiled.
 """
 
 import numpy as np
@@ -16,14 +12,12 @@ import pytest
 
 import repro.core.fast_plan as fp
 from repro.core import BCAECompressor, build_model
-from repro.core.fast_plan import (
-    PANEL_THREADS_ENV,
-    PRECISIONS,
-    ULP_TIER_MAX_ULP,
-    ULP_TIER_RECON_GRID_STEPS,
-    grid_steps_at_scale,
-)
+from repro.core.fast_decode import make_fast_decoder
+from repro.core.fast_encode import make_fast_encoder
+from repro.core.fast_plan import PANEL_THREADS_ENV
 from repro.core.model_zoo import MODEL_NAMES
+from repro.nn.norm import BatchNormNd
+from repro.serve import ServiceConfig
 
 
 @pytest.fixture
@@ -47,25 +41,6 @@ def _build(name, seed=3):
     return model, raw
 
 
-def _bn_modules(obj):
-    """All BatchNorm modules reachable through the object graph."""
-
-    found, stack, seen = [], [obj], set()
-    while stack:
-        o = stack.pop()
-        if id(o) in seen:
-            continue
-        seen.add(id(o))
-        if type(o).__name__.startswith("BatchNorm"):
-            found.append(o)
-        for v in vars(o).values():
-            if hasattr(v, "__dict__"):
-                stack.append(v)
-            elif isinstance(v, (list, tuple)):
-                stack.extend(x for x in v if hasattr(x, "__dict__"))
-    return found
-
-
 def _all_plans(comp):
     """(label, plan) for the compressor's compiled encoder + decoder heads."""
 
@@ -75,26 +50,38 @@ def _all_plans(comp):
     return plans
 
 
+def _mild_bn_statistics(model, seed=5):
+    """Running variances a few fp32 ulps off 1: the fold probe sees a
+    nonzero-but-tiny deviation on the original BCAE's BatchNorm sites."""
+
+    rng = np.random.default_rng(seed)
+    bns = [m for _name, m in model.named_modules()
+           if isinstance(m, BatchNormNd)]
+    assert bns, "model must carry BatchNorm stages"
+    for bn in bns:
+        rv = bn.running_var
+        rv[...] = (1.0 + rng.random(size=rv.shape) * 3e-7).astype(rv.dtype)
+    model.eval()
+
+
 class TestThreadInvariance:
-    @pytest.mark.parametrize("precision", PRECISIONS)
+    @pytest.mark.parametrize("half", [True, False])
     @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_bits_identical_across_widths(self, small_blocks, name,
-                                          precision):
+    def test_bits_identical_across_widths(self, small_blocks, name, half):
         """Payload and reconstruction bytes match at widths 1/2/4 for
-        every Table-1 model under both precision tiers."""
+        every Table-1 model in both inference modes."""
 
         model, raw = _build(name)
         payloads, recons = [], []
         for t in (1, 2, 4):
-            comp = BCAECompressor(model, half=True, precision=precision,
-                                  panel_threads=t)
+            comp = BCAECompressor(model, half=half, panel_threads=t)
             cw = comp.compress_into(raw)
             payloads.append(bytes(cw.payload))
             recons.append(np.array(comp.decompress_into(cw), copy=True))
         assert all(p == payloads[0] for p in payloads[1:]), \
-            f"{name}/{precision}: payload depends on panel width"
+            f"{name}/half={half}: payload depends on panel width"
         assert all(np.array_equal(r, recons[0]) for r in recons[1:]), \
-            f"{name}/{precision}: reconstruction depends on panel width"
+            f"{name}/half={half}: reconstruction depends on panel width"
 
     def test_repeated_runs_stable(self, small_blocks):
         """The threaded path is deterministic run to run, not just
@@ -136,70 +123,56 @@ class TestPanelThreadsKnob:
         assert comp._fast_encoder().plan.panel_threads == 2
 
 
-class TestUlpTier:
-    def test_invalid_precision_rejected(self):
-        model, _raw = _build("bcae_ht")
-        with pytest.raises(ValueError):
-            BCAECompressor(model, precision="approximately")
+class TestOneNumericsContract:
+    """Every compiled formulation is probe-proven bit-identical; there is
+    no relaxed tier to opt into."""
 
-    def test_bit_default_records_no_sites(self, small_blocks):
-        """The default tier must never engage a relaxed formulation."""
-
-        model, raw = _build("bcae")
-        comp = BCAECompressor(model, half=True)
-        comp.decompress_into(comp.compress_into(raw))
-        for label, plan in _all_plans(comp):
-            assert plan.ulp_sites == [], \
-                f"{label}: relaxed site engaged under precision='bit'"
-
-    def test_roundtrip_bound(self, small_blocks):
-        """Mildly perturbed BN running statistics: the fold probe measures
-        a nonzero-but-tiny deviation, so the bit tier keeps the affine
-        stages while the ulp tier folds them — with a recorded per-site
-        bound and an end-to-end recon inside the grid-step contract."""
+    @pytest.mark.parametrize("half", [True, False])
+    def test_mild_bn_statistics_stay_bit_exact(self, small_blocks, half):
+        """Folds whose probe sees only a tiny deviation are refused, and
+        the kept affine stages reproduce the module graph byte for byte."""
 
         model, raw = _build("bcae")
-        rng = np.random.default_rng(5)
-        bns = _bn_modules(model)
-        assert bns, "bcae must carry BatchNorm stages"
-        for bn in bns:
-            rv = bn.running_var
-            rv[...] = (1.0 + rng.random(size=rv.shape) * 3e-7).astype(
-                rv.dtype)
-        model.eval()
+        _mild_bn_statistics(model)
+        comp = BCAECompressor(model, half=half)
+        ref = comp.compress(raw)
+        got = comp.compress_into(raw)
+        assert bytes(got.payload) == bytes(ref.payload)
+        assert np.array_equal(np.asarray(comp.decompress_into(got)),
+                              comp.decompress(ref))
+        folds = [d for _label, plan in _all_plans(comp)
+                 for d in plan.bn_folds if d["site"] == "norm1->inner-conv"]
+        assert folds and any(not d["folded"] for d in folds)
 
-        comp_bit = BCAECompressor(model, half=True, precision="bit")
-        comp_ulp = BCAECompressor(model, half=True, precision="ulp")
-        cw_bit = comp_bit.compress_into(raw)
-        cw_ulp = comp_ulp.compress_into(raw)
-        rec_bit = np.array(comp_bit.decompress_into(cw_bit), copy=True)
-        rec_ulp = np.array(comp_ulp.decompress_into(cw_ulp), copy=True)
-
-        sites = [s for _label, plan in _all_plans(comp_ulp)
-                 for s in plan.ulp_sites]
-        assert sites, "ulp tier did not engage on the perturbed folds"
-        assert all(s["max_ulp"] <= ULP_TIER_MAX_ULP for s in sites)
-        # Under bit the same folds must have been refused.
-        for label, plan in _all_plans(comp_bit):
-            assert plan.ulp_sites == []
-        steps = grid_steps_at_scale(rec_ulp.astype(np.float32),
-                                    rec_bit.astype(np.float32), True)
-        assert steps <= ULP_TIER_RECON_GRID_STEPS, \
-            f"archive round trip off by {steps} grid steps"
-
-    def test_ulp_deterministic(self, small_blocks):
-        """Relaxed numerics are still deterministic: two ulp compressors
-        produce the same bytes as each other at every width."""
+    def test_mild_bn_statistics_width_invariant(self, small_blocks):
+        """The kept affine stages are deterministic at every width."""
 
         model, raw = _build("bcae")
-        ref = None
+        _mild_bn_statistics(model)
+        outs = []
         for t in (1, 4):
-            comp = BCAECompressor(model, half=True, precision="ulp",
-                                  panel_threads=t)
-            payload = bytes(comp.compress_into(raw).payload)
-            if ref is None:
-                ref = payload
-            assert payload == ref
+            comp = BCAECompressor(model, half=True, panel_threads=t)
+            cw = comp.compress_into(raw)
+            outs.append((bytes(cw.payload),
+                         np.array(comp.decompress_into(cw), copy=True)))
+        assert outs[0][0] == outs[1][0]
+        assert np.array_equal(outs[0][1], outs[1][1])
+
+    @pytest.mark.parametrize("entry", ["BCAECompressor", "make_fast_encoder",
+                                       "make_fast_decoder", "ServiceConfig"])
+    def test_precision_keyword_removed(self, entry):
+        """The old tier selector is gone outright, with no alias."""
+
+        model, _raw = _build("bcae_ht")
+        build = {
+            "BCAECompressor": lambda **kw: BCAECompressor(model, **kw),
+            "make_fast_encoder": lambda **kw: make_fast_encoder(model, **kw),
+            "make_fast_decoder": lambda **kw: make_fast_decoder(model, **kw),
+            "ServiceConfig": lambda **kw: ServiceConfig(**kw),
+        }[entry]
+        build()
+        with pytest.raises(TypeError):
+            build(precision="bit")
 
 
 class TestPlanStats:
@@ -209,7 +182,6 @@ class TestPlanStats:
         comp.decompress_into(comp.compress_into(raw))
         for label, plan in _all_plans(comp):
             stats = plan.plan_stats()
-            assert stats["precision"] == "bit"
             assert stats["panel_threads"] == 2
             assert stats["stage_kinds"]
             assert stats["workspace_bytes"] > 0
@@ -223,3 +195,16 @@ class TestPlanStats:
         blocked = [g for g in gemms if g["formulation"].startswith("blocked")]
         assert blocked, "no panel-blocked site engaged at test scale"
         assert all(g["threads"] >= 1 for g in blocked)
+
+    def test_stats_carry_no_tier_ledger(self, small_blocks):
+        """The record holds what ran and how, and nothing about a
+        numerics tier: no ``precision`` key, no relaxed-site list."""
+
+        model, raw = _build("bcae")
+        comp = BCAECompressor(model, half=True)
+        comp.decompress_into(comp.compress_into(raw))
+        for label, plan in _all_plans(comp):
+            stats = plan.plan_stats()
+            assert set(stats) == {"half", "panel_threads", "stage_kinds",
+                                  "bn_folds", "gemms", "workspace_bytes"}, \
+                label

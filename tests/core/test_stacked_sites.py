@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import repro.core.fast_plan as fp
 from repro.core import BCAECompressor, build_model
-from repro.core.fast_plan import ULP_TIER_RECON_GRID_STEPS, grid_steps_at_scale
 
 #: ``(rows, K, (o1, o2), ow)`` of the four pair sites of a BCAE++ encode at
 #: paper geometry ``(16, 192, 249)``, one wedge.
@@ -57,7 +56,38 @@ class TestStackingProbe:
     @pytest.mark.parametrize("rows,K,splits,ow", PAPER_PAIR_SITES)
     def test_accepts_the_paper_shapes(self, rows, K, splits, ow):
         P = fp._panel_cols(K, ow, rows)
-        assert fp._blocked_gemm_ulp(1, rows, K, sum(splits), P, splits) == (0, 0)
+        assert fp._blocked_gemm_matches(1, rows, K, sum(splits), P, splits)
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_blocked_probe_stops_at_the_first_mismatch(self, monkeypatch,
+                                                       where):
+        """One flipped bit in the reference rejects the shape, and the
+        probe compares no panel past the one that holds it."""
+
+        n, rows, K, o, P = 2, 48, 16, 4, 32  # three panels of 32 columns
+        monkeypatch.setattr(fp, "_BLOCKED_GEMM_OK", {})
+        assert fp._blocked_gemm_matches(n, rows, K, o, P)
+
+        class Panels(np.ndarray):
+            """A reference that counts the panel slices taken from it."""
+
+            def __getitem__(self, idx):
+                compared.append(idx)
+                return np.ndarray.__getitem__(self, idx)
+
+        compared = []
+        real = fp._probe_problem
+
+        def corrupted(*args):
+            a, b, ref = real(*args)
+            row = 0 if where == "first" else -1
+            ref[row, 0] = np.nextafter(ref[row, 0], np.float32(np.inf))
+            return a, b, ref.view(Panels)
+
+        monkeypatch.setattr(fp, "_probe_problem", corrupted)
+        monkeypatch.setattr(fp, "_BLOCKED_GEMM_OK", {})
+        assert fp._blocked_gemm_matches(n, rows, K, o, P) is False
+        assert len(compared) == (1 if where == "first" else -(-n * rows // P))
 
     def test_compares_each_member_with_its_own_reference(self):
         """At ``(n, rows, K) = (2, 240, 384)`` this host's BLAS contracts
@@ -127,15 +157,15 @@ class TestStackingProbe:
         recon = np.array(fused.decompress_into(fused.compress_into(w)))
         assert any(_pair_sites(p)[0] for p in _plans(fused))
 
-        whole, blocked = fp._transposed_gemm_matches, fp._blocked_gemm_ulp
+        whole, blocked = fp._transposed_gemm_matches, fp._blocked_gemm_matches
         monkeypatch.setattr(
             fp, "_transposed_gemm_matches",
             lambda n, rows, K, o, splits=None:
                 splits is None and whole(n, rows, K, o))
         monkeypatch.setattr(
-            fp, "_blocked_gemm_ulp",
+            fp, "_blocked_gemm_matches",
             lambda n, rows, K, o, P, splits=None:
-                (1 << 30, 1 << 30) if splits else blocked(n, rows, K, o, P))
+                splits is None and blocked(n, rows, K, o, P))
         apart = BCAECompressor(model)
         assert bytes(apart.compress_into(w).payload) == payload
         assert np.array_equal(
@@ -154,12 +184,11 @@ class TestStackedSitesMatchOracle:
         horizontal=st.integers(17, 48),
         n=st.sampled_from([1, 3]),
         threads=st.sampled_from([1, 2]),
-        precision=st.sampled_from(["bit", "ulp"]),
         half=st.booleans(),
         seed=st.integers(0, 2**31 - 1),
     )
     def test_small_3d_geometries(self, name, radial, azimuth, horizontal, n,
-                                 threads, precision, half, seed):
+                                 threads, half, seed):
         """Payload and reconstruction equal the module-graph oracle byte
         for byte whether or not a pair fused, through the BatchNorm tails,
         the ``output_padding`` crop and the crop fill of the original BCAE,
@@ -167,23 +196,14 @@ class TestStackedSitesMatchOracle:
 
         spatial = (radial, azimuth, horizontal)
         comp = BCAECompressor(_model(name, spatial), half=half,
-                              precision=precision, panel_threads=threads)
+                              panel_threads=threads)
         w = _wedges(n, spatial, seed=seed)
         ref = comp.compress(w)
         got = comp.compress_into(w)
         payload = bytes(got.payload)
-        recon = np.array(comp.decompress_into(got))
-        oracle = comp.decompress(ref)
-        if any(plan.ulp_sites for plan in _plans(comp)):
-            # The opt-in tier relaxed a site (a BatchNorm fold of the
-            # original BCAE): bounded, not bit-equal, by contract.
-            assert precision == "ulp"
-            assert grid_steps_at_scale(
-                np.array(comp.decompress_into(ref)), oracle,
-                half) <= ULP_TIER_RECON_GRID_STEPS
-        else:
-            assert payload == bytes(ref.payload)
-            assert np.array_equal(recon, oracle)
+        assert payload == bytes(ref.payload)
+        assert np.array_equal(np.array(comp.decompress_into(got)),
+                              comp.decompress(ref))
         record = len(payload) // n
         for j in range(n):
             alone = bytes(comp.compress_into(w[j:j + 1]).payload)

@@ -20,6 +20,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("argv", [
+        ["serve"],
+        ["decompress", "--archive", "codes.npz"],
+        ["analyze"],
+    ])
+    def test_no_precision_flag(self, argv, capsys):
+        """There is one numerics contract, so no tier flag to pick one."""
+
+        build_parser().parse_args(argv)
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--precision", "bit"])
+        assert exc.value.code == 2
+        assert "--precision" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_generate(self, tmp_path, capsys):
