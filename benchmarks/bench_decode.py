@@ -22,7 +22,7 @@ Acceptance gates:
   (measured ~6×);
 * reconstructions are **bit-identical** to the module-graph path for every
   payload, in every configuration;
-* **thread scaling** — the same archive decoded at panel-thread counts
+* **thread scaling** — the same archive decoded at panel widths
   1/2/4 yields byte-identical reconstructions at every width, and on
   hosts with ≥ 4 cores the widest configuration sustains **≥ 1.5×**
   single-thread throughput (the scaling gate is informational on smaller
@@ -164,18 +164,25 @@ def measure_threaded(model_name="bcae_ht", n_wedges=_N_WEDGES_PAPER,
     ≥ 1.5× scaling gate only applies where ≥ 4 cores exist to scale onto.
     """
 
+    import repro.core.fast_plan as fast_plan
     from repro.core import BCAECompressor, build_model
 
     wedges = _stream(n_wedges, paper=paper)
     model = build_model(model_name, wedge_spatial=wedges.shape[1:], seed=0)
     model.eval()
-    comps = {t: BCAECompressor(model, panel_threads=t)
-             for t in _THREAD_COUNTS}
+    comps = {t: BCAECompressor(model) for t in _THREAD_COUNTS}
     payloads = [comps[1].compress(w) for w in wedges]
 
     digests = {}
     for t, comp in comps.items():
-        comp.decompress_into(payloads[0])  # compile + warm workspaces
+        # The width is derived from the host; the private hook fixes it
+        # while the plans compile (on this first call) so every host
+        # sweeps the same widths.
+        fast_plan._FORCED_WIDTH = t
+        try:
+            comp.decompress_into(payloads[0])  # compile + warm workspaces
+        finally:
+            fast_plan._FORCED_WIDTH = None
         digests[t] = b"".join(
             np.ascontiguousarray(comp.decompress_into(c)).tobytes()
             for c in payloads
@@ -196,7 +203,7 @@ def measure_threaded(model_name="bcae_ht", n_wedges=_N_WEDGES_PAPER,
         "scaling_gated": (os.cpu_count() or 1) >= 4,
         "rows": [
             {
-                "panel_threads": t,
+                "panel_width": t,
                 "wedges_per_second": wps[t],
                 "speedup_vs_single_thread": wps[t] / wps[1],
                 "bit_identical": digests[t] == digests[1],
@@ -245,7 +252,7 @@ def _report_lines(section):
                f"({section['cpu_count']} core(s); scaling gate "
                f"{'ON' if section['scaling_gated'] else 'informational'})")
         for row in section["rows"]:
-            yield (f"    panel_threads={row['panel_threads']}: "
+            yield (f"    panel_width={row['panel_width']}: "
                    f"{row['wedges_per_second']:7.2f} w/s  "
                    f"{row['speedup_vs_single_thread']:.2f}x single-thread  "
                    f"recon {'identical' if row['bit_identical'] else 'MISMATCH'}")
@@ -361,7 +368,7 @@ def test_decode_thread_scaling(benchmark):
         report(line)
 
     identical, fast_enough, best = _section_ok(section, 1.5)
-    assert identical, "recon differs across panel-thread counts"
+    assert identical, "recon differs across panel widths"
     assert fast_enough, f"thread scaling only {best:.2f}x on ≥4 cores"
 
 

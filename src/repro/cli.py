@@ -136,10 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the asyncio ingestion gateway (wall-clock "
                         "latency budget, paced arrival replay)")
     v.add_argument("--full", action="store_true", help="fp32 instead of fp16 inference")
-    v.add_argument("--panel-threads", type=int, default=None,
-                   help="intra-plan panel executor width (default: the "
-                        "REPRO_PANEL_THREADS env knob; bytes identical at "
-                        "any value)")
     v.add_argument("--unit-timeout-s", type=float, default=None,
                    help="per-unit completion deadline; a hung worker is "
                         "killed, the pool rebuilt, and the unit retried "
@@ -222,9 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="slab size [MiB] of the shm transport ring "
                         "(default: adaptive — sized from the first unit)")
     x.add_argument("--full", action="store_true", help="fp32 instead of fp16 inference")
-    x.add_argument("--panel-threads", type=int, default=None,
-                   help="intra-plan panel executor width (default: the "
-                        "REPRO_PANEL_THREADS env knob)")
     x.add_argument("--adc", action="store_true",
                    help="also invert the log transform back to integer ADC")
     x.add_argument("--verify", action="store_true",
@@ -472,7 +465,6 @@ def _cmd_serve(args) -> int:
         transport=args.transport,
         shm_slab_mb=args.shm_slab_mb,
         half=not args.full,
-        panel_threads=args.panel_threads,
         unit_timeout_s=args.unit_timeout_s,
         max_retries=args.max_retries,
         rate_policy=args.rate_policy,
@@ -779,7 +771,6 @@ def _cmd_decompress(args) -> int:
         transport=args.transport,
         shm_slab_mb=args.shm_slab_mb,
         half=not args.full,
-        panel_threads=args.panel_threads,
         # Mixed archives need the adaptive tier on the decode side too —
         # the policy itself is irrelevant for decoding, but the wrapper
         # routes each record to its codec.
@@ -826,8 +817,10 @@ def _print_plan_stats(rec: dict) -> None:
     kinds = " ".join(f"{k}:{v}" for k, v in
                      sorted(stats["stage_kinds"].items()))
     folds = stats["bn_folds"]
-    print(f"  stats  half={stats['half']} "
-          f"panel_threads={stats['panel_threads']}")
+    budget = stats["panel_budget"]
+    print(f"  stats  half={stats['half']} panel_width={budget['width']} "
+          f"(cores={budget['cores']} // (blas_threads="
+          f"{budget['blas_threads']} × workers={budget['workers']}))")
     print(f"  stats  stages  {kinds}")
     print(f"  stats  bn-folds  {folds['folded']} folded / "
           f"{folds['kept']} kept")

@@ -52,8 +52,8 @@ from ..tpc.transforms import (
     pad_horizontal,
     unpad_horizontal,
 )
-from .fast_decode import make_fast_decoder, supports_fast_decode
-from .fast_encode import Workspace, make_fast_encoder, supports_fast_encode
+from .fast_decode import FastDecoder, supports_fast_decode
+from .fast_encode import FastEncoder, Workspace, supports_fast_encode
 from .geometry import WedgeGeometry
 from .heads import BicephalousAutoencoder
 
@@ -191,17 +191,16 @@ class BCAECompressor:
     half:
         Run inference in the paper's half-precision mode (default True —
         "the most likely computation model for future deployment", §3.3).
-    panel_threads:
-        Intra-plan panel executor width for the compiled fast paths
-        (None → the ``REPRO_PANEL_THREADS`` environment knob, default 1).
-        Payload/reconstruction bits are identical at every width.
+
+    Panel width is derived (:func:`~repro.core.fast_plan.panel_budget`);
+    a serving pool passes its compressor count as ``_workers``.
     """
 
     def __init__(self, model: BicephalousAutoencoder, half: bool = True,
-                 panel_threads: int | None = None) -> None:
+                 _workers: int = 1) -> None:
         self.model = model
         self.half = bool(half)
-        self.panel_threads = panel_threads
+        self._workers = _workers
         self._fast = None
         self._fast_signature: tuple = ()
         self._fast_dec = None
@@ -300,8 +299,8 @@ class BCAECompressor:
             return None
         signature = self._weights_signature()
         if self._fast is None or signature != self._fast_signature:
-            self._fast = make_fast_encoder(self.model, half=self.half,
-                                           panel_threads=self.panel_threads)
+            self._fast = FastEncoder(self.model, half=self.half,
+                                     _workers=self._workers)
             self._fast_signature = signature
         return self._fast
 
@@ -467,8 +466,8 @@ class BCAECompressor:
             return None
         signature = self._decoder_signature()
         if self._fast_dec is None or signature != self._fast_dec_signature:
-            self._fast_dec = make_fast_decoder(self.model, half=self.half,
-                                               panel_threads=self.panel_threads)
+            self._fast_dec = FastDecoder(self.model, half=self.half,
+                                         _workers=self._workers)
             self._fast_dec_signature = signature
         return self._fast_dec
 

@@ -99,13 +99,11 @@ def supports_fast_decode(model) -> bool:
     return True
 
 
-def make_fast_decoder(model, half: bool = True,
-                      panel_threads: int | None = None) -> "FastDecoder":
+def make_fast_decoder(model, half: bool = True) -> "FastDecoder":
     """Build the compiled decoder pair for a model that passes
-    :func:`supports_fast_decode`.  ``panel_threads`` forwards to both head
-    plans (:class:`~repro.core.fast_plan.CompiledStagePlan`)."""
+    :func:`supports_fast_decode`."""
 
-    return FastDecoder(model, half=half, panel_threads=panel_threads)
+    return FastDecoder(model, half=half)
 
 
 class FastDecoder:
@@ -122,12 +120,9 @@ class FastDecoder:
     half:
         Replicate the fp16 autocast numerics (§3.3 deployment mode); False
         replicates the full-precision module path.
-    panel_threads:
-        Intra-plan panel executor width (None → ``REPRO_PANEL_THREADS``).
     """
 
-    def __init__(self, model, half: bool = True,
-                 panel_threads: int | None = None) -> None:
+    def __init__(self, model, half: bool = True, _workers: int = 1) -> None:
         if not supports_fast_decode(model):
             raise TypeError(
                 f"FastDecoder cannot compile {type(model).__name__}'s decoders; "
@@ -144,7 +139,7 @@ class FastDecoder:
         self._seg, self._reg = (
             CompiledStagePlan(_head_stages(head), half=self.half,
                               workspace=self._ws, prefix="d",
-                              panel_threads=panel_threads)
+                              _workers=_workers)
             for head in (model.seg_decoder, model.reg_decoder)
         )
 

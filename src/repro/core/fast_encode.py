@@ -88,14 +88,11 @@ def supports_fast_encode(model) -> bool:
                                                  _ENCODER_KINDS)
 
 
-def make_fast_encoder(model, half: bool = True,
-                      panel_threads: int | None = None) -> "FastEncoder":
+def make_fast_encoder(model, half: bool = True) -> "FastEncoder":
     """Build the compiled encoder for a model (or bare encoder) that passes
-    :func:`supports_fast_encode`.  ``panel_threads`` forwards to
-    :class:`~repro.core.fast_plan.CompiledStagePlan` (the intra-plan panel
-    executor)."""
+    :func:`supports_fast_encode`."""
 
-    return FastEncoder(model, half=half, panel_threads=panel_threads)
+    return FastEncoder(model, half=half)
 
 
 class FastEncoder:
@@ -110,12 +107,9 @@ class FastEncoder:
     half:
         Replicate the fp16 autocast numerics (the deployment mode, §3.3).
         When False the full-precision module path is replicated instead.
-    panel_threads:
-        Intra-plan panel executor width (None → ``REPRO_PANEL_THREADS``).
     """
 
-    def __init__(self, encoder, half: bool = True,
-                 panel_threads: int | None = None) -> None:
+    def __init__(self, encoder, half: bool = True, _workers: int = 1) -> None:
         encoder = getattr(encoder, "encoder", encoder)
         if not supports_fast_encode(encoder):
             raise TypeError(
@@ -126,7 +120,7 @@ class FastEncoder:
         #: Where the radial axis rides and which wedges fit (the 2D/3D rule).
         self.geometry = WedgeGeometry.of(encoder)
         self._plan = CompiledStagePlan(_encoder_stages(encoder), half=self.half,
-                                       panel_threads=panel_threads)
+                                       _workers=_workers)
         self._ws = self._plan.workspace
 
     @property

@@ -206,6 +206,7 @@ import functools
 import itertools
 import math
 import os
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -221,10 +222,11 @@ __all__ = [
     "CompiledStagePlan",
     "DECODE_ENTRY_KINDS",
     "FP16_MAX",
-    "PANEL_THREADS_ENV",
+    "PanelBudget",
     "Workspace",
     "entry_kinds_ok",
     "fold_batchnorm",
+    "panel_budget",
     "stage_kinds",
 ]
 
@@ -247,33 +249,47 @@ _BLOCKED_MIN_BYTES = 4 << 20
 #: gather destination and the GEMM operands resident in L2.
 _PANEL_BYTES = 1 << 20
 
-#: Environment knob for the intra-plan panel executor: the number of worker
-#: threads independent im2col panels fan out to inside one GEMM.  An
-#: explicit ``panel_threads=`` argument on :class:`CompiledStagePlan` (and
-#: everything that forwards to it — the fast wrappers, ``BCAECompressor``,
-#: ``ServiceConfig``) overrides the environment.  Panels write disjoint
-#: rows of the destination and each thread owns its scratch arena, so
-#: output bits are identical at every thread count.
-PANEL_THREADS_ENV = "REPRO_PANEL_THREADS"
-
 #: Byte size of one cache-resident block of the fused BatchNorm affine
 #: kernel (see :meth:`_BNSpec.apply`).
 _BN_BLOCK = 1 << 18
 
+#: The BLAS libraries' own thread-count variables (OpenBLAS, OpenMP, MKL).
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
 
-def _resolve_panel_threads(requested: int | None) -> int:
-    """Panel-executor thread count: explicit argument, else the
-    ``REPRO_PANEL_THREADS`` environment knob, else 1 (serial)."""
+#: Private width hook: plans compiled while it is set run at exactly this
+#: width.  Width-invariance tests and the decode bench's sweep set it.
+_FORCED_WIDTH: int | None = None
 
-    if requested is None:
-        env = os.environ.get(PANEL_THREADS_ENV, "").strip()
-        try:
-            requested = int(env) if env else 1
-        except ValueError:
-            raise ValueError(
-                f"{PANEL_THREADS_ENV} must be an integer, got {env!r}"
-            ) from None
-    return max(1, int(requested))
+
+class PanelBudget(NamedTuple):
+    """The intra-plan panel width and the three inputs it came from."""
+
+    width: int
+    cores: int
+    blas_threads: int
+    workers: int
+
+
+def panel_budget(workers: int = 1) -> PanelBudget:
+    """Derive the panel executor width from the cores this process may use.
+
+    ``width = cores // (blas_threads · workers)``, floored at 1.  ``cores``
+    is the CPU affinity (``taskset -c 0`` gives 1).  ``blas_threads`` is the
+    largest BLAS variable set; unset, or any value that is not a positive
+    integer (BLAS's variables, so never an error here), means BLAS owns
+    every core — width 1.  ``workers`` counts the compressors run at once
+    (inline's 0 counts as 1).  Payload bytes are identical at every width.
+    """
+
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    counts = [os.environ[v].strip() for v in _BLAS_THREAD_VARS if v in os.environ]
+    blas = (max(map(int, counts)) if counts and all(
+        c.isdigit() and int(c) > 0 for c in counts) else cores)
+    workers = max(1, workers)
+    return PanelBudget(_FORCED_WIDTH or max(1, cores // (blas * workers)),
+                       cores, blas, workers)
 
 
 def _leaky_ok(*acts) -> bool:
@@ -1387,18 +1403,15 @@ class CompiledStagePlan:
         but lose the steady-state reuse.
     prefix:
         Workspace key namespace for this plan's buffers.
-    panel_threads:
-        Worker count for the intra-plan panel executor (blocked im2col
-        panels of one GEMM run concurrently; NumPy releases the GIL inside
-        ``np.dot``).  ``None`` reads the ``REPRO_PANEL_THREADS``
-        environment knob, default 1 (serial).  Each thread owns its
-        scratch arena and panels write disjoint destination rows, so
-        results are bit-identical at any thread count.
+
+    The panel executor's width is fixed here by :func:`panel_budget`
+    (``_workers``: compressors the caller runs at once); slots own their
+    scratch and write disjoint rows, so bits are identical at any width.
     """
 
     def __init__(self, stages, half: bool = True,
                  workspace: Workspace | None = None, prefix: str = "",
-                 panel_threads: int | None = None) -> None:
+                 _workers: int = 1) -> None:
         kinds = stage_kinds(stages)
         if kinds is None:
             raise TypeError(
@@ -1406,15 +1419,16 @@ class CompiledStagePlan:
                 "guard with stage_kinds()"
             )
         self.half = bool(half)
-        self.panel_threads = _resolve_panel_threads(panel_threads)
+        #: The resolved panel width and the inputs that produced it.
+        self.budget = panel_budget(_workers)
         self.prefix = prefix
         self._ws = Workspace() if workspace is None else workspace
         #: Per-GEMM-site execution stats (formulation, panel/thread counts)
         #: recorded by :meth:`_gemm` on each run — see :meth:`plan_stats`.
         self._gemm_stats: dict = {}
-        #: Lazily created panel executor (``panel_threads − 1`` workers;
-        #: the caller thread always runs slot 0).
-        self._panel_executor: concurrent.futures.ThreadPoolExecutor | None = None
+        #: ``(pid, executor)`` of the lazily created panel executor
+        #: (``width − 1`` workers; the caller thread always runs slot 0).
+        self._panel_executor: tuple | None = None
         #: Zero-padded ``(O_pad, K)`` weight operands for repacked GEMMs.
         self._wpad: dict = {}
         #: Per-geometry lease counters of the current :meth:`run`.
@@ -1594,7 +1608,9 @@ class CompiledStagePlan:
     def plan_stats(self) -> dict:
         """Execution summary: what compiled to what, and what ran how.
 
-        Returns a plain-dict observability record: per-stage kind counts,
+        Returns a plain-dict observability record: the resolved
+        :class:`PanelBudget` (width, cores, BLAS threads, workers),
+        per-stage kind counts,
         BN fold decisions, per-GEMM-site formulation/panel/thread stats,
         tail kind (a stacked site lists its ``members`` split and both
         tails, ``"act+requant|act"``; an ``act+requant`` tail adds its
@@ -1611,7 +1627,7 @@ class CompiledStagePlan:
             kind_counts[kind] = kind_counts.get(kind, 0) + 1
         return {
             "half": self.half,
-            "panel_threads": self.panel_threads,
+            "panel_budget": self.budget._asdict(),
             "stage_kinds": kind_counts,
             "bn_folds": {
                 "folded": sum(1 for d in self.bn_folds if d["folded"]),
@@ -1801,7 +1817,7 @@ class CompiledStagePlan:
                 form = ("blocked_ref", True, 0)
         T = 1
         if form is not None:
-            T = max(1, min(self.panel_threads, m // P))
+            T = max(1, min(self.budget.width, m // P))
         elif _transposed_gemm_matches(n, rows, K, o, splits):
             form, P = ("transposed", False, 0), m
         elif splits:
@@ -1822,19 +1838,16 @@ class CompiledStagePlan:
         return True
 
     # ------------------------------------------------------------------
-    def _panel_pool(self, workers: int) -> concurrent.futures.ThreadPoolExecutor:
-        """The plan's shared panel executor, (re)built for ≥ ``workers``."""
+    def _panel_pool(self) -> concurrent.futures.ThreadPoolExecutor:
+        """The plan's panel executor, built on first use in this process:
+        an executor inherited across ``fork`` has no threads behind it."""
 
-        pool = self._panel_executor
-        if pool is None or getattr(pool, "_repro_workers", 0) < workers:
-            if pool is not None:
-                pool.shutdown(wait=True)
-            pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-panel"
-            )
-            pool._repro_workers = workers
-            self._panel_executor = pool
-        return pool
+        pid = os.getpid()
+        if self._panel_executor is None or self._panel_executor[0] != pid:
+            self._panel_executor = (pid, concurrent.futures.ThreadPoolExecutor(
+                max_workers=self.budget.width - 1,
+                thread_name_prefix="repro-panel"))
+        return self._panel_executor[1]
 
     def _slab(self, slot: int, spec: _ConvSpec, c: int, rows: int, ow: int,
               wt_op: np.ndarray | None) -> tuple:
@@ -1964,7 +1977,7 @@ class CompiledStagePlan:
         if T == 1:
             run_slot(0)
         else:
-            pool = self._panel_pool(T - 1)
+            pool = self._panel_pool()
             futures = [pool.submit(run_slot, s) for s in range(1, T)]
             run_slot(0)
             for f in futures:

@@ -77,10 +77,6 @@ class AdaptiveCompressor:
     def half(self) -> bool:
         return self.inner.half
 
-    @property
-    def panel_threads(self):
-        return self.inner.panel_threads
-
     def code_shape_for(self, wedge_spatial) -> tuple[int, ...]:
         return self.inner.code_shape_for(wedge_spatial)
 

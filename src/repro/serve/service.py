@@ -64,6 +64,7 @@ from typing import AsyncIterator, Iterable, Iterator, Sequence
 import numpy as np
 
 from ..core.compressor import BCAECompressor, CompressedWedges
+from ..core.fast_plan import panel_budget
 from ..core.geometry import WedgeGeometry
 from ..io.codes import split_compressed
 from ..perf.timing import FaultCounters, LatencySummary, ThroughputResult, summarize_latencies, throughput_from_batches
@@ -144,7 +145,8 @@ class ServiceConfig:
     workers:
         Pool size.  ``0`` runs inline on the caller's thread — the fastest
         configuration for single-core NumPy; ``>= 1`` exercises the real
-        hand-off machinery.
+        hand-off machinery.  Pooled compressors split the cores between
+        their panel executors (:func:`~repro.core.fast_plan.panel_budget`).
     backend:
         ``"thread"`` (default) or ``"process"`` — how ``workers >= 1`` are
         hosted.  The process pool sidesteps the GIL on multi-core boxes at
@@ -172,11 +174,6 @@ class ServiceConfig:
         waste address space (too large).  Units that still exceed their
         slab fall back to pickle per unit, now *counted* on
         ``ServiceStats.faults.shm_fallbacks``.
-    panel_threads:
-        Intra-plan panel executor width for every pooled compressor
-        (``None`` → the ``REPRO_PANEL_THREADS`` environment knob).  Output
-        bytes are identical at any value; this composes with ``workers``
-        (inter-batch) as the intra-batch parallelism axis.
     unit_timeout_s:
         Per-unit deadline in seconds, measured while the stream waits on
         the unit's emission.  A unit that exceeds it has its worker pool
@@ -223,7 +220,7 @@ class ServiceConfig:
     >>> ServiceConfig(max_batch=16, workers=4, backend="process").transport
     'shm'
     >>> ServiceConfig(max_delay_s=0.002)          # 2 ms latency budget
-    ServiceConfig(max_batch=8, max_delay_s=0.002, workers=0, backend='thread', half=True, inflight=8, transport='shm', shm_slab_mb=None, panel_threads=None, unit_timeout_s=None, max_retries=0, backoff_base_s=0.05, degrade_after=3, rate_policy=None, rate_budget_mbps=None)
+    ServiceConfig(max_batch=8, max_delay_s=0.002, workers=0, backend='thread', half=True, inflight=8, transport='shm', shm_slab_mb=None, unit_timeout_s=None, max_retries=0, backoff_base_s=0.05, degrade_after=3, rate_policy=None, rate_budget_mbps=None)
     """
 
     max_batch: int = 8
@@ -234,7 +231,6 @@ class ServiceConfig:
     inflight: int = 8
     transport: str = "shm"
     shm_slab_mb: float | None = None
-    panel_threads: int | None = None
     unit_timeout_s: float | None = None
     max_retries: int = 0
     backoff_base_s: float = 0.05
@@ -412,6 +408,9 @@ class ServiceHealth:
     backend / level / workers:
         Configured backend, the current effective ladder level (differs
         from ``backend`` after a step-down), and the configured pool size.
+    panel_width:
+        Panel width each pooled compressor resolves
+        (:func:`~repro.core.fast_plan.panel_budget`).
     active_streams:
         Streams currently being served.
     ring_slabs / ring_leased:
@@ -430,6 +429,7 @@ class ServiceHealth:
     backend: str
     level: str
     workers: int
+    panel_width: int
     active_streams: int
     ring_slabs: int
     ring_leased: int
@@ -532,7 +532,7 @@ class ModelPoolService:
     # ------------------------------------------------------------------
     def _build_compressor(self) -> BCAECompressor:
         cfg = self.config
-        return _make_compressor(self.model, cfg.half, cfg.panel_threads,
+        return _make_compressor(self.model, cfg.half, cfg.workers,
                                 cfg.rate_policy, cfg.rate_budget_mbps)
 
     def _acquire(self) -> BCAECompressor:
@@ -643,6 +643,7 @@ class ModelPoolService:
             backend="inline" if self.config.workers == 0 else self.config.backend,
             level=sup.level,
             workers=self.config.workers,
+            panel_width=panel_budget(self.config.workers).width,
             active_streams=sup.active_streams,
             ring_slabs=ring_slabs,
             ring_leased=ring_leased,
@@ -1637,7 +1638,7 @@ _PROCESS_COMPRESSOR: BCAECompressor | None = None
 _PROCESS_RING: SlabRing | None = None
 
 
-def _make_compressor(model, half: bool, panel_threads: int | None,
+def _make_compressor(model, half: bool, workers: int,
                      rate_policy: str | None = None,
                      rate_budget_mbps: float | None = None):
     """One pooled compressor — plain BCAE, or the adaptive tier around it.
@@ -1647,7 +1648,7 @@ def _make_compressor(model, half: bool, panel_threads: int | None,
     hosts the *same* compressor construction (the serving-parity contract).
     """
 
-    compressor = BCAECompressor(model, half=half, panel_threads=panel_threads)
+    compressor = BCAECompressor(model, half=half, _workers=workers)
     if rate_policy is None:
         return compressor
     from ..rate import AdaptiveCompressor, make_policy
@@ -1657,13 +1658,12 @@ def _make_compressor(model, half: bool, panel_threads: int | None,
     )
 
 
-def _process_init(model, half: bool, ring_spec=None,
-                  panel_threads: int | None = None,
+def _process_init(model, half: bool, ring_spec=None, workers: int = 1,
                   rate_policy: str | None = None,
                   rate_budget_mbps: float | None = None) -> None:
     global _PROCESS_COMPRESSOR, _PROCESS_RING, _IN_POOL_WORKER
     _IN_POOL_WORKER = True
-    _PROCESS_COMPRESSOR = _make_compressor(model, half, panel_threads,
+    _PROCESS_COMPRESSOR = _make_compressor(model, half, workers,
                                            rate_policy, rate_budget_mbps)
     _PROCESS_RING = SlabRing.attach(ring_spec) if ring_spec is not None else None
 
@@ -1887,7 +1887,7 @@ class _ProcessTransport:
     def initargs(self) -> tuple:
         cfg = self._service.config
         spec = self.ring.spec() if self.ring is not None else None
-        return (self._service.model, cfg.half, spec, cfg.panel_threads,
+        return (self._service.model, cfg.half, spec, cfg.workers,
                 cfg.rate_policy, cfg.rate_budget_mbps)
 
     # -- per-kind payload plumbing --------------------------------------

@@ -110,7 +110,7 @@ class TestPlanStatsRecords:
         assert records
         for rec in records:
             stats = rec["stats"]
-            assert stats["panel_threads"] >= 1
+            assert stats["panel_budget"]["width"] >= 1
             assert stats["stage_kinds"]
             # Static verification never executes the plan.
             assert stats["gemms"] == {}
@@ -159,3 +159,7 @@ class TestPlanStatsRecords:
                            for rec in records}
         assert len(printed) == 12 and all(printed.values())
         assert "ulp" not in out and "precision=" not in out
+        # The width is printed beside the three inputs that produced it.
+        budget = records[0]["stats"]["panel_budget"]
+        assert (f"panel_width={budget['width']} (cores={budget['cores']} // "
+                f"(blas_threads={budget['blas_threads']} × workers=1))") in out

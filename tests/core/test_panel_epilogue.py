@@ -91,12 +91,13 @@ class TestRowBoxes:
 class TestBlockedSitesMatchOracle:
     @pytest.mark.parametrize("threads", [1, 2, 4])
     @pytest.mark.parametrize("n", [1, 3])
-    def test_bcae_2d_both_heads(self, n, threads):
+    def test_bcae_2d_both_heads(self, n, threads, monkeypatch):
         """Encoder payload and both raw decoder heads, bit for bit, with
         panels that cross a sample boundary at ``n = 3``."""
 
+        monkeypatch.setattr(fp, "_FORCED_WIDTH", threads)
         model = _model("bcae_2d")
-        comp = BCAECompressor(model, panel_threads=threads)
+        comp = BCAECompressor(model)
         w = _wedges(n, MID["bcae_2d"]["wedge_spatial"], seed=n)
         ref = comp.compress(w)
         got = comp.compress_into(w)
@@ -128,14 +129,15 @@ class TestBlockedSitesMatchOracle:
     @pytest.mark.parametrize("threads", [1, 2, 4])
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("name", ["bcae_pp", "bcae"])
-    def test_3d_tails(self, name, n, threads):
+    def test_3d_tails(self, name, n, threads, monkeypatch):
         """Transposed-conv crops, three-tail residual blocks and the
         BatchNorm-in-tail chain of the original BCAE.  The main and skip
         tails run on one stacked site where its probe accepted the shape
         and on two sites where it did not — either way both tails ran."""
 
+        monkeypatch.setattr(fp, "_FORCED_WIDTH", threads)
         model = _model(name)
-        comp = BCAECompressor(model, panel_threads=threads)
+        comp = BCAECompressor(model)
         w = _wedges(n, MID[name]["wedge_spatial"], seed=n)
         ref = comp.compress(w)
         got = comp.compress_into(w)
