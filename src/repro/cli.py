@@ -835,6 +835,8 @@ def _print_plan_stats(rec: dict) -> None:
             print(f"  stats  gemm {key}: {g['formulation']} "
                   f"m={g['m']} K={g['K']} o={g['o']}{split} "
                   f"panels={g['panels']} threads={g['threads']} "
+                  f"rows_per_panel={g['rows_per_panel']} "
+                  f"slot_rows={'/'.join(map(str, g['slot_rows']))} "
                   f"tail={g['tail']}{requant} "
                   f"staging_bytes={g['staging_bytes']}")
     else:

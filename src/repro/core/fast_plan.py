@@ -100,7 +100,7 @@ from a per-geometry round robin (:meth:`CompiledStagePlan._lease` — three
 canvases and two streams of a geometry cover every stage's live set) and all
 panel / snap scratch is carved from one grow-only arena per panel-executor
 slot (:meth:`Workspace.carve`), so the working set is a handful of canvases
-plus cache-sized arenas, whatever the depth of the plan.
+plus one panel-sized arena per slot, whatever the depth of the plan.
 
 Panel epilogue contract
 -----------------------
@@ -143,11 +143,11 @@ between, ``2 + 4 + [c] + S``); the sum tail
 — exact for the compiled slopes ``0 < slope ≤ 1`` — instead of a mask and a
 masked merge.
 
-Above ``_BLOCKED_MIN_BYTES`` of im2col the panels are cache-sized
-(``_PANEL_BYTES`` of gathered operand) and the monolithic im2col buffer
+Above ``_BLOCKED_MIN_BYTES`` of im2col the panels are bounded
+(``_PANEL_BYTES`` of panel slab) and the monolithic im2col buffer
 never materializes; below it the whole result is one panel (one per sample
 in the reference orientation) through the same routine, epilogue and tails.
-Which orientation and panel width reproduce the module path's per-sample
+Which orientation and partition reproduce the module path's per-sample
 contraction bit for bit is decided per problem shape by calibration probes
 (:func:`_transposed_gemm_matches`, :func:`_blocked_gemm_matches` and
 friends) before a formulation is used — behaviour is never traded for speed:
@@ -158,9 +158,14 @@ A panel is a row range of the flattened output grid, but a padded canvas is
 not uniformly strided across that grid, so gathers and stores address a
 panel as a few index boxes (:func:`_row_boxes`): one in the 2-D
 single-sample case, more where a panel crosses a plane or sample boundary.
-Independent panels fan out over the plan's panel executor — slots own
-private arenas and write disjoint destination rows, so output bits are
-identical at every thread count.
+Panels fan out over the plan's panel executor by one partition
+(:func:`_partition`): at width ``T`` slot ``s`` owns the ``s``-th of ``T``
+contiguous, near-equal row blocks and runs its panels in order, the last one
+possibly narrower.  Slots own private arenas and write disjoint destination
+rows, and the probes walk exactly the executor's partition, so output bits
+are identical at every thread count.  Every numpy call of a panel may hand
+the GIL to another slot, so the partition keeps panels few and large
+rather than cache-sized.
 
 BatchNorm folding
 -----------------
@@ -245,9 +250,12 @@ _F32 = np.float32
 #: buffers fit comfortably in cache and the monolithic paths win.
 _BLOCKED_MIN_BYTES = 4 << 20
 
-#: Target byte size of one gathered (K, P) panel — sized to keep the
-#: gather destination and the GEMM operands resident in L2.
-_PANEL_BYTES = 1 << 20
+#: Byte budget of one panel's slab (gathered operand + GEMM block + snap
+#: scratch, see :func:`_column_bytes`), one constant at every width.  A
+#: panel costs ~20–35 numpy calls and, with two slots running, each call
+#: may hand the GIL over, so panels are sized for few calls rather than L2
+#: (docs/BENCHMARKS.md, "PR 27").
+_PANEL_BYTES = 6 << 20
 
 #: Byte size of one cache-resident block of the fused BatchNorm affine
 #: kernel (see :meth:`_BNSpec.apply`).
@@ -1161,17 +1169,19 @@ def _transposed_gemm_matches(n: int, rows: int, K: int, o: int,
     return hit
 
 
-#: (n, rows, K, O | splits, P) → whether the panel-blocked transposed GEMMs
-#: reproduce the per-sample reference contraction bit for bit on this BLAS
-#: build.
+#: (n, rows, K, O | splits, partition) → whether the panel-blocked
+#: transposed GEMMs reproduce the per-sample reference contraction bit for
+#: bit on this BLAS build.
 _BLOCKED_GEMM_OK: dict = {}
 
-#: (n, rows, K, O, P) → whether reference-orientation row panels reproduce
-#: the per-sample reference contraction bit for bit on this BLAS build.
+#: (n, rows, K, O, partition) → whether reference-orientation row panels
+#: reproduce the per-sample reference contraction bit for bit on this BLAS
+#: build.
 _BLOCKED_REF_GEMM_OK: dict = {}
 
-#: (n, rows, K, O, P) → accepted zero-padded output-channel count (0 = no
-#: padding reproduces the reference bits) for the repacked panel GEMM.
+#: (n, rows, K, O, partition) → accepted zero-padded output-channel count
+#: (0 = no padding reproduces the reference bits) for the repacked panel
+#: GEMM.
 _BLOCKED_PAD_GEMM_OK: dict = {}
 
 #: Padded output-channel counts the repack probe tries, in order.  Small
@@ -1184,55 +1194,109 @@ _PAD_CHANNELS = (8, 16)
 _PAD_MAX_O = 2
 
 
-def _panel_cols(K: int, ow: int, m: int) -> int:
-    """Panel width in columns: whole innermost-axis rows within the budget."""
+class _Partition(NamedTuple):
+    """How one GEMM site's output rows are cut into panels.
 
-    per_row = K * ow * 4
-    rows = max(1, _PANEL_BYTES // max(per_row, 1))
-    return min(int(rows) * ow, m)
+    The ``sum(slot_rows)`` whole innermost-axis rows (``ow`` columns each)
+    of the flattened output grid are split into contiguous blocks, block
+    ``s`` of ``slot_rows[s]`` rows owned by panel slot ``s`` in slot order;
+    each block is cut into panels of ``rows_per_panel`` rows, the block's
+    last panel possibly narrower.  The executor, the calibration probes and
+    :meth:`CompiledStagePlan.plan_stats` all read this one object, so a
+    probe compares exactly the panels the executor runs.
+    """
+
+    ow: int
+    rows_per_panel: int
+    slot_rows: tuple[int, ...]
+
+    def slots(self) -> list[tuple[tuple[int, int], ...]]:
+        """Per slot, the column ranges ``(c0, c1)`` of its panels in order."""
+
+        ow, rpp = self.ow, self.rows_per_panel
+        starts = [0, *itertools.accumulate(self.slot_rows)]
+        return [tuple((r * ow, min(r + rpp, r1) * ow)
+                      for r in range(r0, r1, rpp))
+                for r0, r1 in zip(starts, starts[1:])]
+
+    def panels(self) -> list[tuple[int, int]]:
+        """Every panel's column range, slot after slot."""
+
+        return [p for slot in self.slots() for p in slot]
 
 
-def _blocked_gemm_matches(n: int, rows: int, K: int, o: int, P: int,
+def _column_bytes(K: int, o: int) -> int:
+    """Slab bytes per output column of an ``(O, K)`` GEMM site, whatever
+    formulation its probes pick: the gathered operand (``4·K``), the GEMM
+    block (``4`` per operand row — the widest :data:`_PAD_CHANNELS` repack
+    where ``blocked_pad`` may run) and the snap scratch (``11·O``)."""
+
+    oy = max(o, *_PAD_CHANNELS) if o <= _PAD_MAX_O else o
+    return 4 * K + 4 * oy + 11 * o
+
+
+def _partition(K: int, o: int, ow: int, m: int, width: int) -> _Partition:
+    """The blocked partition of ``m`` output columns of an ``(O, K)`` GEMM
+    site at panel width ``width``: ``min(width, rows)`` near-equal
+    contiguous row blocks (sizes differ by at most one row), cut into
+    panels of whole rows whose slab (:func:`_column_bytes` a column) fits
+    ``_PANEL_BYTES``."""
+
+    rows = m // ow
+    T = max(1, min(width, rows))
+    q, r = divmod(rows, T)
+    slot_rows = tuple(q + (s < r) for s in range(T))
+    rpp = max(1, _PANEL_BYTES // (_column_bytes(K, o) * ow))
+    return _Partition(ow, min(rpp, slot_rows[0]), slot_rows)
+
+
+def _panels_match(a: np.ndarray, w: np.ndarray, ref: np.ndarray,
+                  part: _Partition) -> bool:
+    """Whether the transposed panel GEMMs ``w @ a[c0:c1].T`` reproduce
+    ``ref[c0:c1]`` on raw bits (result rows past ``ref``'s columns are
+    padding), walking exactly the executor's panels of ``part`` in its
+    order and stopping at the first mismatch."""
+
+    (oy, K), o = w.shape, ref.shape[1]
+    cols = part.rows_per_panel * part.ow
+    panel, got = np.empty(K * cols, np.float32), np.empty(oy * cols, np.float32)
+    for c0, c1 in part.panels():
+        pk = panel[:K * (c1 - c0)].reshape(K, -1)
+        po = got[:oy * (c1 - c0)].reshape(oy, -1)
+        np.copyto(pk, a[c0:c1].T)
+        np.dot(w, pk, out=po)
+        if not np.array_equal(po[:o].T, ref[c0:c1]):
+            return False
+    return True
+
+
+def _blocked_gemm_matches(n: int, rows: int, K: int, o: int, part: _Partition,
                           splits: tuple[int, ...] | None = None) -> bool:
     """Calibrate the panel-blocked GEMM formulation for one problem shape.
 
     The blocked executor runs one ``(O, K) @ (K, P)`` GEMM per gathered
-    panel (plus one tail GEMM when ``P`` does not divide the column count).
-    Each output element is the same K-term dot product as the reference
-    per-sample contraction, and BLAS's k-accumulation order is a function
-    of problem shape only — so one dense-random probe per shape, comparing
-    the panels against the per-sample reference on raw bits until the
-    first mismatch, decides the formulation once per (batch, shape, panel)
-    — comparable in cost to a single module-path convolution at the same
-    shape.  Behaviour is never traded for speed.  ``splits`` probes a
-    stacked operand against its members' references (:func:`_probe_problem`).
+    panel of the partition ``part``.  Each output element is the same
+    K-term dot product as the reference per-sample contraction, and BLAS's
+    k-accumulation order is a function of problem shape only — so one
+    dense-random probe per shape, comparing exactly the executor's panels
+    against the per-sample reference on raw bits until the first mismatch,
+    decides the formulation once per (batch, shape, partition) — comparable
+    in cost to a single module-path convolution at the same shape.
+    Behaviour is never traded for speed.  ``splits`` probes a stacked
+    operand against its members' references (:func:`_probe_problem`).
     """
 
-    key = (n, rows, K, splits or o, P)
+    key = (n, rows, K, splits or o, part)
     hit = _BLOCKED_GEMM_OK.get(key)
     if hit is None:
-        m = n * rows
         a, b, ref = _probe_problem(0xB10C, n, rows, K, o, splits)
-        bt = np.ascontiguousarray(b.T)
-        panel = np.empty((K, P), dtype=np.float32)
-        got = np.empty((o, P), dtype=np.float32)
-        hit = True
-        for c0 in range(0, m, P):
-            pw = min(P, m - c0)
-            if pw == P:
-                np.copyto(panel, a[c0:c0 + P].T)
-                np.dot(bt, panel, out=got)
-                hit = np.array_equal(got.T, ref[c0:c0 + P])
-            else:
-                tail = np.ascontiguousarray(a[c0:c0 + pw].T)
-                hit = np.array_equal(np.dot(bt, tail).T, ref[c0:c0 + pw])
-            if not hit:
-                break
-        hit = _BLOCKED_GEMM_OK[key] = bool(hit)
+        hit = _BLOCKED_GEMM_OK[key] = _panels_match(
+            a, np.ascontiguousarray(b.T), ref, part)
     return hit
 
 
-def _blocked_pad_gemm_matches(n: int, rows: int, K: int, o: int, P: int) -> int:
+def _blocked_pad_gemm_matches(n: int, rows: int, K: int, o: int,
+                              part: _Partition) -> int:
     """Calibrate the repacked (zero-padded output channel) panel GEMM.
 
     The two paper-scale transposed-conv GEMMs with O ≤ 2 fail
@@ -1250,39 +1314,23 @@ def _blocked_pad_gemm_matches(n: int, rows: int, K: int, o: int, P: int) -> int:
     (the shape then falls back to reference-orientation row panels).
     """
 
-    key = (n, rows, K, o, P)
+    key = (n, rows, K, o, part)
     hit = _BLOCKED_PAD_GEMM_OK.get(key)
     if hit is None:
-        m = n * rows
         a, b, ref = _probe_problem(0xB10E, n, rows, K, o)
-        bt = np.ascontiguousarray(b.T)
-        panel = np.empty((K, P), dtype=np.float32)
         hit = 0
         for opad in _PAD_CHANNELS:
             wp = np.zeros((opad, K), dtype=np.float32)
-            wp[:o] = bt
-            got = np.empty((opad, P), dtype=np.float32)
-            ok = True
-            for c0 in range(0, m, P):
-                pw = min(P, m - c0)
-                if pw == P:
-                    np.copyto(panel, a[c0:c0 + P].T)
-                    np.dot(wp, panel, out=got)
-                    ok = np.array_equal(got[:o].T, ref[c0:c0 + P])
-                else:
-                    tail = np.ascontiguousarray(a[c0:c0 + pw].T)
-                    got_t = np.dot(wp, tail)
-                    ok = np.array_equal(got_t[:o].T, ref[c0:c0 + pw])
-                if not ok:
-                    break
-            if ok:
+            wp[:o] = b.T
+            if _panels_match(a, wp, ref, part):
                 hit = opad
                 break
         _BLOCKED_PAD_GEMM_OK[key] = hit
     return hit
 
 
-def _blocked_ref_gemm_matches(n: int, rows: int, K: int, o: int, P: int) -> bool:
+def _blocked_ref_gemm_matches(n: int, rows: int, K: int, o: int,
+                              part: _Partition) -> bool:
     """Calibrate reference-orientation row panels for one problem shape.
 
     The fallback blocked formulation keeps ``conv_forward``'s operand
@@ -1295,17 +1343,14 @@ def _blocked_ref_gemm_matches(n: int, rows: int, K: int, o: int, P: int) -> bool
     :func:`_blocked_gemm_matches`.
     """
 
-    key = (n, rows, K, o, P)
+    key = (n, rows, K, o, part)
     hit = _BLOCKED_REF_GEMM_OK.get(key)
     if hit is None:
-        m = n * rows
         a, b, ref = _probe_problem(0xB10D, n, rows, K, o)
-        got = np.empty((m, o), dtype=np.float32)
-        for c0 in range(0, m, P):
-            pw = min(P, m - c0)
-            np.dot(np.ascontiguousarray(a[c0:c0 + pw]), b, out=got[c0:c0 + pw])
-        hit = bool(np.array_equal(got, ref))
-        _BLOCKED_REF_GEMM_OK[key] = hit
+        got = np.empty_like(ref)
+        for c0, c1 in part.panels():
+            np.dot(a[c0:c1], b, out=got[c0:c1])
+        hit = _BLOCKED_REF_GEMM_OK[key] = bool(np.array_equal(got, ref))
     return hit
 
 
@@ -1611,7 +1656,8 @@ class CompiledStagePlan:
         Returns a plain-dict observability record: the resolved
         :class:`PanelBudget` (width, cores, BLAS threads, workers),
         per-stage kind counts,
-        BN fold decisions, per-GEMM-site formulation/panel/thread stats,
+        BN fold decisions, per-GEMM-site formulation and partition
+        (``panels``, ``threads``, ``rows_per_panel``, ``slot_rows``),
         tail kind (a stacked site lists its ``members`` split and both
         tails, ``"act+requant|act"``; an ``act+requant`` tail adds its
         ``requant`` formulation, ``"table"`` or ``"sequence"``) and
@@ -1773,8 +1819,9 @@ class CompiledStagePlan:
         * ``reference`` — one panel per sample in ``conv_forward``'s own
           operand orientation (identical BLAS calls, identical bits);
         * ``blocked`` / ``blocked_pad`` / ``blocked_ref`` — above
-          ``_BLOCKED_MIN_BYTES`` the same two orientations cut into
-          cache-sized panels of whole innermost rows (``blocked_pad``
+          ``_BLOCKED_MIN_BYTES`` the same two orientations cut by the
+          width's :func:`_partition` into per-slot row blocks of
+          ``_PANEL_BYTES`` panels of whole innermost rows (``blocked_pad``
           repacks an O ≤ 2 weight operand with zero rows so BLAS
           dispatches its well-shaped kernel), each only where its probe
           proved bit-equality — the monolithic im2col buffer never
@@ -1802,35 +1849,39 @@ class CompiledStagePlan:
         o = spec.out_channels
         # m = n·prod(out_spatial) is a whole multiple of ow by construction,
         # so panels always cover whole innermost-axis rows.
-        P = _panel_cols(K, out_spatial[-1], m)
+        ow = out_spatial[-1]
         splits = spec.members
         form = None
         if m * K * 4 >= _BLOCKED_MIN_BYTES:
-            if _blocked_gemm_matches(n, rows, K, o, P, splits):
+            part = _partition(K, o, ow, m, self.budget.width)
+            if _blocked_gemm_matches(n, rows, K, o, part, splits):
                 form = ("blocked", False, 0)
             elif splits:
                 return False
             elif o <= _PAD_MAX_O and (
-                    opad := _blocked_pad_gemm_matches(n, rows, K, o, P)):
+                    opad := _blocked_pad_gemm_matches(n, rows, K, o, part)):
                 form = ("blocked_pad", False, opad)
-            elif _blocked_ref_gemm_matches(n, rows, K, o, P):
+            elif _blocked_ref_gemm_matches(n, rows, K, o, part):
                 form = ("blocked_ref", True, 0)
-        T = 1
-        if form is not None:
-            T = max(1, min(self.budget.width, m // P))
-        elif _transposed_gemm_matches(n, rows, K, o, splits):
-            form, P = ("transposed", False, 0), m
-        elif splits:
-            return False
-        else:
-            form, P = ("reference", True, 0), rows
+        if form is None:
+            # One slot: a whole-result panel, or one panel per sample.
+            if _transposed_gemm_matches(n, rows, K, o, splits):
+                form, part = ("transposed", False, 0), _Partition(
+                    ow, m // ow, (m // ow,))
+            elif splits:
+                return False
+            else:
+                form, part = ("reference", True, 0), _Partition(
+                    ow, rows // ow, (m // ow,))
         name, ref, opad = form
         tails = tail if splits else (tail,)
-        self._panels(key, spec, canvas, out_spatial, P, ref, opad, T, bound,
+        self._panels(key, spec, canvas, out_spatial, part, ref, opad, bound,
                      tails, crop)
         self._gemm_stats[key] = {
             "formulation": name, "m": m, "K": K, "o": o, "opad": opad,
-            "panels": -(-m // P), "threads": T,
+            "panels": len(part.panels()), "threads": len(part.slot_rows),
+            "rows_per_panel": part.rows_per_panel,
+            "slot_rows": list(part.slot_rows),
             "tail": kind, **({"members": list(splits)} if splits else {}),
             **{"requant": "sequence" if t.table is None else "table"
                for t in tails if hasattr(t, "table")},
@@ -1893,38 +1944,40 @@ class CompiledStagePlan:
             for lo, hi in zip(cuts, cuts[1:])]
 
     def _panels(self, key, spec: _ConvSpec, canvas: np.ndarray,
-                out_spatial: tuple[int, ...], P: int, ref: bool, opad: int,
-                T: int, bound: float, tails, crop) -> None:
+                out_spatial: tuple[int, ...], part: _Partition, ref: bool,
+                opad: int, bound: float, tails, crop) -> None:
         """Gather → GEMM → bias → clip → snap → tail, one panel at a time.
 
-        A panel is ``P`` output columns — whole innermost-axis rows of the
-        flattened ``(B, *out_spatial)`` grid — gathered into the slot's
-        ``(K, P)`` slab (``(P, K)`` when ``ref``), multiplied with one
-        GEMM, and handed to ``tails`` — one per member of ``spec``, each on
-        its own row block — still cache-hot; nothing of the result is
-        staged in main memory.  The per-panel box maps (gather
-        sources, store destinations with ``crop`` applied) are cached per
-        site against the canvas identity.
+        A panel is a column range of ``part`` — whole innermost-axis rows
+        of the flattened ``(B, *out_spatial)`` grid — gathered into the
+        slot's ``(K, P)`` slab (``(P, K)`` when ``ref``), multiplied with
+        one GEMM, and handed to ``tails`` — one per member of ``spec``, each
+        on its own row block — still cache-hot; nothing of the result is
+        staged in main memory.  The per-panel box maps (gather sources,
+        store destinations with ``crop`` applied) are cached per site
+        against the canvas identity and the partition.
 
-        Full panels fan out over the plan's panel executor: slot ``s`` of
-        ``T`` owns panels ``s, s+T, s+2T, …`` plus its private slab
-        (carved on the caller thread before any worker starts, so the
-        parallel region performs no allocation and no workspace-dict
-        mutation).  Panels are row ranges of the destination, so slots
-        write disjoint rows, and the panel split is independent of ``T``:
-        output bits are identical at every thread count.  The narrower
-        last panel (when ``P ∤ M``) is one more call of the same routine
-        on the caller thread after the join.
+        Slot ``s`` of the partition's ``T`` owns one contiguous block of
+        output rows and runs its panels in order, the last one possibly
+        narrower, so nothing is left for the caller after the join.  Its
+        slabs — one per distinct panel width, aliasing in the slot's arena
+        since the slot runs one panel at a time — are carved on the caller
+        thread before any worker starts, so the parallel region performs no
+        allocation and no workspace-dict mutation.  Slots write disjoint
+        rows, and every formulation's partition was probed bit-equal to the
+        per-sample reference, so output bits are identical at every width.
+        Each slot makes a few dozen short numpy calls per panel, each a
+        possible GIL hand-off while another slot runs: fewer, larger panels
+        in one block per slot keep that count down.
         """
 
         c, n = canvas.shape[:2]
         nd = len(spec.kernel)
         ow = out_spatial[-1]
-        m = n * math.prod(out_spatial)
         pre = () if ref else (slice(None),) * (1 + nd)
 
         cached = self._wins.get(key)
-        if cached is None or cached[0] is not canvas or cached[1] != P:
+        if cached is None or cached[0] is not canvas or cached[1] != part:
             win = sliding_window_view(canvas, spec.kernel,
                                       axis=tuple(range(2, 2 + nd)))
             win = win[(slice(None), slice(None))
@@ -1937,12 +1990,13 @@ class CompiledStagePlan:
             view = win.transpose(grid + taps if ref else taps + grid)
             lo, avail = crop if crop is not None else ((0,) * nd, out_spatial)
             lo, hi = (0,) + lo, (n,) + tuple(l + a for l, a in zip(lo, avail))
-            cached = self._wins[key] = (canvas, P, [
-                _panel_map(view, pre, c0 // ow, min(c0 + P, m) // ow,
-                           (n,) + out_spatial, lo, hi)
-                for c0 in range(0, m, P)
+            cached = self._wins[key] = (canvas, part, [
+                tuple(((c1 - c0) // ow, _panel_map(
+                    view, pre, c0 // ow, c1 // ow, (n,) + out_spatial, lo, hi))
+                      for c0, c1 in slot)
+                for slot in part.slots()
             ])
-        panels = cached[2]
+        slots = cached[2]
 
         wt_op = None if ref else spec.wtT
         if opad:
@@ -1967,24 +2021,24 @@ class CompiledStagePlan:
             for tail, (rows, rscr) in zip(tails, parts):
                 tail(rows, panel[1], rscr)
 
-        n_full = m // P
-        slabs = [self._slab(s, spec, c, P // ow, ow, wt_op) for s in range(T)]
+        # Widest panel first, so the slot's arena is sized once.
+        slabs = [{rows: self._slab(s, spec, c, rows, ow, wt_op)
+                  for rows in dict.fromkeys(rows for rows, _ in slot)}
+                 for s, slot in enumerate(slots)]
 
         def run_slot(slot: int) -> None:
-            for p in range(slot, n_full, T):
-                run_panel(slabs[slot], panels[p])
+            own = slabs[slot]
+            for rows, panel in slots[slot]:
+                run_panel(own[rows], panel)
 
-        if T == 1:
+        if len(slots) == 1:
             run_slot(0)
         else:
             pool = self._panel_pool()
-            futures = [pool.submit(run_slot, s) for s in range(1, T)]
+            futures = [pool.submit(run_slot, s) for s in range(1, len(slots))]
             run_slot(0)
             for f in futures:
                 f.result()
-        if m % P:
-            run_panel(self._slab(0, spec, c, (m % P) // ow, ow, wt_op),
-                      panels[-1])
 
     # ------------------------------------------------------------------
     def _grid(self, src: np.ndarray, bound: float) -> tuple[np.ndarray, float]:
@@ -2243,7 +2297,9 @@ class CompiledStagePlan:
         for bit.  ``dtype=float32`` pins the math to fp32 over the
         fp16-stored grid values (the widening cast is exact).  The
         discarded branch may overflow to inf (→ 0 or NaN) — harmless and
-        silenced, exactly because it is discarded.
+        silenced, exactly because it is discarded.  Two fp32 buffers carry
+        it: the ``x < 0`` branch lands in ``out`` with ``t`` as its
+        temporary, then the ``x ≥ 0`` branch in ``t``.
         """
 
         pos = self._ws.get((key, "pos"), x.shape, np.bool_)
@@ -2251,16 +2307,15 @@ class CompiledStagePlan:
         out = self._ws.get((key, "sig"), x.shape)
         t = self._ws.get((key, "st"), x.shape)
         with np.errstate(over="ignore", invalid="ignore"):
-            # x >= 0 branch: 1 / (1 + exp(-x))
+            # x < 0 branch into out, t the temporary: exp(x) / (1 + exp(x))
+            np.exp(x, out=t, dtype=_F32)
+            np.add(t, np.float32(1.0), out=out)
+            np.divide(t, out, out=out)
+            # x >= 0 branch into t: 1 / (1 + exp(-x))
             np.negative(x, out=t, dtype=_F32)
             np.exp(t, out=t)
             np.add(t, np.float32(1.0), out=t)
             np.divide(np.float32(1.0), t, out=t)
-            # x < 0 branch: exp(x) / (1 + exp(x))
-            u = self._ws.get((key, "su"), x.shape)
-            np.exp(x, out=u, dtype=_F32)
-            np.add(u, np.float32(1.0), out=out)
-            np.divide(u, out, out=out)
         np.copyto(out, t, where=pos)
         return out
 

@@ -159,6 +159,11 @@ class TestPlanStatsRecords:
                            for rec in records}
         assert len(printed) == 12 and all(printed.values())
         assert "ulp" not in out and "precision=" not in out
+        # Each site prints its real partition.
+        for g in (g for rec in records for g in rec["stats"]["gemms"].values()):
+            assert (f"panels={g['panels']} threads={g['threads']} "
+                    f"rows_per_panel={g['rows_per_panel']} slot_rows="
+                    + "/".join(map(str, g["slot_rows"]))) in out
         # The width is printed beside the three inputs that produced it.
         budget = records[0]["stats"]["panel_budget"]
         assert (f"panel_width={budget['width']} (cores={budget['cores']} // "

@@ -200,6 +200,27 @@ class TestBitIdentity:
             assert _same(comp, fd, comp.compress(_wedges(b, spatial, seed=b)))
 
 
+class TestSigmoidHead:
+    def test_every_fp16_pattern_bit_exact(self):
+        """The two-buffer head replica equals ``Tensor.sigmoid`` on raw bits
+        for every fp16 value widened to fp32 (NaNs, denormals, ±65504)
+        plus ±0 and ±inf, in both sign branches."""
+
+        patterns = np.arange(1 << 16, dtype=np.uint32).astype(np.uint16)
+        x = np.concatenate([
+            patterns.view(np.float16).astype(np.float32),
+            np.array([0.0, -0.0, np.inf, -np.inf], np.float32),
+        ])
+        plan = CompiledStagePlan([nn.Conv2d(1, 1, 1), nn.Sigmoid()])
+        got = plan._sigmoid(("head", 1), x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = Tensor(x).sigmoid().data
+        assert ref.dtype == got.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
+        # Two fp32 buffers and the sign mask — no third stream.
+        assert plan.workspace_bytes == x.size * (4 + 4 + 1)
+
+
 class TestWorkspace:
     @pytest.mark.parametrize("name,spatial,kwargs", FAMILIES)
     def test_buffers_are_reused(self, name, spatial, kwargs):

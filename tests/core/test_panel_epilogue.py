@@ -118,13 +118,19 @@ class TestBlockedSitesMatchOracle:
             assert {g["tail"] for g in sites} >= {
                 "act+requant", "act+skip+store"}
             assert "store" in {g["tail"] for g in _gemms(plan)}
+            for g in sites:
+                part = fp._partition(g["K"], g["o"], 64, g["m"], threads)
+                assert (g["threads"], g["rows_per_panel"], g["slot_rows"],
+                        g["panels"]) == (len(part.slot_rows),
+                                         part.rows_per_panel,
+                                         list(part.slot_rows),
+                                         len(part.panels()))
             if n == 3:
-                # 64 rows per sample, 14 rows per panel: panels straddle.
-                g = max(sites, key=lambda g: g["K"])
-                rows = fp._panel_cols(g["K"], 64, g["m"]) // 64
-                assert (g["m"] // 64 // n) % rows
-            assert all(g["threads"] == min(threads, g["m"] // fp._panel_cols(
-                g["K"], 64, g["m"])) for g in sites)
+                # Some panel straddles two samples.
+                assert any(c0 // (g["m"] // n) != (c1 - 1) // (g["m"] // n)
+                           for g in sites
+                           for c0, c1 in fp._partition(
+                               g["K"], g["o"], 64, g["m"], threads).panels())
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     @pytest.mark.parametrize("n", [1, 3])
@@ -479,7 +485,7 @@ class TestActTable:
             assert all("requant" not in g for g in sites
                        if "act+requant" not in g["tail"])
             panels += sum(g["panels"] for g in sites)
-        assert panels > 3000 and not dense
+        assert panels > 600 and not dense  # 6 MB slabs, ~4 MB gathered
 
 
 class TestVocabularySlopes:

@@ -1,24 +1,33 @@
 """Slot-parallel panel executor: determinism at every width.
 
 The executor's contract is *bit-identity at any width*: slot ``s`` of ``T``
-owns panels ``s, s+T, …`` with per-slot workspace slabs and deterministic
-output placement, so the payload and reconstruction bytes cannot depend on
-the thread count.  There is one numerics contract: a formulation whose
-probe sees any deviation, however small, is not compiled.
+owns one contiguous block of output rows, cut into panels, with per-slot
+workspace slabs and deterministic output placement, so the payload and
+reconstruction bytes cannot depend on the thread count.  There is one
+numerics contract: a formulation whose probe sees any deviation, however
+small, is not compiled — and the probe walks exactly the partition the
+executor runs.
 
 The width is derived from the host (:func:`panel_budget`), so the rule is
 tested against faked affinity and BLAS variables, and the width-dependent
 cases force a width through the private ``_FORCED_WIDTH`` hook.
 """
 
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro.core.fast_plan as fp
+from repro import nn
 from repro.core import BCAECompressor, build_model
 from repro.core.fast_decode import make_fast_decoder
 from repro.core.fast_encode import make_fast_encoder
 from repro.core.model_zoo import MODEL_NAMES
+from repro.nn import Tensor
 from repro.nn.norm import BatchNormNd
 from repro.serve import ServiceConfig, StreamingCompressionService
 
@@ -108,6 +117,172 @@ class TestThreadInvariance:
         first = bytes(comp.compress_into(raw).payload)
         for _ in range(3):
             assert bytes(comp.compress_into(raw).payload) == first
+
+
+class TestPartition:
+    """One partition feeds the executor, the probes and ``plan_stats()``."""
+
+    @settings(max_examples=200, deadline=None)
+    @example(K=288, o=1, ow=249, rows=192, width=2, budget=4 << 20)
+    @example(K=9, o=2, ow=64, rows=300, width=1, budget=1 << 16)
+    @given(K=st.integers(1, 4096), o=st.integers(1, 128),
+           ow=st.integers(1, 300), rows=st.integers(1, 5000),
+           width=st.integers(1, 8),
+           budget=st.sampled_from([1 << 12, 1 << 16, 1 << 20, 4 << 20]))
+    def test_blocks_cover_every_row_once(self, K, o, ow, rows, width, budget):
+        """Contiguous, disjoint blocks cover every row once; block sizes
+        differ by at most one row; no panel crosses a block boundary and
+        every panel is whole rows whose slab fits the byte budget (or one
+        row) — on an O ≤ 2 site with the GEMM block of the widest
+        ``blocked_pad`` repack, whichever formulation the probes pick."""
+
+        with mock.patch.object(fp, "_PANEL_BYTES", budget):
+            part = fp._partition(K, o, ow, rows * ow, width)
+        assert len(part.slot_rows) == min(width, rows)
+        assert sum(part.slot_rows) == rows
+        assert max(part.slot_rows) - min(part.slot_rows) <= 1
+        rpp = part.rows_per_panel
+        oy = max(o, *fp._PAD_CHANNELS) if o <= fp._PAD_MAX_O else o
+        assert rpp == 1 or rpp * ow * (4 * K + 4 * oy + 11 * o) <= budget
+        edge = 0
+        for block, slot in zip(part.slot_rows, part.slots()):
+            assert slot[0][0] == edge * ow
+            for (c0, c1), nxt in zip(slot, [*slot[1:], None]):
+                assert c0 % ow == 0 and c1 % ow == 0 and c0 < c1
+                assert c1 - c0 <= rpp * ow
+                if nxt is not None:  # only a block's last panel is narrower
+                    assert nxt[0] == c1 and c1 - c0 == rpp * ow
+            edge += block
+            assert slot[-1][1] == edge * ow
+        assert part.panels() == [p for slot in part.slots() for p in slot]
+
+    @pytest.mark.parametrize("probe", ["blocked", "blocked_pad",
+                                       "blocked_ref"])
+    def test_probes_walk_the_partition(self, monkeypatch, probe):
+        """Each blocked probe gathers exactly the partition's column ranges,
+        in the executor's order (a rejecting walk stops early and a padded
+        probe walks once per candidate, so each walk is a prefix)."""
+
+        n, rows, K, o = 2, 70, 12, 2
+        with mock.patch.object(fp, "_PANEL_BYTES", 3 * 10 * fp._column_bytes(K, o)):
+            part = fp._partition(K, o, 10, n * rows, 3)
+        assert part.slot_rows == (5, 5, 4) and part.rows_per_panel == 3
+        walks = _record_probe_walks(monkeypatch)
+        fn = {"blocked": fp._blocked_gemm_matches,
+              "blocked_pad": fp._blocked_pad_gemm_matches,
+              "blocked_ref": fp._blocked_ref_gemm_matches}[probe]
+        accepted = fn(n, rows, K, o, part)
+        assert walks and all(w == part.panels()[:len(w)] for w in walks)
+        if accepted or probe == "blocked_ref":
+            assert walks[-1] == part.panels()
+
+    @pytest.mark.parametrize("width", [1, 5])
+    def test_executor_runs_the_probed_partition(self, small_blocks,
+                                                monkeypatch, width):
+        """Every blocked site's executor maps exactly the column ranges a
+        probe walked in full, and its stats report that partition."""
+
+        monkeypatch.setattr(fp, "_PANEL_BYTES", 1 << 16)  # multi-row panels
+        walks = _record_probe_walks(monkeypatch)
+        ran, real_map = {}, fp._panel_map
+        real_panels = fp.CompiledStagePlan._panels
+
+        def panels(plan, key, spec, canvas, out_spatial, part, *rest):
+            ran.pop(key, None)
+            ran[key] = (part, [])
+            return real_panels(plan, key, spec, canvas, out_spatial, part,
+                               *rest)
+
+        def panel_map(view, pre, r0, r1, dims, lo, hi):
+            ranges = ran[next(reversed(ran))][1]
+            ranges.append((r0 * dims[-1], r1 * dims[-1]))
+            return real_map(view, pre, r0, r1, dims, lo, hi)
+
+        monkeypatch.setattr(fp.CompiledStagePlan, "_panels", panels)
+        monkeypatch.setattr(fp, "_panel_map", panel_map)
+        model, raw = _build("bcae_2d")
+        comp = _compressor_at(monkeypatch, model, width)
+        ran.clear()
+        comp.compress_into(raw)
+        sites = comp._fast_encoder().plan.plan_stats()["gemms"]
+        blocked = [k for k in ran
+                   if sites[repr(k)]["formulation"].startswith("blocked")]
+        assert blocked
+        for key in blocked:
+            part, ranges = ran[key]
+            g = sites[repr(key)]
+            assert ranges == part.panels() and ranges in walks
+            assert (g["threads"], g["rows_per_panel"], g["slot_rows"],
+                    g["panels"]) == (len(part.slot_rows), part.rows_per_panel,
+                                     list(part.slot_rows), len(ranges))
+            assert g["threads"] == min(width, g["m"] // part.ow)
+        # Some block is not a whole number of panels: a walk that ignored
+        # the slot boundaries would differ.
+        assert width == 1 or any(
+            b % ran[k][0].rows_per_panel for k in blocked
+            for b in ran[k][0].slot_rows)
+
+
+def _record_probe_walks(monkeypatch) -> list[list[tuple[int, int]]]:
+    """Empty the blocked probes' caches and patch their operands so every
+    row range a probe gathers from its im2col stand-in is recorded; a range
+    starting at column 0 opens a new walk."""
+
+    for cache in ("_BLOCKED_GEMM_OK", "_BLOCKED_PAD_GEMM_OK",
+                  "_BLOCKED_REF_GEMM_OK"):
+        monkeypatch.setattr(fp, cache, {})
+    walks: list = []
+
+    class Recorded(np.ndarray):
+        def __getitem__(self, idx):
+            if isinstance(idx, slice):
+                if idx.start == 0:
+                    walks.append([])
+                walks[-1].append((idx.start, idx.stop))
+            return np.ndarray.__getitem__(self, idx).view(np.ndarray)
+
+    real = fp._probe_problem
+    monkeypatch.setattr(fp, "_probe_problem", lambda *args: (
+        lambda a, b, ref: (a.view(Recorded), b, ref))(*real(*args)))
+    return walks
+
+
+class TestWidthThreeParity:
+    def test_uneven_blocks_match_oracle_and_width_one(self, small_blocks,
+                                                      monkeypatch):
+        """Width 3 on a geometry whose row counts 3 does not divide: the
+        payload and both head digests equal the module-graph oracle and
+        width 1."""
+
+        spatial = (16, 28, 30)
+        model = build_model("bcae_2d", wedge_spatial=spatial, m=2, n=2, d=2,
+                            seed=3)
+        model.eval()
+        rng = np.random.default_rng(11)
+        raw = rng.integers(0, 1024, size=(1,) + spatial, dtype=np.uint16)
+        raw[raw < 600] = 0
+
+        def digests(comp):
+            rec = comp.compress_into(raw)
+            seg, reg = comp._fast_decoder().decode(rec.codes_view())
+            return [hashlib.sha256(bytes(x)).hexdigest() for x in (
+                rec.payload, np.ascontiguousarray(seg),
+                np.ascontiguousarray(reg))]
+
+        oracle = BCAECompressor(model).compress(raw)
+        with nn.no_grad(), nn.amp.autocast(True):
+            heads = model.decode(Tensor(oracle.codes_view().astype(np.float32)))
+        want = [hashlib.sha256(bytes(x)).hexdigest() for x in (
+            oracle.payload, *(np.ascontiguousarray(h.data) for h in heads))]
+
+        three = _compressor_at(monkeypatch, model, 3)
+        assert digests(three) == want
+        assert digests(_compressor_at(monkeypatch, model, 1)) == want
+        uneven = [g for p in (three._fast_encoder().plan,
+                              *three._fast_decoder().plans.values())
+                  for g in p.plan_stats()["gemms"].values()
+                  if g["threads"] == 3 and len(set(g["slot_rows"])) > 1]
+        assert uneven, "no site split its rows into uneven blocks"
 
 
 @pytest.fixture

@@ -55,10 +55,11 @@ def _pair_sites(plan):
 
 
 class TestStackingProbe:
+    @pytest.mark.parametrize("width", [1, 2])
     @pytest.mark.parametrize("rows,K,splits,ow", PAPER_PAIR_SITES)
-    def test_accepts_the_paper_shapes(self, rows, K, splits, ow):
-        P = fp._panel_cols(K, ow, rows)
-        assert fp._blocked_gemm_matches(1, rows, K, sum(splits), P, splits)
+    def test_accepts_the_paper_shapes(self, rows, K, splits, ow, width):
+        part = fp._partition(K, sum(splits), ow, rows, width)
+        assert fp._blocked_gemm_matches(1, rows, K, sum(splits), part, splits)
 
     @pytest.mark.parametrize("where", ["first", "last"])
     def test_blocked_probe_stops_at_the_first_mismatch(self, monkeypatch,
@@ -66,9 +67,10 @@ class TestStackingProbe:
         """One flipped bit in the reference rejects the shape, and the
         probe compares no panel past the one that holds it."""
 
-        n, rows, K, o, P = 2, 48, 16, 4, 32  # three panels of 32 columns
+        n, rows, K, o = 2, 48, 16, 4
+        part = fp._Partition(16, 2, (6,))  # three panels of 32 columns
         monkeypatch.setattr(fp, "_BLOCKED_GEMM_OK", {})
-        assert fp._blocked_gemm_matches(n, rows, K, o, P)
+        assert fp._blocked_gemm_matches(n, rows, K, o, part)
 
         class Panels(np.ndarray):
             """A reference that counts the panel slices taken from it."""
@@ -88,8 +90,8 @@ class TestStackingProbe:
 
         monkeypatch.setattr(fp, "_probe_problem", corrupted)
         monkeypatch.setattr(fp, "_BLOCKED_GEMM_OK", {})
-        assert fp._blocked_gemm_matches(n, rows, K, o, P) is False
-        assert len(compared) == (1 if where == "first" else -(-n * rows // P))
+        assert fp._blocked_gemm_matches(n, rows, K, o, part) is False
+        assert len(compared) == (1 if where == "first" else 3)
 
     def test_compares_each_member_with_its_own_reference(self):
         """At ``(n, rows, K) = (2, 240, 384)`` this host's BLAS contracts
@@ -166,8 +168,8 @@ class TestStackingProbe:
                 splits is None and whole(n, rows, K, o))
         monkeypatch.setattr(
             fp, "_blocked_gemm_matches",
-            lambda n, rows, K, o, P, splits=None:
-                splits is None and blocked(n, rows, K, o, P))
+            lambda n, rows, K, o, part, splits=None:
+                splits is None and blocked(n, rows, K, o, part))
         apart = BCAECompressor(model)
         assert bytes(apart.compress_into(w).payload) == payload
         assert np.array_equal(
