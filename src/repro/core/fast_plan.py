@@ -147,12 +147,13 @@ Above ``_BLOCKED_MIN_BYTES`` of im2col the panels are bounded
 (``_PANEL_BYTES`` of panel slab) and the monolithic im2col buffer
 never materializes; below it the whole result is one panel (one per sample
 in the reference orientation) through the same routine, epilogue and tails.
-Which orientation and partition reproduce the module path's per-sample
-contraction bit for bit is decided per problem shape by calibration probes
-(:func:`_transposed_gemm_matches`, :func:`_blocked_gemm_matches` and
-friends) before a formulation is used — behaviour is never traded for speed:
-a shape whose probe rejects a formulation runs the next one its own probe
-accepts.
+A formulation is one of two operand orientations over one partition.
+Which of them reproduce the module path's per-sample contraction bit for
+bit is decided per problem shape by one calibration probe
+(:func:`_gemm_matches`) before a formulation is used — behaviour is never
+traded for speed: a shape whose probe rejects a formulation runs the next
+one the probe accepts, and the chain ends in the module path's own
+per-sample call, which needs no probe.
 
 A panel is a row range of the flattened output grid, but a padded canvas is
 not uniformly strided across that grid, so gathers and stores address a
@@ -162,7 +163,7 @@ Panels fan out over the plan's panel executor by one partition
 (:func:`_partition`): at width ``T`` slot ``s`` owns the ``s``-th of ``T``
 contiguous, near-equal row blocks and runs its panels in order, the last one
 possibly narrower.  Slots own private arenas and write disjoint destination
-rows, and the probes walk exactly the executor's partition, so output bits
+rows, and the probe walks exactly the executor's partition, so output bits
 are identical at every thread count.  Every numpy call of a panel may hand
 the GIL to another slot, so the partition keeps panels few and large
 rather than cache-sized.
@@ -253,8 +254,8 @@ _BLOCKED_MIN_BYTES = 4 << 20
 #: Byte budget of one panel's slab (gathered operand + GEMM block + snap
 #: scratch, see :func:`_column_bytes`), one constant at every width.  A
 #: panel costs ~20–35 numpy calls and, with two slots running, each call
-#: may hand the GIL over, so panels are sized for few calls rather than L2
-#: (docs/BENCHMARKS.md, "PR 27").
+#: may hand the GIL over, so panels are sized for few calls rather than L2.
+#: No budget sweep behind the choice of 6 MB over 4 MB has been recorded.
 _PANEL_BYTES = 6 << 20
 
 #: Byte size of one cache-resident block of the fused BatchNorm affine
@@ -469,7 +470,7 @@ class _ConvSpec:
         None unless both read the same im2col operand through the same
         epilogue (kernel, stride, padding, bias presence); whether the
         stacked rows reproduce each member's own contraction is decided per
-        problem shape by the ``splits=`` form of the calibration probes."""
+        problem shape by the ``splits=`` form of the calibration probe."""
 
         if ((a.kernel, a.stride, a.padding, a.wtT.shape[1], a.bias is None)
                 != (b.kernel, b.stride, b.padding, b.wtT.shape[1],
@@ -1106,7 +1107,7 @@ def _panel_map(view: np.ndarray, pre: tuple, r0: int, r1: int, dims, lo, hi):
             [(j0, j1) + box for j0, j1, box in stores if box])
 
 
-def _probe_problem(seed: int, n: int, rows: int, K: int, o: int,
+def _probe_problem(n: int, rows: int, K: int, o: int,
                    splits: tuple[int, ...] | None = None):
     """Operands and reference of one GEMM calibration probe: a dense-random
     ``(n·rows, K)`` im2col stand-in ``a``, an F-contiguous ``(K, o)`` kernel
@@ -1117,7 +1118,7 @@ def _probe_problem(seed: int, n: int, rows: int, K: int, o: int,
     ``o``-column product differently from the narrower ones it stands for.
     """
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0xB10C)
     a = rng.standard_normal((n * rows, K), dtype=np.float32)
     b = np.asfortranarray(rng.standard_normal((K, o), dtype=np.float32))
 
@@ -1137,63 +1138,6 @@ def _probe_problem(seed: int, n: int, rows: int, K: int, o: int,
     return a, b, ref
 
 
-#: (n, rows, K, O | splits) → whether the whole-batch transposed GEMM
-#: reproduces the per-sample reference contraction bit for bit on this BLAS.
-_TRANSPOSED_GEMM_OK: dict = {}
-
-
-def _transposed_gemm_matches(n: int, rows: int, K: int, o: int,
-                             splits: tuple[int, ...] | None = None) -> bool:
-    """Calibrate the transposed GEMM formulation for one problem shape.
-
-    ``conv_forward``'s contraction is per-sample ``(rows, K) @ (K, O)``
-    GEMMs; the fast path prefers one whole-batch ``(O, K) @ (K, n·rows)``
-    call on operands built directly in transposed layout (the im2col gather
-    then reads whole output rows instead of 12-byte kernel taps, ~6×
-    faster).  Every output element is the same K-term dot product, and BLAS
-    packs both operand layouts into the same micro-kernels with the same
-    k-accumulation order — *except* for some small-shape kernel dispatches.
-    Since the summation order is a function of problem shape only (never of
-    the data), one dense-random probe per shape decides the formulation:
-    bit-equal → transposed fast path, else the reference orientation.
-    Behaviour is never traded for speed; the probe costs two small GEMMs
-    once per (batch, shape); ``splits`` as in :func:`_probe_problem`.
-    """
-
-    key = (n, rows, K, splits or o)
-    hit = _TRANSPOSED_GEMM_OK.get(key)
-    if hit is None:
-        a, b, ref = _probe_problem(0x5EED, n, rows, K, o, splits)
-        got = np.dot(np.ascontiguousarray(b.T), np.ascontiguousarray(a.T))
-        hit = _TRANSPOSED_GEMM_OK[key] = bool(np.array_equal(got.T, ref))
-    return hit
-
-
-#: (n, rows, K, O | splits, partition) → whether the panel-blocked
-#: transposed GEMMs reproduce the per-sample reference contraction bit for
-#: bit on this BLAS build.
-_BLOCKED_GEMM_OK: dict = {}
-
-#: (n, rows, K, O, partition) → whether reference-orientation row panels
-#: reproduce the per-sample reference contraction bit for bit on this BLAS
-#: build.
-_BLOCKED_REF_GEMM_OK: dict = {}
-
-#: (n, rows, K, O, partition) → accepted zero-padded output-channel count
-#: (0 = no padding reproduces the reference bits) for the repacked panel
-#: GEMM.
-_BLOCKED_PAD_GEMM_OK: dict = {}
-
-#: Padded output-channel counts the repack probe tries, in order.  Small
-#: multiples of the BLAS micro-kernel register tile: padding O∈{1,2} up to
-#: one of these makes the panel GEMM dispatch the well-shaped kernel.
-_PAD_CHANNELS = (8, 16)
-
-#: Repacking is only attempted for pathologically narrow GEMMs — the two
-#: calibration-rejected transposed-conv shapes have O ∈ {1, 2}.
-_PAD_MAX_O = 2
-
-
 class _Partition(NamedTuple):
     """How one GEMM site's output rows are cut into panels.
 
@@ -1201,8 +1145,8 @@ class _Partition(NamedTuple):
     of the flattened output grid are split into contiguous blocks, block
     ``s`` of ``slot_rows[s]`` rows owned by panel slot ``s`` in slot order;
     each block is cut into panels of ``rows_per_panel`` rows, the block's
-    last panel possibly narrower.  The executor, the calibration probes and
-    :meth:`CompiledStagePlan.plan_stats` all read this one object, so a
+    last panel possibly narrower.  The executor, the calibration probe and
+    :meth:`CompiledStagePlan.plan_stats` all read this one object, so the
     probe compares exactly the panels the executor runs.
     """
 
@@ -1225,13 +1169,21 @@ class _Partition(NamedTuple):
         return [p for slot in self.slots() for p in slot]
 
 
+#: GEMM-block rows the slab budget charges a site of O ≤ 2 output channels,
+#: whatever its ``o``.  Charging the real ``o`` rows widens those sites'
+#: panels and moves BCAE-HT's O = 1 decoder sites from ``reference`` to
+#: ``blocked_ref``, which read slower on the paper decode, never faster
+#: (docs/BENCHMARKS.md, "the ``blocked_pad`` repack deleted").
+_NARROW_GEMM_ROWS = 16
+
+
 def _column_bytes(K: int, o: int) -> int:
     """Slab bytes per output column of an ``(O, K)`` GEMM site, whatever
-    formulation its probes pick: the gathered operand (``4·K``), the GEMM
-    block (``4`` per operand row — the widest :data:`_PAD_CHANNELS` repack
-    where ``blocked_pad`` may run) and the snap scratch (``11·O``)."""
+    formulation its probe picks: the gathered operand (``4·K``), the GEMM
+    block (``4·O``, ``4·``:data:`_NARROW_GEMM_ROWS` where O ≤ 2) and the
+    snap scratch (``11·O``)."""
 
-    oy = max(o, *_PAD_CHANNELS) if o <= _PAD_MAX_O else o
+    oy = _NARROW_GEMM_ROWS if o <= 2 else o
     return 4 * K + 4 * oy + 11 * o
 
 
@@ -1250,107 +1202,71 @@ def _partition(K: int, o: int, ow: int, m: int, width: int) -> _Partition:
     return _Partition(ow, min(rpp, slot_rows[0]), slot_rows)
 
 
-def _panels_match(a: np.ndarray, w: np.ndarray, ref: np.ndarray,
-                  part: _Partition) -> bool:
-    """Whether the transposed panel GEMMs ``w @ a[c0:c1].T`` reproduce
-    ``ref[c0:c1]`` on raw bits (result rows past ``ref``'s columns are
-    padding), walking exactly the executor's panels of ``part`` in its
-    order and stopping at the first mismatch."""
+def _panels_match(a: np.ndarray, b: np.ndarray, want: np.ndarray,
+                  part: _Partition, ref: bool) -> bool:
+    """Whether the panel GEMMs of ``part`` reproduce ``want`` on raw bits,
+    walking exactly the executor's panels in its order and stopping at the
+    first mismatch.  Each panel's rows of ``a`` are copied into a
+    contiguous panel, as the executor gathers them, and multiplied as
+    ``panel @ b`` in the reference orientation (``ref``), else as
+    ``bᵀ @ panelᵀ``."""
 
-    (oy, K), o = w.shape, ref.shape[1]
+    K, o = b.shape
     cols = part.rows_per_panel * part.ow
-    panel, got = np.empty(K * cols, np.float32), np.empty(oy * cols, np.float32)
+    wt = b if ref else np.ascontiguousarray(b.T)
+    panel, got = np.empty(K * cols, np.float32), np.empty(o * cols, np.float32)
     for c0, c1 in part.panels():
-        pk = panel[:K * (c1 - c0)].reshape(K, -1)
-        po = got[:oy * (c1 - c0)].reshape(oy, -1)
-        np.copyto(pk, a[c0:c1].T)
-        np.dot(w, pk, out=po)
-        if not np.array_equal(po[:o].T, ref[c0:c1]):
+        p = c1 - c0
+        if ref:
+            pk, po = panel[:K * p].reshape(p, K), got[:o * p].reshape(p, o)
+            np.copyto(pk, a[c0:c1])
+            np.dot(pk, wt, out=po)
+        else:
+            pk, po = panel[:K * p].reshape(K, p), got[:o * p].reshape(o, p)
+            np.copyto(pk, a[c0:c1].T)
+            np.dot(wt, pk, out=po)
+            po = po.T
+        if not np.array_equal(po, want[c0:c1]):
             return False
     return True
 
 
-def _blocked_gemm_matches(n: int, rows: int, K: int, o: int, part: _Partition,
-                          splits: tuple[int, ...] | None = None) -> bool:
-    """Calibrate the panel-blocked GEMM formulation for one problem shape.
+#: (n, rows, K, O | splits, partition, orientation) → whether that
+#: formulation reproduces the per-sample reference contraction bit for bit
+#: on this BLAS build.
+_GEMM_OK: dict = {}
 
-    The blocked executor runs one ``(O, K) @ (K, P)`` GEMM per gathered
-    panel of the partition ``part``.  Each output element is the same
-    K-term dot product as the reference per-sample contraction, and BLAS's
-    k-accumulation order is a function of problem shape only — so one
-    dense-random probe per shape, comparing exactly the executor's panels
-    against the per-sample reference on raw bits until the first mismatch,
-    decides the formulation once per (batch, shape, partition) — comparable
-    in cost to a single module-path convolution at the same shape.
-    Behaviour is never traded for speed.  ``splits`` probes a stacked
-    operand against its members' references (:func:`_probe_problem`).
+
+def _gemm_matches(n: int, rows: int, K: int, o: int, part: _Partition,
+                  ref: bool, splits: tuple[int, ...] | None = None) -> bool:
+    """Calibrate one GEMM formulation for one problem shape.
+
+    A formulation is an operand orientation over a partition: ``ref``
+    keeps ``conv_forward``'s own — C-contiguous ``(P, K)`` row panels
+    against the F-contiguous ``(K, O)`` kernel — otherwise the panels are
+    ``(O, K) @ (K, P)`` GEMMs on operands gathered directly in transposed
+    layout (the im2col gather then reads whole output rows instead of
+    12-byte kernel taps, ~6× faster); ``part`` cuts the ``n·rows`` output
+    rows into the executor's panels — one panel is the whole-batch GEMM.
+    Every output element is the same K-term dot product as the per-sample
+    reference, and BLAS packs both layouts into the same micro-kernels with
+    the same k-accumulation order — *except* for some shape-dependent
+    kernel dispatches (very small output-channel counts, for one).  Since
+    the summation order is a function of problem shape only, never of the
+    data, one dense-random probe per (batch, shape, formulation), walking
+    exactly the executor's panels against the per-sample reference on raw
+    bits until the first mismatch, decides whether the formulation may run
+    — comparable in cost to a single module-path convolution at the same
+    shape.  Behaviour is never traded for speed.  ``splits`` probes a
+    stacked operand against its members' references
+    (:func:`_probe_problem`).
     """
 
-    key = (n, rows, K, splits or o, part)
-    hit = _BLOCKED_GEMM_OK.get(key)
+    key = (n, rows, K, splits or o, part, ref)
+    hit = _GEMM_OK.get(key)
     if hit is None:
-        a, b, ref = _probe_problem(0xB10C, n, rows, K, o, splits)
-        hit = _BLOCKED_GEMM_OK[key] = _panels_match(
-            a, np.ascontiguousarray(b.T), ref, part)
-    return hit
-
-
-def _blocked_pad_gemm_matches(n: int, rows: int, K: int, o: int,
-                              part: _Partition) -> int:
-    """Calibrate the repacked (zero-padded output channel) panel GEMM.
-
-    The two paper-scale transposed-conv GEMMs with O ≤ 2 fail
-    :func:`_blocked_gemm_matches` because BLAS dispatches a narrow
-    matrix-vector-ish kernel for 1–2 result rows whose k-accumulation
-    differs from the per-sample reference.  Repacking the weight operand as
-    ``(O_pad, K)`` with ``O_pad − O`` zero rows makes the same panels
-    dispatch the well-shaped GEMM kernel; rows ``O..O_pad`` of the result
-    are discarded.  Zero weight rows cannot change the retained rows'
-    dot products — but whether the *padded* dispatch reproduces the
-    reference bits is still decided by this probe, never assumed: each
-    candidate ``O_pad`` in :data:`_PAD_CHANNELS` is compared panel-by-panel
-    against the per-sample reference on raw bits, and the first bit-equal
-    padding wins.  Returns the accepted ``O_pad``, or 0 when none matches
-    (the shape then falls back to reference-orientation row panels).
-    """
-
-    key = (n, rows, K, o, part)
-    hit = _BLOCKED_PAD_GEMM_OK.get(key)
-    if hit is None:
-        a, b, ref = _probe_problem(0xB10E, n, rows, K, o)
-        hit = 0
-        for opad in _PAD_CHANNELS:
-            wp = np.zeros((opad, K), dtype=np.float32)
-            wp[:o] = b.T
-            if _panels_match(a, wp, ref, part):
-                hit = opad
-                break
-        _BLOCKED_PAD_GEMM_OK[key] = hit
-    return hit
-
-
-def _blocked_ref_gemm_matches(n: int, rows: int, K: int, o: int,
-                              part: _Partition) -> bool:
-    """Calibrate reference-orientation row panels for one problem shape.
-
-    The fallback blocked formulation keeps ``conv_forward``'s operand
-    orientation — C-contiguous ``(P, K)`` row panels against the
-    F-contiguous ``(K, O)`` kernel — and splits the per-sample GEMM along
-    its m dimension only.  Useful where the transposed panels fail
-    calibration (very small output-channel counts dispatch to different
-    BLAS kernels per orientation); m-blocking almost always preserves bits
-    because BLAS packs row panels independently.  Same probe protocol as
-    :func:`_blocked_gemm_matches`.
-    """
-
-    key = (n, rows, K, o, part)
-    hit = _BLOCKED_REF_GEMM_OK.get(key)
-    if hit is None:
-        a, b, ref = _probe_problem(0xB10D, n, rows, K, o)
-        got = np.empty_like(ref)
-        for c0, c1 in part.panels():
-            np.dot(a[c0:c1], b, out=got[c0:c1])
-        hit = _BLOCKED_REF_GEMM_OK[key] = bool(np.array_equal(got, ref))
+        a, b, want = _probe_problem(n, rows, K, o, splits)
+        hit = _GEMM_OK[key] = _panels_match(a, b, want, part, ref)
     return hit
 
 
@@ -1474,8 +1390,6 @@ class CompiledStagePlan:
         #: ``(pid, executor)`` of the lazily created panel executor
         #: (``width − 1`` workers; the caller thread always runs slot 0).
         self._panel_executor: tuple | None = None
-        #: Zero-padded ``(O_pad, K)`` weight operands for repacked GEMMs.
-        self._wpad: dict = {}
         #: Per-geometry lease counters of the current :meth:`run`.
         self._turn: dict = {}
         # Canvases stay fp32 even in half mode: their values are fp16 grid
@@ -1808,24 +1722,22 @@ class CompiledStagePlan:
         """The exact ``conv_forward`` contraction out of a padded canvas,
         finished panel by panel (see *Panel epilogue contract*).
 
-        One panel routine (:meth:`_panels`) runs every formulation; the
-        calibration probes pick, per problem shape, its orientation and
-        panel width:
+        One panel routine (:meth:`_panels`) runs every formulation — an
+        operand orientation over a partition — and the first one
+        :func:`_gemm_matches` proves bit-equal to the per-sample reference
+        runs:
 
+        * ``blocked`` / ``blocked_ref`` — above ``_BLOCKED_MIN_BYTES``, the
+          transposed / reference orientation cut by the width's
+          :func:`_partition` into per-slot row blocks of ``_PANEL_BYTES``
+          panels of whole innermost rows; the monolithic im2col buffer
+          never materializes;
         * ``transposed`` — one whole-result panel: the ``(K, B·rows)``
           im2col operand built directly in transposed layout and a single
-          ``wtT @ atT`` call, used where :func:`_transposed_gemm_matches`
-          proved it reproduces the per-sample reference bit for bit;
-        * ``reference`` — one panel per sample in ``conv_forward``'s own
-          operand orientation (identical BLAS calls, identical bits);
-        * ``blocked`` / ``blocked_pad`` / ``blocked_ref`` — above
-          ``_BLOCKED_MIN_BYTES`` the same two orientations cut by the
-          width's :func:`_partition` into per-slot row blocks of
-          ``_PANEL_BYTES`` panels of whole innermost rows (``blocked_pad``
-          repacks an O ≤ 2 weight operand with zero rows so BLAS
-          dispatches its well-shaped kernel), each only where its probe
-          proved bit-equality — the monolithic im2col buffer never
-          materializes.
+          ``wtT @ atT`` call;
+        * ``reference`` — the unprobed end of the chain: one panel per
+          sample in ``conv_forward``'s own operand orientation (identical
+          BLAS calls, identical bits).
 
         ``bound`` is the rigorous magnitude bound of the raw output (the
         saturating clip runs only where it reaches ±65504); ``tail``
@@ -1835,10 +1747,11 @@ class CompiledStagePlan:
         The canvas holds quantized (grid) values, so the module path's
         quantize-on-entry is a no-op and is skipped.
 
-        A stacked ``spec`` takes one tail per member and runs only in the
-        transposed orientation, probed against each member's own reference;
-        where that probe rejects the shape nothing runs and False is
-        returned — the caller runs the members' own sites.
+        A stacked ``spec`` takes one tail per member and tries only the
+        first formulation (``blocked`` or ``transposed``), probed against
+        each member's own reference; where the probe rejects it nothing
+        runs and False is returned — the caller runs the members' own
+        sites.
         """
 
         c, n = canvas.shape[:2]
@@ -1851,34 +1764,25 @@ class CompiledStagePlan:
         # so panels always cover whole innermost-axis rows.
         ow = out_spatial[-1]
         splits = spec.members
-        form = None
+        # (name, partition, reference orientation), in order of preference.
+        chain = [("transposed", _Partition(ow, m // ow, (m // ow,)), False)]
         if m * K * 4 >= _BLOCKED_MIN_BYTES:
             part = _partition(K, o, ow, m, self.budget.width)
-            if _blocked_gemm_matches(n, rows, K, o, part, splits):
-                form = ("blocked", False, 0)
-            elif splits:
+            chain[:0] = [("blocked", part, False), ("blocked_ref", part, True)]
+        for name, part, ref in chain[:1] if splits else chain:
+            if _gemm_matches(n, rows, K, o, part, ref, splits):
+                break
+        else:
+            if splits:
                 return False
-            elif o <= _PAD_MAX_O and (
-                    opad := _blocked_pad_gemm_matches(n, rows, K, o, part)):
-                form = ("blocked_pad", False, opad)
-            elif _blocked_ref_gemm_matches(n, rows, K, o, part):
-                form = ("blocked_ref", True, 0)
-        if form is None:
-            # One slot: a whole-result panel, or one panel per sample.
-            if _transposed_gemm_matches(n, rows, K, o, splits):
-                form, part = ("transposed", False, 0), _Partition(
-                    ow, m // ow, (m // ow,))
-            elif splits:
-                return False
-            else:
-                form, part = ("reference", True, 0), _Partition(
-                    ow, rows // ow, (m // ow,))
-        name, ref, opad = form
+            # One slot, one panel per sample: the module path's own call.
+            name, part, ref = "reference", _Partition(
+                ow, rows // ow, (m // ow,)), True
         tails = tail if splits else (tail,)
-        self._panels(key, spec, canvas, out_spatial, part, ref, opad, bound,
-                     tails, crop)
+        self._panels(key, spec, canvas, out_spatial, part, ref, bound, tails,
+                     crop)
         self._gemm_stats[key] = {
-            "formulation": name, "m": m, "K": K, "o": o, "opad": opad,
+            "formulation": name, "m": m, "K": K, "o": o,
             "panels": len(part.panels()), "threads": len(part.slot_rows),
             "rows_per_panel": part.rows_per_panel,
             "slot_rows": list(part.slot_rows),
@@ -1901,7 +1805,7 @@ class CompiledStagePlan:
         return self._panel_executor[1]
 
     def _slab(self, slot: int, spec: _ConvSpec, c: int, rows: int, ow: int,
-              wt_op: np.ndarray | None) -> tuple:
+              ref: bool) -> tuple:
         """Slot ``slot``'s panel scratch for ``rows`` whole output rows.
 
         Carved from the slot's arena, so every GEMM site reuses the same
@@ -1913,17 +1817,16 @@ class CompiledStagePlan:
         finished values and of the bundle its tail is handed (cut here, not
         in every panel), which ends in the tail's fp32 temporary: the dead
         one of the GEMM block and the snap result (the finished values are
-        the latter in half mode, the former otherwise).  ``wt_op`` is the
-        transposed-orientation operand
-        (zero-padded rows for ``blocked_pad``); None selects the reference
-        orientation, whose panels are ``(rows·ow, O)`` in memory — their
+        the latter in half mode, the former otherwise).  ``ref`` selects
+        the reference orientation, whose panels are ``(rows·ow, O)`` in
+        memory — their
         channel-major views are transposed, and elementwise passes over
         identically strided views still run in memory order.
         """
 
         o = spec.out_channels
         pw, K = rows * ow, c * math.prod(spec.kernel)
-        if wt_op is None:
+        if ref:
             scr, (g, yp) = _scratch(
                 self._ws, ("slab", slot), (rows, ow, o),
                 ((rows, ow, c) + spec.kernel, _F32), ((rows, ow, o), _F32))
@@ -1931,11 +1834,10 @@ class CompiledStagePlan:
             v = yp.transpose(2, 0, 1)
             scr = tuple(x.transpose(2, 0, 1) for x in scr)
         else:
-            oy = wt_op.shape[0]
             scr, (g, yp) = _scratch(
                 self._ws, ("slab", slot), (o, rows, ow),
-                ((c,) + spec.kernel + (rows, ow), _F32), ((oy, rows, ow), _F32))
-            a, b, y, v = wt_op, g.reshape(K, pw), yp.reshape(oy, pw), yp[:o]
+                ((c,) + spec.kernel + (rows, ow), _F32), ((o, rows, ow), _F32))
+            a, b, y, v = spec.wtT, g.reshape(K, pw), yp.reshape(o, pw), yp
         # The snap leaves the finished block in the bundle's result array.
         fin, tmp = (scr[1], v) if self.half else (v, scr[1])
         cuts = [0, *itertools.accumulate(spec.members or (o,))]
@@ -1945,7 +1847,7 @@ class CompiledStagePlan:
 
     def _panels(self, key, spec: _ConvSpec, canvas: np.ndarray,
                 out_spatial: tuple[int, ...], part: _Partition, ref: bool,
-                opad: int, bound: float, tails, crop) -> None:
+                bound: float, tails, crop) -> None:
         """Gather → GEMM → bias → clip → snap → tail, one panel at a time.
 
         A panel is a column range of ``part`` — whole innermost-axis rows
@@ -1964,7 +1866,7 @@ class CompiledStagePlan:
         since the slot runs one panel at a time — are carved on the caller
         thread before any worker starts, so the parallel region performs no
         allocation and no workspace-dict mutation.  Slots write disjoint
-        rows, and every formulation's partition was probed bit-equal to the
+        rows, and every multi-slot partition was probed bit-equal to the
         per-sample reference, so output bits are identical at every width.
         Each slot makes a few dozen short numpy calls per panel, each a
         possible GIL hand-off while another slot runs: fewer, larger panels
@@ -1998,13 +1900,6 @@ class CompiledStagePlan:
             ])
         slots = cached[2]
 
-        wt_op = None if ref else spec.wtT
-        if opad:
-            wt_op = self._wpad.get((key, opad))
-            if wt_op is None:
-                wt_op = np.zeros((opad,) + spec.wtT.shape[1:], np.float32)
-                wt_op[:spec.out_channels] = spec.wtT
-                self._wpad[(key, opad)] = wt_op
         bias = None if spec.bias is None else spec.bias.reshape(-1, 1, 1)
         snap = self.half
         clip = snap and bound >= _FP16_MAX
@@ -2022,7 +1917,7 @@ class CompiledStagePlan:
                 tail(rows, panel[1], rscr)
 
         # Widest panel first, so the slot's arena is sized once.
-        slabs = [{rows: self._slab(s, spec, c, rows, ow, wt_op)
+        slabs = [{rows: self._slab(s, spec, c, rows, ow, ref)
                   for rows in dict.fromkeys(rows for rows, _ in slot)}
                  for s, slot in enumerate(slots)]
 

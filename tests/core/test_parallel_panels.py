@@ -14,6 +14,7 @@ cases force a width through the private ``_FORCED_WIDTH`` hook.
 """
 
 import hashlib
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -133,8 +134,8 @@ class TestPartition:
         """Contiguous, disjoint blocks cover every row once; block sizes
         differ by at most one row; no panel crosses a block boundary and
         every panel is whole rows whose slab fits the byte budget (or one
-        row) — on an O ≤ 2 site with the GEMM block of the widest
-        ``blocked_pad`` repack, whichever formulation the probes pick."""
+        row) — on an O ≤ 2 site with the GEMM block charged at
+        ``_NARROW_GEMM_ROWS`` rows, whichever formulation the probe picks."""
 
         with mock.patch.object(fp, "_PANEL_BYTES", budget):
             part = fp._partition(K, o, ow, rows * ow, width)
@@ -142,7 +143,7 @@ class TestPartition:
         assert sum(part.slot_rows) == rows
         assert max(part.slot_rows) - min(part.slot_rows) <= 1
         rpp = part.rows_per_panel
-        oy = max(o, *fp._PAD_CHANNELS) if o <= fp._PAD_MAX_O else o
+        oy = fp._NARROW_GEMM_ROWS if o <= 2 else o
         assert rpp == 1 or rpp * ow * (4 * K + 4 * oy + 11 * o) <= budget
         edge = 0
         for block, slot in zip(part.slot_rows, part.slots()):
@@ -156,25 +157,22 @@ class TestPartition:
             assert slot[-1][1] == edge * ow
         assert part.panels() == [p for slot in part.slots() for p in slot]
 
-    @pytest.mark.parametrize("probe", ["blocked", "blocked_pad",
-                                       "blocked_ref"])
-    def test_probes_walk_the_partition(self, monkeypatch, probe):
-        """Each blocked probe gathers exactly the partition's column ranges,
-        in the executor's order (a rejecting walk stops early and a padded
-        probe walks once per candidate, so each walk is a prefix)."""
+    @pytest.mark.parametrize("ref", [False, True],
+                             ids=["transposed", "reference"])
+    def test_probes_walk_the_partition(self, monkeypatch, ref):
+        """The probe gathers exactly the partition's column ranges, in the
+        executor's order, in either orientation (a rejecting walk stops
+        early, so the walk is a prefix)."""
 
         n, rows, K, o = 2, 70, 12, 2
         with mock.patch.object(fp, "_PANEL_BYTES", 3 * 10 * fp._column_bytes(K, o)):
             part = fp._partition(K, o, 10, n * rows, 3)
         assert part.slot_rows == (5, 5, 4) and part.rows_per_panel == 3
         walks = _record_probe_walks(monkeypatch)
-        fn = {"blocked": fp._blocked_gemm_matches,
-              "blocked_pad": fp._blocked_pad_gemm_matches,
-              "blocked_ref": fp._blocked_ref_gemm_matches}[probe]
-        accepted = fn(n, rows, K, o, part)
-        assert walks and all(w == part.panels()[:len(w)] for w in walks)
-        if accepted or probe == "blocked_ref":
-            assert walks[-1] == part.panels()
+        accepted = fp._gemm_matches(n, rows, K, o, part, ref)
+        assert len(walks) == 1 and walks[0] == part.panels()[:len(walks[0])]
+        if accepted:
+            assert walks[0] == part.panels()
 
     @pytest.mark.parametrize("width", [1, 5])
     def test_executor_runs_the_probed_partition(self, small_blocks,
@@ -224,13 +222,11 @@ class TestPartition:
 
 
 def _record_probe_walks(monkeypatch) -> list[list[tuple[int, int]]]:
-    """Empty the blocked probes' caches and patch their operands so every
-    row range a probe gathers from its im2col stand-in is recorded; a range
+    """Empty the probe's cache and patch its operands so every row range
+    the probe gathers from its im2col stand-in is recorded; a range
     starting at column 0 opens a new walk."""
 
-    for cache in ("_BLOCKED_GEMM_OK", "_BLOCKED_PAD_GEMM_OK",
-                  "_BLOCKED_REF_GEMM_OK"):
-        monkeypatch.setattr(fp, cache, {})
+    monkeypatch.setattr(fp, "_GEMM_OK", {})
     walks: list = []
 
     class Recorded(np.ndarray):
@@ -245,6 +241,77 @@ def _record_probe_walks(monkeypatch) -> list[list[tuple[int, int]]]:
     monkeypatch.setattr(fp, "_probe_problem", lambda *args: (
         lambda a, b, ref: (a.view(Recorded), b, ref))(*real(*args)))
     return walks
+
+
+class TestSelectionChain:
+    """``_gemm`` runs the first formulation the probe accepts — above
+    ``_BLOCKED_MIN_BYTES`` ``blocked`` → ``blocked_ref`` → ``transposed``,
+    below it ``transposed`` — and otherwise the unprobed ``reference``; a
+    stacked site tries its first candidate only.  The probe is replaced by
+    an accept set, so the chain is checked whatever this host's BLAS
+    decides."""
+
+    N, ROWS, OW, K, O = 2, 60, 10, 36, 4
+
+    @pytest.mark.parametrize("splits", [None, (2, 2)],
+                             ids=["single", "stacked"])
+    @pytest.mark.parametrize("big", [True, False], ids=["big", "small"])
+    @pytest.mark.parametrize("accept", [
+        (), ("blocked",), ("blocked_ref",), ("transposed",),
+        ("blocked_ref", "transposed"), ("blocked", "blocked_ref", "transposed"),
+    ], ids=lambda a: "+".join(a) or "none")
+    def test_first_accepted_formulation_runs(self, monkeypatch, accept, big,
+                                             splits):
+        n, rows, ow, K, o = self.N, self.ROWS, self.OW, self.K, self.O
+        m = n * rows
+        monkeypatch.setattr(fp, "_BLOCKED_MIN_BYTES",
+                            1 if big else m * K * 4 + 1)
+        monkeypatch.setattr(fp, "_PANEL_BYTES", 2 * ow * fp._column_bytes(K, o))
+        blocked = fp._partition(K, o, ow, m, 2)
+        whole = fp._Partition(ow, m // ow, (m // ow,))
+        candidates = {"blocked": (blocked, False),
+                      "blocked_ref": (blocked, True),
+                      "transposed": (whole, False),
+                      "reference": (fp._Partition(ow, rows // ow, (m // ow,)),
+                                    True)}
+        assert len(set(candidates.values())) == 4
+        probed = []
+
+        def probe(pn, prows, pK, po, part, ref, psplits=None):
+            assert (pn, prows, pK, po, psplits) == (n, rows, K, o, splits)
+            probed.append((part, ref))
+            return (part, ref) in {candidates[a] for a in accept}
+
+        ran = []
+        plan = SimpleNamespace(
+            budget=SimpleNamespace(width=2), _gemm_stats={},
+            _panels=lambda key, spec, canvas, out_spatial, part, ref, *rest:
+                ran.append((part, ref)))
+        spec = SimpleNamespace(out_spatial=lambda spatial: (rows // ow, ow),
+                               kernel=(3, 3), out_channels=o, members=splits)
+        canvas = np.empty((K // 9, n, 1, 1), np.float32)
+        monkeypatch.setattr(fp, "_gemm_matches", probe)
+        tail = (None, None) if splits else None
+        done = fp.CompiledStagePlan._gemm(plan, "site", spec, canvas, 1.0,
+                                          tail, "store")
+
+        chain = ["blocked", "blocked_ref", "transposed"] if big else [
+            "transposed"]
+        if splits:
+            chain = chain[:1]
+        label = next((name for name in chain if name in accept), None)
+        tried = chain if label is None else chain[:chain.index(label) + 1]
+        assert probed == [candidates[name] for name in tried]
+        if label is None and splits:
+            assert done is False and not ran and not plan._gemm_stats
+            return
+        label = label or "reference"
+        assert done is True and ran == [candidates[label]]
+        g = plan._gemm_stats["site"]
+        part = candidates[label][0]
+        assert g["formulation"] == label
+        assert (g["panels"], g["rows_per_panel"], g["slot_rows"]) == (
+            len(part.panels()), part.rows_per_panel, list(part.slot_rows))
 
 
 class TestWidthThreeParity:
@@ -441,8 +508,7 @@ class TestPlanStats:
         gemms = [g for s in dec_stats for g in s["gemms"].values()]
         assert gemms, "decoder ran no recorded GEMM sites"
         assert {g["formulation"] for g in gemms} <= {
-            "blocked", "blocked_pad", "blocked_ref", "transposed",
-            "reference"}
+            "blocked", "blocked_ref", "transposed", "reference"}
         blocked = [g for g in gemms if g["formulation"].startswith("blocked")]
         assert blocked, "no panel-blocked site engaged at test scale"
         assert all(1 <= g["threads"] <= 2 for g in blocked)

@@ -45,6 +45,13 @@ def _plans(comp):
     return [comp._fast_encoder().plan, *comp._fast_decoder().plans.values()]
 
 
+def _whole(n, rows, K, o, splits=None):
+    """The probe's verdict on the one-panel ``transposed`` formulation."""
+
+    return fp._gemm_matches(n, rows, K, o, fp._Partition(rows, n, (n,)),
+                            False, splits)
+
+
 def _pair_sites(plan):
     """``(stacked, apart)``: the fused sites of a plan after a run, and the
     skip-path sites of the pairs that run as two."""
@@ -59,18 +66,20 @@ class TestStackingProbe:
     @pytest.mark.parametrize("rows,K,splits,ow", PAPER_PAIR_SITES)
     def test_accepts_the_paper_shapes(self, rows, K, splits, ow, width):
         part = fp._partition(K, sum(splits), ow, rows, width)
-        assert fp._blocked_gemm_matches(1, rows, K, sum(splits), part, splits)
+        assert fp._gemm_matches(1, rows, K, sum(splits), part, False, splits)
 
+    @pytest.mark.parametrize("ref", [False, True],
+                             ids=["transposed", "reference"])
     @pytest.mark.parametrize("where", ["first", "last"])
-    def test_blocked_probe_stops_at_the_first_mismatch(self, monkeypatch,
-                                                       where):
+    def test_probe_stops_at_the_first_mismatch(self, monkeypatch, where, ref):
         """One flipped bit in the reference rejects the shape, and the
-        probe compares no panel past the one that holds it."""
+        probe compares no panel past the one that holds it, in either
+        orientation."""
 
         n, rows, K, o = 2, 48, 16, 4
         part = fp._Partition(16, 2, (6,))  # three panels of 32 columns
-        monkeypatch.setattr(fp, "_BLOCKED_GEMM_OK", {})
-        assert fp._blocked_gemm_matches(n, rows, K, o, part)
+        monkeypatch.setattr(fp, "_GEMM_OK", {})
+        assert fp._gemm_matches(n, rows, K, o, part, ref)
 
         class Panels(np.ndarray):
             """A reference that counts the panel slices taken from it."""
@@ -89,8 +98,8 @@ class TestStackingProbe:
             return a, b, ref.view(Panels)
 
         monkeypatch.setattr(fp, "_probe_problem", corrupted)
-        monkeypatch.setattr(fp, "_BLOCKED_GEMM_OK", {})
-        assert fp._blocked_gemm_matches(n, rows, K, o, part) is False
+        monkeypatch.setattr(fp, "_GEMM_OK", {})
+        assert fp._gemm_matches(n, rows, K, o, part, ref) is False
         assert len(compared) == (1 if where == "first" else 3)
 
     def test_compares_each_member_with_its_own_reference(self):
@@ -112,15 +121,12 @@ class TestStackingProbe:
         stacked = np.dot(np.ascontiguousarray(b.T), np.ascontiguousarray(a.T)).T
         own = np.concatenate([reference(0, 4), reference(4, 8)], axis=1)
         wide = reference(0, 8)
-        assert fp._transposed_gemm_matches(n, rows, K, 8, splits) == \
-            np.array_equal(stacked, own)
-        assert fp._transposed_gemm_matches(n, rows, K, 8) == \
-            np.array_equal(stacked, wide)
+        assert _whole(n, rows, K, 8, splits) == np.array_equal(stacked, own)
+        assert _whole(n, rows, K, 8) == np.array_equal(stacked, wide)
         if np.array_equal(wide, own):
             pytest.skip("this BLAS contracts 8 columns like two 4-column "
                         "products at this shape")
-        assert not (fp._transposed_gemm_matches(n, rows, K, 8, splits)
-                    and fp._transposed_gemm_matches(n, rows, K, 8))
+        assert not (_whole(n, rows, K, 8, splits) and _whole(n, rows, K, 8))
 
     def test_rejected_shape_runs_as_two_sites(self):
         """Whatever the probe decided per pair, the stats agree with it and
@@ -143,11 +149,11 @@ class TestStackingProbe:
             assert {g["formulation"] for g in stacked} <= {"transposed"}
             for g in stacked:
                 assert g["tail"] == "act+requant|act"
-                assert fp._transposed_gemm_matches(
-                    n, g["m"] // n, g["K"], g["o"], tuple(g["members"]))
+                assert _whole(n, g["m"] // n, g["K"], g["o"],
+                              tuple(g["members"]))
             for g in apart:
-                assert not fp._transposed_gemm_matches(
-                    n, g["m"] // n, g["K"], 2 * g["o"], (g["o"], g["o"]))
+                assert not _whole(n, g["m"] // n, g["K"], 2 * g["o"],
+                                  (g["o"], g["o"]))
 
     def test_forced_rejection_same_bytes(self, monkeypatch):
         """With every stacking probe refusing, all pairs run as two sites
@@ -161,15 +167,11 @@ class TestStackingProbe:
         recon = np.array(fused.decompress_into(fused.compress_into(w)))
         assert any(_pair_sites(p)[0] for p in _plans(fused))
 
-        whole, blocked = fp._transposed_gemm_matches, fp._blocked_gemm_matches
+        real = fp._gemm_matches
         monkeypatch.setattr(
-            fp, "_transposed_gemm_matches",
-            lambda n, rows, K, o, splits=None:
-                splits is None and whole(n, rows, K, o))
-        monkeypatch.setattr(
-            fp, "_blocked_gemm_matches",
-            lambda n, rows, K, o, part, splits=None:
-                splits is None and blocked(n, rows, K, o, part))
+            fp, "_gemm_matches",
+            lambda n, rows, K, o, part, ref, splits=None:
+                splits is None and real(n, rows, K, o, part, ref))
         apart = BCAECompressor(model)
         assert bytes(apart.compress_into(w).payload) == payload
         assert np.array_equal(
