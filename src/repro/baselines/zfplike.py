@@ -30,7 +30,6 @@ from __future__ import annotations
 import struct
 
 import numpy as np
-import scipy.fft
 
 from .bitstream import BitReader, pack_fixed, unpack_bits
 from .quantize import UniformQuantizer
@@ -90,6 +89,8 @@ class ZFPLikeCodec:
         nd = arr.ndim
         blocks, _padded = self._blockify(arr)
         axes = tuple(range(1, nd + 1))
+        import scipy.fft  # on use: the sparse codec imports this package
+
         coeffs = scipy.fft.dctn(blocks, axes=axes, norm="ortho")
 
         flat = coeffs.reshape(coeffs.shape[0], -1)
@@ -142,6 +143,8 @@ class ZFPLikeCodec:
 
         blocks = flat.reshape((n_blocks,) + (_BLOCK,) * nd)
         axes = tuple(range(1, nd + 1))
+        import scipy.fft
+
         spatial = scipy.fft.idctn(blocks, axes=axes, norm="ortho").astype(np.float32)
         return self._unblockify(spatial, padded_shape, shape)
 

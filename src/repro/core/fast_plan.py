@@ -1107,6 +1107,22 @@ def _panel_map(view: np.ndarray, pre: tuple, r0: int, r1: int, dims, lo, hi):
             [(j0, j1) + box for j0, j1, box in stores if box])
 
 
+#: Length of the calibration probes' random pool (:func:`_probe_pool`): a
+#: prime above every im2col ``K`` of the zoo models (at most 1 536).
+_PROBE_POOL_LEN = 1_048_583
+
+
+@functools.cache
+def _probe_pool() -> np.ndarray:
+    """The per-process standard-normal pool every calibration probe tiles
+    its operands from (seed ``0xB10C``, 4 MB, drawn once, read-only)."""
+
+    pool = np.random.default_rng(0xB10C).standard_normal(
+        _PROBE_POOL_LEN, dtype=np.float32)
+    pool.flags.writeable = False
+    return pool
+
+
 def _probe_problem(n: int, rows: int, K: int, o: int,
                    splits: tuple[int, ...] | None = None):
     """Operands and reference of one GEMM calibration probe: a dense-random
@@ -1116,11 +1132,20 @@ def _probe_problem(n: int, rows: int, K: int, o: int,
     operand (:meth:`_ConvSpec.stacked`): each member's columns are then
     contracted on their own, as its own site would — BLAS may accumulate an
     ``o``-column product differently from the narrower ones it stands for.
+
+    ``a`` then ``b`` are the periodic repetition of :func:`_probe_pool`, so
+    row ``i`` of ``a`` is the pool window starting at ``i·K mod L`` (``L``
+    = :data:`_PROBE_POOL_LEN`).  ``L`` is a prime above ``K``, so
+    ``i·K ≡ j·K (mod L)`` only where ``i ≡ j``: any ``L`` consecutive rows
+    are pairwise distinct, and every element is still a dense
+    standard-normal value.  Tiling is a memcpy; drawing costs ~20 ns an
+    element, which at paper geometry is most of a probe.
     """
 
-    rng = np.random.default_rng(0xB10C)
-    a = rng.standard_normal((n * rows, K), dtype=np.float32)
-    b = np.asfortranarray(rng.standard_normal((K, o), dtype=np.float32))
+    size = n * rows * K
+    flat = np.resize(_probe_pool(), size + K * o)
+    a = flat[:size].reshape(n * rows, K)
+    b = np.asfortranarray(flat[size:].reshape(K, o))
 
     ref = np.empty((n * rows, o), dtype=np.float32)
     tmp = np.empty(rows * max(splits), dtype=np.float32) if splits else None
@@ -1238,7 +1263,8 @@ _GEMM_OK: dict = {}
 
 
 def _gemm_matches(n: int, rows: int, K: int, o: int, part: _Partition,
-                  ref: bool, splits: tuple[int, ...] | None = None) -> bool:
+                  ref: bool, splits: tuple[int, ...] | None = None,
+                  problem=None) -> bool:
     """Calibrate one GEMM formulation for one problem shape.
 
     A formulation is an operand orientation over a partition: ``ref``
@@ -1260,12 +1286,22 @@ def _gemm_matches(n: int, rows: int, K: int, o: int, part: _Partition,
     shape.  Behaviour is never traded for speed.  ``splits`` probes a
     stacked operand against its members' references
     (:func:`_probe_problem`).
+
+    The dense-random operands are tiled from one per-process pool of
+    prime period (:func:`_probe_pool`) rather than drawn per shape: the
+    probe still compares every panel of the partition against the full
+    per-sample reference on raw bits, and the summation order it detects
+    does not depend on the values, so every verdict is the one a fresh
+    draw gives.  ``problem`` is a zero-argument callable returning
+    :func:`_probe_problem`'s triple, called only on a cache miss, so a
+    chain of candidates for one shape can share one memoized draw.
     """
 
     key = (n, rows, K, splits or o, part, ref)
     hit = _GEMM_OK.get(key)
     if hit is None:
-        a, b, want = _probe_problem(n, rows, K, o, splits)
+        a, b, want = (problem() if problem is not None
+                      else _probe_problem(n, rows, K, o, splits))
         hit = _GEMM_OK[key] = _panels_match(a, b, want, part, ref)
     return hit
 
@@ -1769,8 +1805,11 @@ class CompiledStagePlan:
         if m * K * 4 >= _BLOCKED_MIN_BYTES:
             part = _partition(K, o, ow, m, self.budget.width)
             chain[:0] = [("blocked", part, False), ("blocked_ref", part, True)]
+        # One draw serves every candidate the chain probes.
+        problem = functools.cache(
+            functools.partial(_probe_problem, n, rows, K, o, splits))
         for name, part, ref in chain[:1] if splits else chain:
-            if _gemm_matches(n, rows, K, o, part, ref, splits):
+            if _gemm_matches(n, rows, K, o, part, ref, splits, problem):
                 break
         else:
             if splits:
@@ -1778,6 +1817,7 @@ class CompiledStagePlan:
             # One slot, one panel per sample: the module path's own call.
             name, part, ref = "reference", _Partition(
                 ow, rows // ow, (m // ow,)), True
+        del problem  # the operand can be as large as the site's im2col
         tails = tail if splits else (tail,)
         self._panels(key, spec, canvas, out_spatial, part, ref, bound, tails,
                      crop)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.ndimage
 
 __all__ = [
     "Cluster",
@@ -74,6 +73,8 @@ def find_clusters(
         1 = edge-adjacency, 2 = include diagonals (default; drift diffusion
         couples diagonal bins).
     """
+
+    import scipy.ndimage  # on use: repro.tpc is on the compress path
 
     wedge = np.asarray(wedge)
     if wedge.ndim != 3:

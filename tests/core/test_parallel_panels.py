@@ -277,7 +277,7 @@ class TestSelectionChain:
         assert len(set(candidates.values())) == 4
         probed = []
 
-        def probe(pn, prows, pK, po, part, ref, psplits=None):
+        def probe(pn, prows, pK, po, part, ref, psplits=None, problem=None):
             assert (pn, prows, pK, po, psplits) == (n, rows, K, o, splits)
             probed.append((part, ref))
             return (part, ref) in {candidates[a] for a in accept}

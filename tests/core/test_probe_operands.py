@@ -1,0 +1,198 @@
+"""The GEMM calibration probe's operands keep its power.
+
+Every probe tiles its dense-random operands from one per-process pool of
+prime period (``fast_plan._probe_pool``) instead of drawing them per shape.
+These tests pin what that must not change: the probe still rejects a
+contraction that differs from the reference only in summation order, still
+accepts the genuine partitions, rows stay pairwise distinct within a
+period, its verdicts are the ones a fresh per-shape draw gives, and one
+draw serves every candidate of a site's formulation chain.
+"""
+
+import math
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from repro.core import MODEL_NAMES, BCAECompressor, build_model
+from repro.core import fast_plan as fp
+
+L = fp._PROBE_POOL_LEN
+
+#: ``(n, rows, K, o, ow)`` probe shapes whose ``n·rows·K`` spans several
+#: pool periods; the last has O = 1, whose transposed orientation this
+#: BLAS contracts differently from the reference (a rejecting shape).
+SHAPES = [(2, 4800, 384, 8, 48), (2, 2400, 1536, 8, 48),
+          (1, 8192, 300, 2, 64), (1, 8192, 300, 1, 64)]
+ACCEPTED = SHAPES[:3]
+
+
+def _fresh_problem(n, rows, K, o):
+    """A per-shape draw of the probe's operands and reference: a dense
+    ``standard_normal`` operand and kernel from one seeded generator."""
+
+    rng = np.random.default_rng(0xB10C)
+    a = rng.standard_normal((n * rows, K), dtype=np.float32)
+    b = np.asfortranarray(rng.standard_normal((K, o), dtype=np.float32))
+    want = np.empty((n * rows, o), np.float32)
+    for i in range(n):
+        np.dot(a[i * rows:(i + 1) * rows], b, out=want[i * rows:(i + 1) * rows])
+    return a, b, want
+
+
+def _formulations(n, rows, K, o, ow):
+    """``(partition, reference orientation)`` of every formulation a site
+    of this shape may run: the blocked partitions at widths 1–3 and at the
+    width this host derives, in both orientations, the whole-result panel
+    and the per-sample reference panels."""
+
+    m = n * rows
+    widths = sorted({1, 2, 3, fp.panel_budget().width})
+    return ([(fp._partition(K, o, ow, m, w), ref)
+             for w in widths for ref in (False, True)]
+            + [(fp._Partition(ow, m // ow, (m // ow,)), False),
+               (fp._Partition(ow, rows // ow, (m // ow,)), True)])
+
+
+class TestPool:
+    def test_length_is_a_prime_above_every_zoo_k(self):
+        assert all(L % p for p in range(2, math.isqrt(L) + 1))
+        ks = set()
+        for name in MODEL_NAMES:
+            model = build_model(name, wedge_spatial=(16, 24, 30), seed=0)
+            model.eval()
+            comp = BCAECompressor(model)
+            comp.decompress_into(comp.compress_into(
+                np.zeros((1, 16, 24, 30), np.float32)))
+            for plan in [comp._fast_encoder().plan,
+                         *comp._fast_decoder().plans.values()]:
+                ks |= {g["K"] for g in plan.plan_stats()["gemms"].values()}
+        assert max(ks) == 1536 < L
+
+    def test_pool_is_drawn_once_and_read_only(self):
+        pool = fp._probe_pool()
+        assert fp._probe_pool() is pool
+        assert pool.shape == (L,) and pool.dtype == np.float32
+        assert not pool.flags.writeable
+
+    @pytest.mark.parametrize("K", [36, 384, 1536])
+    def test_row_offsets_are_distinct_within_a_period(self, K):
+        """Row ``i`` starts at ``i·K mod L``: ``L`` consecutive rows start
+        at ``L`` distinct offsets."""
+
+        starts = np.arange(L, dtype=np.int64) * K % L
+        assert np.bincount(starts, minlength=L).max() == 1
+
+    @pytest.mark.parametrize("K", [36, 1536])
+    def test_rows_are_pairwise_distinct(self, K):
+        rows = 3 * L // K  # an operand three periods long
+        a, b, _ = fp._probe_problem(1, rows, K, 4)
+        assert np.unique(a, axis=0).shape[0] == rows
+        assert np.isfinite(a).all() and np.isfinite(b).all()
+        assert b.flags.f_contiguous
+
+
+class TestProbePower:
+    @pytest.mark.parametrize("shape", ACCEPTED, ids=str)
+    def test_accepts_the_genuine_partitions(self, shape):
+        n, rows, K, o, ow = shape
+        a, b, want = fp._probe_problem(n, rows, K, o)
+        assert n * rows * K > 2 * L
+        for part, ref in _formulations(*shape):
+            assert fp._panels_match(a, b, want, part, ref)
+
+    @pytest.mark.parametrize("order", ["split", "reversed", "last_row"])
+    @pytest.mark.parametrize("shape", ACCEPTED, ids=str)
+    def test_rejects_another_summation_order(self, shape, order):
+        """The same K products summed as two halves, or in reverse order,
+        are a different contraction; so is one that sums only the last
+        row, periods past the first, as two halves."""
+
+        n, rows, K, o, ow = shape
+        a, b, want = fp._probe_problem(n, rows, K, o)
+        h = K // 2
+        if order == "reversed":
+            other = (np.ascontiguousarray(a[:, ::-1])
+                     @ np.asfortranarray(b[::-1]))
+        else:
+            other = a[:, :h] @ b[:h] + a[:, h:] @ b[h:]
+        if order == "last_row":
+            other = np.concatenate([want[:-1], other[-1:]])
+        assert not np.array_equal(other, want)
+        for part, ref in _formulations(*shape):
+            assert not fp._panels_match(a, b, other, part, ref)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_verdicts_equal_a_fresh_draw(self, shape):
+        pooled = fp._probe_problem(*shape[:4])
+        fresh = _fresh_problem(*shape[:4])
+        verdicts = [fp._panels_match(*pooled, part, ref)
+                    for part, ref in _formulations(*shape)]
+        assert verdicts == [fp._panels_match(*fresh, part, ref)
+                            for part, ref in _formulations(*shape)]
+        assert all(verdicts) == (shape in ACCEPTED)
+
+
+class TestOneDrawPerChain:
+    """``_gemm`` draws one probe problem per shape and hands it to every
+    candidate of its chain (``blocked`` → ``blocked_ref`` →
+    ``transposed``); a cache hit draws nothing."""
+
+    N, ROWS, OW, K, O = 2, 60, 10, 36, 4
+
+    def _run(self, plan):
+        n, rows, ow, K, o = self.N, self.ROWS, self.OW, self.K, self.O
+        spec = SimpleNamespace(out_spatial=lambda spatial: (rows // ow, ow),
+                               kernel=(3, 3), out_channels=o, members=None)
+        canvas = np.empty((K // 9, n, 1, 1), np.float32)
+        fp.CompiledStagePlan._gemm(plan, "site", spec, canvas, 1.0, None,
+                                   "store")
+
+    def test_one_draw_serves_the_chain(self, monkeypatch):
+        n, rows, ow, K, o = self.N, self.ROWS, self.OW, self.K, self.O
+        monkeypatch.setattr(fp, "_GEMM_OK", {})
+        monkeypatch.setattr(fp, "_BLOCKED_MIN_BYTES", 1)
+        monkeypatch.setattr(fp, "_PANEL_BYTES", 2 * ow * fp._column_bytes(K, o))
+        blocked = fp._partition(K, o, ow, n * rows, 2)
+        whole = fp._Partition(ow, n * rows // ow, (n * rows // ow,))
+        assert len(blocked.panels()) > 1
+
+        draws, seen = [], []
+        real_problem, real_match = fp._probe_problem, fp._panels_match
+
+        def problem(*args):
+            draws.append(args)
+            return real_problem(*args)
+
+        def match(a, b, want, part, ref):
+            """``blocked`` is forced to reject and ``blocked_ref`` rejects
+            after its real verdict is recorded, so the chain reaches
+            ``transposed``."""
+
+            verdict = real_match(a, b, want, part, ref)
+            seen.append(((part, ref), id(a), verdict))
+            return verdict and (part, ref) == (whole, False)
+
+        monkeypatch.setattr(fp, "_probe_problem", problem)
+        monkeypatch.setattr(fp, "_panels_match", match)
+        ran = []
+        plan = SimpleNamespace(
+            budget=SimpleNamespace(width=2), _gemm_stats={},
+            _panels=lambda key, spec, canvas, out_spatial, part, ref, *rest:
+                ran.append((part, ref)))
+        self._run(plan)
+
+        assert draws == [(n, rows, K, o, None)]
+        assert [c for c, _, _ in seen] == [
+            (blocked, False), (blocked, True), (whole, False)]
+        assert len({ident for _, ident, _ in seen}) == 1
+        for (part, ref), _, verdict in seen:
+            assert verdict == real_match(*real_problem(n, rows, K, o), part,
+                                         ref)
+        assert ran == [(whole, False) if seen[-1][2] else (
+            fp._Partition(ow, rows // ow, (n * rows // ow,)), True)]
+
+        seen.clear()
+        self._run(plan)  # every candidate's verdict is cached now
+        assert len(draws) == 1 and not seen

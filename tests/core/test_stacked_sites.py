@@ -170,7 +170,7 @@ class TestStackingProbe:
         real = fp._gemm_matches
         monkeypatch.setattr(
             fp, "_gemm_matches",
-            lambda n, rows, K, o, part, ref, splits=None:
+            lambda n, rows, K, o, part, ref, splits=None, problem=None:
                 splits is None and real(n, rows, K, o, part, ref))
         apart = BCAECompressor(model)
         assert bytes(apart.compress_into(w).payload) == payload

@@ -8,7 +8,10 @@ documented locations.
 
 import importlib
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -98,6 +101,29 @@ class TestHeadlineEntryPoints:
                 {"m": 1, "n": 1, "d": 1} if name == "bcae_2d" else {}
             ))
             assert model.encoder_parameters() > 0
+
+    def test_serving_import_set_loads_no_scipy(self):
+        """The compress/serve path never calls scipy, so importing it — and
+        looking up the sparse codec, which imports ``repro.baselines`` —
+        must not load scipy (~90 modules, ~20 MB, ~0.4 s of every cold
+        start).  A fresh interpreter, because this one may have loaded
+        scipy already."""
+
+        code = (
+            "import sys\n"
+            "import repro.core, repro.io, repro.perf, repro.rate, "
+            "repro.serve, repro.tpc\n"
+            "from repro.rate import SPARSE_CODEC_ID, classical_codec\n"
+            "classical_codec(SPARSE_CODEC_ID)\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'scipy'))\n")
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_cli_console_entry(self):
         from repro.cli import main
