@@ -981,7 +981,6 @@ class _SupervisedStream:
         self._items = items
         self._window: collections.deque = collections.deque()
         self._counters = FaultCounters()
-        self._recovering = False
         # A borrowed transport (gateway shard pumps) is reused across
         # streams and closed by its owner, not here.
         self._owns_transport = transport is None
@@ -1083,18 +1082,14 @@ class _SupervisedStream:
             unit.item.attempt = unit.attempt  # probe fault hooks see retries
         try:
             unit.future = self._engine.submit(unit.item)
-            return
-        except concurrent.futures.BrokenExecutor:
+        except concurrent.futures.BrokenExecutor as broken:
             # The pool died under an earlier in-flight unit before anyone
-            # waited on it.  Nobody is charged for the submit itself:
-            # rebuild, re-drive the window serially (the real culprit
-            # crashes again alone and is charged there), then submit this
-            # unit on the fresh engine.
-            self._crashed()
-            self._rebuild(force=True)
-            if not self._recovering:
-                self._recover_window(skip=unit)
-        unit.future = self._engine.submit(unit.item)
+            # waited on it.  Park the failure on this unit's future: the
+            # window is awaited in order, so the unit whose future broke
+            # is charged there, exactly as if its own wait had seen the
+            # death, and this unit re-drives uncharged with the rest.
+            unit.future = concurrent.futures.Future()
+            unit.future.set_exception(broken)
 
     def _pop(self) -> tuple[BatchRecord, object]:
         unit = self._window.popleft()
@@ -1233,24 +1228,20 @@ class _SupervisedStream:
         (``skip``) is left to its own charged retry by the caller.
         """
 
-        self._recovering = True
-        try:
-            for unit in list(self._window):
-                if unit is skip or unit.done is not None or unit.error is not None:
-                    continue
-                if not self._service._idempotent:
-                    self._count("failures")
-                    unit.error = WorkerCrashError(
-                        f"in-flight unit seq={getattr(unit.item, 'seq', '?')} "
-                        "was lost to a worker crash and this service's "
-                        "units are not idempotent — not re-run"
-                    )
-                    continue
-                self._submit(unit)
-                while unit.done is None and unit.error is None:
-                    self._await(unit, alone=True)
-        finally:
-            self._recovering = False
+        for unit in list(self._window):
+            if unit is skip or unit.done is not None or unit.error is not None:
+                continue
+            if not self._service._idempotent:
+                self._count("failures")
+                unit.error = WorkerCrashError(
+                    f"in-flight unit seq={getattr(unit.item, 'seq', '?')} "
+                    "was lost to a worker crash and this service's "
+                    "units are not idempotent — not re-run"
+                )
+                continue
+            self._submit(unit)
+            while unit.done is None and unit.error is None:
+                self._await(unit, alone=True)
 
 
 class StreamingCompressionService(ModelPoolService):

@@ -11,6 +11,7 @@ compress worker — the ISSUE's acceptance scenario).
 
 import json
 import os
+import time
 import urllib.error
 import urllib.request
 
@@ -166,6 +167,30 @@ class TestRetriesExhausted:
         results, stats = probe.run(items, keep_results=True)
         assert results == _checksums(arrays)
         assert all(r.attempts == 1 for r in stats.records if r.seq != 2)
+
+    @pytest.mark.parametrize("backend", ["process-shm", "process-pickle"])
+    def test_pool_death_seen_at_submit_is_charged_to_its_unit(self, backend):
+        # The source stalls before unit 3 until unit 2 has killed the only
+        # worker, so the next submit, not unit 2's own wait, meets the
+        # broken pool.  Unit 2 must still be charged for the one death;
+        # a free re-run at attempt 0 would fire its fault a second time.
+        probe = HandoffProbeService(
+            _config(backend, inflight=2, max_retries=2)
+        )
+        arrays = _arrays(6)
+        items = probe.items(arrays, faults={2: "kill"}, fail_attempts=1)
+
+        def source():
+            for item in items:
+                if item.seq == 3:
+                    time.sleep(0.5)
+                yield item
+
+        results, stats = probe._collect(probe._serve(source()), keep=True)
+        assert results == _checksums(arrays)
+        assert stats.faults.crashes == 1
+        assert stats.faults.retries == 1
+        assert [r.attempts for r in stats.records] == [1, 1, 2, 1, 1, 1]
 
 
 class TestDegradedFallback:
