@@ -28,11 +28,13 @@ The two instantiations:
 :class:`~repro.serve.batcher.AsyncMicroBatcher`, whose latency budget is a
 **monotonic wall-clock deadline** — a batch flushes ``max_delay_s`` after
 its first wedge arrives even if the link stalls, which replayed stream
-time cannot promise.  ``max_delay_s = 0`` means "never wait".  Beneath
-them, :class:`~repro.serve.service.AsyncServingSession` is the raw façade:
-``await submit(unit)`` returns the unit's future (worker faults surface
-there and nowhere else), results emit in submission order through the same
-bounded in-flight window, and early close drains in-flight work cleanly.
+time cannot promise.  ``max_delay_s = 0`` means "never wait".  There is
+one stream driver: ``serve_async`` runs the same supervised stream as the
+sync ``run`` on one thread, pulling one unit from the loop each time the
+stream asks for one, so async streams get the same retry, deadlines, pool
+rebuild, slab quarantine, degrade ladder, ``health()`` and ``drain()``;
+results emit in stream order, and early close drains in-flight work
+cleanly.
 
 **Shared-memory hand-off.**  With ``ServiceConfig.backend="process"``, the
 default ``transport="shm"`` moves payloads through a ring of pre-sized
@@ -96,7 +98,6 @@ from .gateway import (
     StreamRouter,
 )
 from .service import (
-    AsyncServingSession,
     BatchRecord,
     DecompressionService,
     HandoffProbeService,
@@ -143,7 +144,6 @@ __all__ = [
     "DecompressionService",
     "HandoffProbeService",
     "ProbeItem",
-    "AsyncServingSession",
     "start_health_server",
     "ServingGateway",
     "StreamRouter",

@@ -32,10 +32,13 @@ Execution backends, per :class:`ServiceConfig`:
   (``"pickle"``), with graceful per-unit fallback when a payload exceeds
   the slab size.
 
-Every backend also has an asyncio face: :class:`AsyncServingSession`
-(``await submit`` / ordered ``async for`` results) under the
-``serve_async``/``run_async``/``compress_stream_async`` entry points, fed
-by the wall-clock :class:`~repro.serve.batcher.AsyncMicroBatcher`.
+Every stream — sync or async, a gateway shard's included — runs under one
+supervised driver (``_SupervisedStream`` under ``_serve``).  The asyncio
+entry points (``serve_async``/``run_async``/``compress_stream_async``,
+fed by the wall-clock :class:`~repro.serve.batcher.AsyncMicroBatcher`)
+run that driver on one thread, pulling units from the loop on demand, so
+both faces share retry, deadlines, pool rebuild, slab quarantine, the
+degrade ladder, ``health()`` and ``drain()``.
 
 Payload/reconstruction bytes are identical to serial single-call
 ``compress``/``decompress`` in every configuration.  Every model with a
@@ -55,6 +58,7 @@ import dataclasses
 import itertools
 import logging
 import os
+import queue
 import random
 import signal
 import threading
@@ -85,7 +89,6 @@ __all__ = [
     "DecompressionService",
     "ProbeItem",
     "HandoffProbeService",
-    "AsyncServingSession",
     "start_health_server",
 ]
 
@@ -97,6 +100,9 @@ _TRANSPORTS = ("shm", "pickle")
 _LEVELS = ("process", "thread", "inline")
 #: Fault kinds the probe service can inject (see :class:`ProbeItem`).
 _FAULT_KINDS = ("poison", "kill", "hang", "corrupt-slab")
+#: How often a pending async pull re-checks the drain latch, so an idle
+#: async source cannot hold a drain open.
+_DRAIN_POLL_S = 0.05
 
 
 class ServingFaultError(RuntimeError):
@@ -484,9 +490,9 @@ class ModelPoolService:
     #: Sentinel item: a supervised stream that pulls this from its source
     #: drains the whole in-flight window (emitting every pending result in
     #: order) instead of treating it as work.  Long-lived pull sources —
-    #: the gateway's shard pumps above all — inject it when their queue
-    #: runs dry, so results reach waiting sessions instead of sitting in a
-    #: half-full window until the next unit arrives.
+    #: the gateway's shard pumps and :meth:`serve_async` — inject it while
+    #: units are in flight and the next unit has not arrived, so results
+    #: reach waiting consumers instead of sitting in a half-full window.
     _FLUSH = object()
 
     #: Whether this service's units may legally be re-executed after a
@@ -655,17 +661,21 @@ class ModelPoolService:
     def drain(self, wait: bool = True, timeout: float | None = None) -> bool:
         """Stop intake, flush in-flight units, release every slab.
 
-        The sync generalization of :meth:`AsyncServingSession.aclose`:
-        after ``drain()`` no stream pulls further items from its source —
-        a partially accumulated micro-batch flushes with
-        ``closed_by="drain"``, every unit already submitted is emitted
-        (or surfaces its error), and each stream's backend and slab ring
-        are torn down on its normal close path, so nothing is orphaned
-        and no slab stays leased.  Draining is terminal for the service:
-        starting a new stream or session afterwards raises
-        ``RuntimeError``.  With ``wait=True`` (default) blocks until all
-        active streams have finished, up to ``timeout`` seconds (``None``
-        = forever); returns True when the service is fully drained.
+        Covers sync and async streams alike (:meth:`serve_async` drives
+        the same supervised stream): after ``drain()`` no stream pulls
+        further items from its source — a partially accumulated
+        micro-batch flushes with ``closed_by="drain"``, every unit
+        already pulled is emitted (or surfaces its error), and each
+        stream's backend and slab ring are torn down on its normal close
+        path, so nothing is orphaned and no slab stays leased.  An async
+        stream parked on an idle source gives up its pending pull.
+        Draining is terminal for the service: starting a new stream
+        afterwards raises ``RuntimeError``.  With ``wait=True`` (default)
+        blocks the calling thread until all active streams have finished,
+        up to ``timeout`` seconds (``None`` = forever); returns True when
+        the service is fully drained.  Async streams need their event
+        loop to finish, so call a waiting drain off the loop (e.g.
+        ``await loop.run_in_executor(None, service.drain)``).
         """
 
         return self._supervisor.drain(wait=wait, timeout=timeout)
@@ -702,39 +712,125 @@ class ModelPoolService:
         )
 
     # ------------------------------------------------------------------
-    # async façade
-    # ------------------------------------------------------------------
-    def session(self) -> "AsyncServingSession":
-        """Open an async session on this service (must run inside a loop).
-
-        The session is the raw façade — ``await session.submit(unit)``
-        returns the unit's future, ``async for`` over
-        :meth:`AsyncServingSession.results` emits in order.  Most callers
-        want :meth:`serve_async` / ``run_async`` instead.
-        """
-
-        return AsyncServingSession(self)
-
     async def serve_async(self, items) -> AsyncIterator[tuple[BatchRecord, object]]:
-        """Serve an async iterable of work units; ordered async emission.
+        """Serve a (sync or async) iterable of work units; ordered async
+        emission.
 
-        The asyncio twin of :meth:`_serve`: same backends, same bounded
-        in-flight window, same stream-order emission — but submission and
-        emission interleave on the event loop, so an async source keeps
-        producing while workers compute.  Closing the generator early
-        drains in-flight units cleanly (no orphaned work, no leaked slabs).
+        The asyncio face of :meth:`_serve`, not a second driver: one
+        thread runs the same supervised stream — retry, deadlines, pool
+        rebuild, slab quarantine, the degrade ladder, :meth:`health` and
+        :meth:`drain` — and results plus the stream's terminal error come
+        back through the loop.  Intake is pulled on demand, as the sync
+        path pulls its iterator: an event-loop task takes one unit from
+        ``items`` each time the stream asks for one, so nothing is read
+        ahead of the stream and a drain never strands a pulled unit.
+        While units are in flight the stream waits about one unit's
+        compute time for the next unit, then flushes the window, so a slow
+        source does not hold finished results.  At most
+        ``2 * config.inflight`` units sit between the source and the
+        consumer.  Closing the generator early (or cancelling its
+        consumer) ends intake and waits, off the loop, for the stream to
+        flush and close — no orphaned work, no leaked slab.
         """
 
-        session = self.session()
+        loop = asyncio.get_running_loop()
+        sup = self._supervisor
+        end = object()
+        asks: asyncio.Queue = asyncio.Queue()
+        intake: queue.SimpleQueue = queue.SimpleQueue()
+        results: asyncio.Queue = asyncio.Queue()
+        room = asyncio.Semaphore(2 * self.config.inflight)
+        taken = emitted = 0  # driver-thread counts; the difference is in flight
+
+        async def feed() -> None:
+            source = _ensure_async(items)
+            pull = None
+            try:
+                while True:
+                    await asks.get()
+                    await room.acquire()
+                    pull = asyncio.ensure_future(source.__anext__())
+                    while not (await asyncio.wait((pull,), timeout=_DRAIN_POLL_S))[0]:
+                        if sup.draining:
+                            # An idle source must not hold a drain open; a
+                            # unit that lands before the cancel is served.
+                            pull.cancel()
+                            await asyncio.wait((pull,))
+                            if pull.cancelled():
+                                return
+                    intake.put(await pull)  # done: returns or raises at once
+                    pull = None
+            except StopAsyncIteration:
+                pass
+            except BaseException as exc:
+                intake.put(exc)  # the driver raises it at the source's position
+            finally:
+                if pull is not None:
+                    pull.cancel()
+                intake.put(end)
+
+        def source():
+            nonlocal taken
+            while True:
+                loop.call_soon_threadsafe(asks.put_nowait, None)
+                try:
+                    item = intake.get(
+                        timeout=sup.last_unit_latency_s if taken > emitted else None
+                    )
+                except queue.Empty:
+                    # The source is slower than a unit's compute: emit
+                    # what is in flight instead of holding it for a full
+                    # window, then wait on.
+                    yield self._FLUSH
+                    item = intake.get()
+                if item is end:
+                    return
+                if isinstance(item, BaseException):
+                    raise item
+                taken += 1
+                yield item
+
+        def post(out) -> None:
+            try:
+                loop.call_soon_threadsafe(results.put_nowait, out)
+            except RuntimeError:
+                pass  # loop already closed during teardown
+
+        def drive() -> None:
+            nonlocal emitted
+            try:
+                for out in self._serve(source()):
+                    emitted += 1
+                    post(out)
+            except BaseException as exc:
+                post(exc)
+            else:
+                post(end)
+
+        feeder = loop.create_task(feed())
+        driver = threading.Thread(target=drive, name="repro-serve-async",
+                                  daemon=True)
+        driver.start()
+        out = None
         try:
-            async for item in _ensure_async(items):
-                while session.pending >= self.config.inflight:
-                    yield await session.next_result()
-                await session.submit(item)
-            while session.pending:
-                yield await session.next_result()
+            while (out := await results.get()) is not end:
+                if isinstance(out, BaseException):
+                    raise out
+                room.release()
+                yield out
         finally:
-            await session.aclose()
+            # End intake: the stream flushes its window and closes its
+            # engine and transport; wait for that.
+            intake.put(end)
+            feeder.cancel()
+            try:
+                while out is not end and not isinstance(out, BaseException):
+                    out = await results.get()
+            except asyncio.CancelledError:
+                # Cancelled again while waiting: the no-orphaned-work
+                # guarantee outranks loop liveness.
+                driver.join()
+                raise
 
     async def _collect_async(self, stream, keep: bool) -> tuple[list, ServiceStats]:
         """Drain an async served stream into (results, stats)."""
@@ -2064,205 +2160,6 @@ class _Checkout:
         with self._lock:
             taken, self._taken = self._taken, []
         self._service._release(taken)
-
-
-class AsyncServingSession:
-    """Async façade over one :class:`ModelPoolService` stream.
-
-    Opens the configured backend once (private single-thread executor for
-    ``workers=0`` so inline work never blocks the event loop, thread pool,
-    or process pool with the shm/pickle transport), then:
-
-    * ``await submit(unit)`` — hands one work unit to the backend and
-      returns its :class:`asyncio.Future`.  Backpressure: when
-      ``config.inflight`` units are submitted but not yet emitted, submit
-      awaits until the consumer pops a result.
-    * ``await next_result()`` / ``async for ... in results()`` — ordered
-      emission: units come back in submission order regardless of which
-      worker finished first.
-    * ``await aclose()`` — drains every in-flight unit (nothing is
-      orphaned; failed units release their slabs), shuts the backend down,
-      and destroys the slab ring.  Also an async context manager.
-
-    A worker exception surfaces on the owning unit's future (and from
-    ``next_result`` at that unit's position); other units and later
-    streams are unaffected.
-
-    Example
-    -------
-    >>> async with service.session() as session:         # doctest: +SKIP
-    ...     fut = await session.submit(unit)
-    ...     async for result in session.results():
-    ...         consume(result)
-    """
-
-    def __init__(self, service: ModelPoolService) -> None:
-        cfg = service.config
-        if service._supervisor.drain_requested():
-            raise RuntimeError("service is draining/drained — no new sessions")
-        self._service = service
-        self._loop = asyncio.get_running_loop()
-        self._window: collections.deque = collections.deque()
-        self._emitted = asyncio.Event()
-        self._closed = False
-        self._transport: _ProcessTransport | None = None
-        self._checkout: _Checkout | None = None
-        if cfg.workers > 0 and cfg.backend == "process":
-            self._transport = _ProcessTransport(service)
-            # Adaptive slab sizing: the ring (and the pool, whose workers
-            # attach the ring at init) wait for the first submitted unit.
-            self._pool = None
-            if not self._transport.ring_pending:
-                self._pool = concurrent.futures.ProcessPoolExecutor(
-                    cfg.workers,
-                    initializer=_process_init,
-                    initargs=self._transport.initargs(),
-                )
-        else:
-            self._checkout = _Checkout(service)
-            self._pool = concurrent.futures.ThreadPoolExecutor(max(1, cfg.workers))
-
-    # ------------------------------------------------------------------
-    @property
-    def pending(self) -> int:
-        """Units submitted but not yet emitted."""
-
-        return len(self._window)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    async def submit(self, item) -> asyncio.Future:
-        """Submit one work unit; returns the unit's future.
-
-        The future completes when the unit's worker finishes, and a worker
-        exception surfaces as the future's exception — that is its primary
-        contract.  Its *value* is the materialized result only for the
-        inline/thread backends; under the process backend it may be an
-        internal transport descriptor (the slab is materialized and
-        released by the ordered emission path), so consume results through
-        :meth:`next_result`/:meth:`results`, not from this future.
-        """
-
-        if self._closed:
-            raise RuntimeError("session is closed")
-        while len(self._window) >= self._service.config.inflight:
-            self._emitted.clear()
-            await self._emitted.wait()
-        if self._pool is None:
-            cfg = self._service.config
-            self._transport.ensure_ring(item)
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                cfg.workers,
-                initializer=_process_init,
-                initargs=self._transport.initargs(),
-            )
-        if self._transport is not None:
-            cf = self._transport.submit(self._pool, item)
-        else:
-            cf = self._pool.submit(self._service._execute, self._checkout, item)
-        future = asyncio.wrap_future(cf, loop=self._loop)
-        future._cf = cf
-        self._window.append(future)
-        return future
-
-    async def next_result(self) -> tuple[BatchRecord, object]:
-        """Await and emit the oldest in-flight unit (submission order)."""
-
-        if not self._window:
-            raise RuntimeError("no in-flight units")
-        future = self._window.popleft()
-        try:
-            return await self._finish(future)
-        finally:
-            self._emitted.set()
-
-    async def results(self) -> AsyncIterator[tuple[BatchRecord, object]]:
-        """Ordered async iteration over everything currently in flight."""
-
-        while self._window:
-            yield await self.next_result()
-
-    async def _finish(self, future) -> tuple[BatchRecord, object]:
-        cf = getattr(future, "_cf", future)
-        try:
-            record, result = await future
-        except BaseException:
-            # Release the slab only when the worker is actually done with
-            # it (worker exception).  If *this await* was cancelled while
-            # the worker still runs, the slab stays leased — it is
-            # reclaimed when the ring is destroyed at close, and must not
-            # be handed to another unit mid-write.
-            if self._transport is not None and cf.done():
-                self._transport.fail(cf)
-            raise
-        if self._transport is not None:
-            record, result = self._transport.finalize(cf, record, result)
-        return record, result
-
-    # ------------------------------------------------------------------
-    async def aclose(self) -> None:
-        """Drain in-flight units, release all slabs, shut the backend down.
-
-        Robust to being called from a *cancelled* task (the common early-
-        close path): draining may be cut short by the pending
-        ``CancelledError``, but the backend shutdown below is synchronous —
-        it waits out whatever is still executing — so no unit is ever
-        orphaned and the slab ring is always destroyed.  The cancellation
-        is re-raised after cleanup.
-        """
-
-        if self._closed:
-            return
-        self._closed = True
-        cancelled: BaseException | None = None
-        try:
-            while self._window:
-                try:
-                    await self.next_result()
-                except asyncio.CancelledError:
-                    raise
-                except Exception:
-                    pass  # drained; the error already surfaced on its future
-        except asyncio.CancelledError as exc:
-            cancelled = exc
-        finally:
-            try:
-                # Wait out in-flight workers off the event loop so
-                # co-scheduled tasks keep running during long compute; if
-                # even that wait is cancelled, fall back to blocking —
-                # the no-orphaned-work guarantee outranks loop liveness.
-                try:
-                    if self._pool is not None:
-                        await asyncio.get_running_loop().run_in_executor(
-                            None, lambda: self._pool.shutdown(wait=True)
-                        )
-                except asyncio.CancelledError as exc:
-                    cancelled = exc
-                    self._pool.shutdown(wait=True)
-            finally:
-                if self._transport is not None:
-                    fallbacks = self._transport.fallbacks
-                    self._transport.close()
-                    if fallbacks:
-                        # Surface silent shm→pickle degradation where the
-                        # bench/health layers look: the service's fault
-                        # totals and the most recent stream's counters.
-                        self._service._supervisor.totals.shm_fallbacks += fallbacks
-                        self._service._last_faults = FaultCounters(
-                            shm_fallbacks=fallbacks
-                        )
-                if self._checkout is not None:
-                    self._checkout.release()
-        if cancelled is not None:
-            raise cancelled
-
-    async def __aenter__(self) -> "AsyncServingSession":
-        return self
-
-    async def __aexit__(self, *exc) -> None:
-        await self.aclose()
 
 
 async def _ensure_async(items):

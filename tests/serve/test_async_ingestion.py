@@ -167,6 +167,10 @@ class TestWallClockBudget:
             assert b.wait_s <= 0.1 + TOL
 
 
+class _SourceDied(BaseException):
+    """A source failure outside the ``Exception`` hierarchy."""
+
+
 class TestSourceFailure:
     @pytest.mark.parametrize("budget", [0.0, BUDGET])
     def test_wedges_before_a_source_failure_are_still_batched(self, budget):
@@ -190,6 +194,33 @@ class TestSourceFailure:
         got = asyncio.run(run())
         assert [int(w[0, 0, 0]) for b in got for w in b.wedges] == [0, 1]
         assert got[-1].closed_by == "eof"
+
+
+    @pytest.mark.parametrize("exc", [_SourceDied, asyncio.CancelledError])
+    def test_source_base_exception_is_not_a_clean_eof(self, exc):
+        """A source that dies with a BaseException ends the served stream
+        with that exception, not as a truncated but clean end of stream."""
+
+        from repro.serve import HandoffProbeService
+
+        probe = HandoffProbeService(ServiceConfig(workers=2, inflight=2))
+        arrays = [np.full((3, 4), i, dtype=np.uint16) for i in range(3)]
+
+        async def dying():
+            for item in probe.items(arrays):
+                yield item
+            raise exc
+
+        async def run():
+            got = []
+            with pytest.raises(exc):
+                async for record, _ in probe.serve_async(dying()):
+                    got.append(record.seq)
+            return got
+
+        got = asyncio.run(run())
+        assert got == list(range(len(got)))
+        assert probe.health().active_streams == 0
 
 
 class TestQueueSourceClose:
@@ -312,6 +343,41 @@ class TestAsyncSyncEquivalence:
         assert b"".join(bytes(p.payload) for p in payloads) == b"".join(serial_payloads)
 
 
+    def test_concurrent_streams_under_fast_thread_switching(self):
+        """Several async streams on one service — one driver thread each,
+        more pool threads than cores — under a shortened interpreter
+        switch interval: every stream emits all its units in order, and
+        none stays registered with the service."""
+
+        import sys
+
+        from repro.serve import HandoffProbeService
+
+        probe = HandoffProbeService(ServiceConfig(workers=4, inflight=2))
+        streams = [[np.full((3, 4), 10 * s + i, dtype=np.uint16)
+                    for i in range(20)] for s in range(6)]
+
+        async def one(arrays):
+            results, stats = await probe._collect_async(
+                probe.serve_async(probe.items(arrays)), keep=True)
+            return results, [r.seq for r in stats.records]
+
+        async def run():
+            return await asyncio.wait_for(
+                asyncio.gather(*(one(a) for a in streams)), timeout=60.0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            outcomes = asyncio.run(run())
+        finally:
+            sys.setswitchinterval(interval)
+        for arrays, (results, seqs) in zip(streams, outcomes):
+            assert results == [float(a.sum()) for a in arrays]
+            assert seqs == list(range(len(arrays)))
+        assert probe.health().active_streams == 0
+
+
 class TestCancellationAndClose:
     def test_early_close_drains_cleanly(self, model, wedges, serial_payloads):
         """Breaking out of the async stream strands no in-flight units."""
@@ -350,38 +416,6 @@ class TestCancellationAndClose:
         assert service.last_shm["leased_at_close"] == 0
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=service.last_shm["name"])
-
-    def test_session_submit_and_ordered_results(self, model, wedges):
-        from repro.serve import MicroBatcher, iter_wedges
-
-        service = StreamingCompressionService(
-            model, ServiceConfig(max_batch=4, workers=2, inflight=8)
-        )
-        batches = list(MicroBatcher(max_batch=4).batches(iter_wedges(wedges)))
-
-        async def run():
-            async with service.session() as session:
-                futures = [await session.submit(b) for b in batches]
-                emitted = [(r, p) async for r, p in session.results()]
-                assert session.pending == 0
-                for fut in futures:  # each unit's own future resolved too
-                    assert fut.done()
-                return emitted
-
-        emitted = asyncio.run(run())
-        assert [r.seq for r, _p in emitted] == list(range(len(batches)))
-
-    def test_submit_after_close_rejected(self, model):
-        service = StreamingCompressionService(model, ServiceConfig(workers=0))
-
-        async def run():
-            session = service.session()
-            await session.aclose()
-            with pytest.raises(RuntimeError, match="closed"):
-                await session.submit(None)
-            assert session.closed
-
-        asyncio.run(run())
 
     def test_consumer_task_cancellation_cleans_up(self, model, wedges):
         """Cancelling the consuming task still shuts the backend down."""

@@ -1,8 +1,8 @@
 """Fault injection for the model-pool engine: containment and recovery.
 
 A worker that raises mid-batch must (1) surface the error on the owning
-unit — the future the submitter holds, or the run() call at that unit's
-position — (2) release its slab and in-flight slot, and (3) leave the
+unit — at that unit's position in run() or in serve_async's ordered
+iteration — (2) release its slab and in-flight slot, and (3) leave the
 service fully serviceable for subsequent submissions.  These paths were
 previously untested; the :class:`HandoffProbeService` poison hook makes
 the fault deterministic on every backend without corrupting model state.
@@ -94,26 +94,6 @@ class TestWorkerFaultSurfaces:
 
 
 class TestAsyncFaultOwnership:
-    def test_error_surfaces_on_owning_future_only(self):
-        """Per-unit futures: the poisoned unit fails, its neighbours don't."""
-
-        probe = HandoffProbeService(ServiceConfig(workers=2, inflight=8))
-        arrays = _arrays(3)
-        items = probe.items(arrays, poison_seqs=[1])
-
-        async def run():
-            async with probe.session() as session:
-                futures = [await session.submit(item) for item in items]
-                ok0 = await futures[0]
-                with pytest.raises(RuntimeError, match="injected"):
-                    await futures[1]
-                ok2 = await futures[2]
-                return ok0, ok2
-
-        (rec0, res0), (rec2, res2) = asyncio.run(run())
-        assert (res0, res2) == (_checksums(arrays)[0], _checksums(arrays)[2])
-        assert (rec0.seq, rec2.seq) == (0, 2)
-
     @pytest.mark.parametrize("config", BACKENDS)
     def test_error_surfaces_at_unit_position_in_ordered_iteration(self, config):
         probe = HandoffProbeService(config)
@@ -133,21 +113,24 @@ class TestAsyncFaultOwnership:
         results, _ = probe.run(arrays, keep_results=True)
         assert results == _checksums(arrays)
 
-    def test_session_aclose_after_fault_drains(self):
+    def test_early_close_after_poisoned_unit_destroys_ring(self):
+        """Closing serve_async right after a poisoned unit was submitted
+        still flushes the stream and destroys its slab ring."""
+
         probe = HandoffProbeService(
             ServiceConfig(workers=1, backend="process", inflight=4,
                           shm_slab_mb=1.0)
         )
-        items = probe.items(_arrays(3), poison_seqs=[0, 1, 2])
+        items = probe.items(_arrays(4), poison_seqs=[1])
 
         async def run():
-            session = probe.session()
-            for item in items:
-                await session.submit(item)
-            await session.aclose()  # drains all three failures silently
-            assert session.pending == 0
+            stream = probe.serve_async(items)
+            record, _ = await stream.__anext__()
+            await stream.aclose()
+            return record
 
-        asyncio.run(run())
+        assert asyncio.run(run()).seq == 0
+        assert probe.health().active_streams == 0
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=probe.last_shm["name"])
 

@@ -2,13 +2,16 @@
 
 The full fault matrix on every backend — {kill, hang, poison,
 corrupt-slab} × {retry-succeeds, retries-exhausted, degraded-fallback} —
-each case asserting the service afterwards serves byte-identical results
-to the inline backend and that the slab ring leaked nothing.  Faults are
+through both entry points (sync ``run`` and async ``serve_async``, which
+drive the same supervised stream), each case asserting the service
+afterwards serves byte-identical results to the inline backend and that
+the slab ring leaked nothing.  Faults are
 injected deterministically through :class:`ProbeItem` (every backend) and
 the ``REPRO_SERVE_KILL_FILE`` hook (a real SIGKILL inside a real
 compress worker — the ISSUE's acceptance scenario).
 """
 
+import asyncio
 import json
 import os
 import time
@@ -20,6 +23,7 @@ import pytest
 
 from repro.core import build_model
 from repro.serve import (
+    AsyncQueueSource,
     HandoffProbeService,
     ServiceConfig,
     StreamingCompressionService,
@@ -52,6 +56,15 @@ def _config(backend: str, **kw) -> ServiceConfig:
     return ServiceConfig(**base)
 
 
+def _serve(probe: HandoffProbeService, items, entry: str):
+    """Serve prebuilt probe units through the sync or the async entry
+    point; returns ``(results, stats)``."""
+
+    if entry == "sync":
+        return probe.run(items, keep_results=True)
+    return asyncio.run(probe._collect_async(probe.serve_async(items), keep=True))
+
+
 def _assert_clean(probe: HandoffProbeService, arrays) -> None:
     """The post-fault invariant every matrix case ends on: the same
     service instance serves a full follow-up run identical to the inline
@@ -69,18 +82,20 @@ BACKENDS = ["inline", "thread", "process-shm", "process-pickle"]
 # cannot be SIGKILLed); on process it is a real SIGKILL -> broken pool.
 # Either way the supervisor charges the owning unit the same way.
 CRASH_FAULTS = ["kill", "corrupt-slab"]
+ENTRIES = ["sync", "async"]
 
 
 class TestRetrySucceeds:
     """Fault on the first attempt only -> the unit succeeds on retry."""
 
+    @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("fault", ["poison", "kill", "corrupt-slab"])
-    def test_one_shot_fault_retries_to_success(self, backend, fault):
+    def test_one_shot_fault_retries_to_success(self, backend, fault, entry):
         probe = HandoffProbeService(_config(backend, max_retries=2))
         arrays = _arrays()
         items = probe.items(arrays, faults={2: fault}, fail_attempts=1)
-        results, stats = probe.run(items, keep_results=True)
+        results, stats = _serve(probe, items, entry)
         assert results == _checksums(arrays)
         retried = [r for r in stats.records if r.seq == 2][0]
         assert retried.attempts == 2
@@ -89,8 +104,9 @@ class TestRetrySucceeds:
         assert stats.faults.failures == 0
         _assert_clean(probe, arrays)
 
+    @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_hang_times_out_then_retry_succeeds(self, backend):
+    def test_hang_times_out_then_retry_succeeds(self, backend, entry):
         # Thread workers cannot be interrupted, so the hang must be short
         # enough to finish before interpreter exit joins the abandoned
         # pool; process workers are SIGKILLed, so any length works.
@@ -101,7 +117,7 @@ class TestRetrySucceeds:
         arrays = _arrays()
         items = probe.items(arrays, faults={2: "hang"}, hang_s=hang_s,
                             fail_attempts=1)
-        results, stats = probe.run(items, keep_results=True)
+        results, stats = _serve(probe, items, entry)
         assert results == _checksums(arrays)
         if backend == "inline":
             # Inline executes at submit time on the caller's thread: the
@@ -112,31 +128,49 @@ class TestRetrySucceeds:
             assert [r for r in stats.records if r.seq == 2][0].attempts == 2
         _assert_clean(probe, arrays)
 
+    def test_async_sigkill_retries_instead_of_losing_the_stream(self):
+        # serve_async used to emit units 0-1, raise BrokenProcessPool and
+        # leave health() at zero faults on exactly this configuration.
+        probe = HandoffProbeService(
+            _config("process-shm", inflight=2, max_retries=2)
+        )
+        arrays = _arrays()
+        items = probe.items(arrays, faults={2: "kill"}, fail_attempts=1)
+        results, stats = _serve(probe, items, "async")
+        assert results == _checksums(arrays)
+        assert stats.faults.retries == 1
+        assert stats.faults.failures == 0
+        assert probe.health().faults.crashes == 1
+        _assert_clean(probe, arrays)
+
 
 class TestRetriesExhausted:
     """A persistent fault surfaces on the owning unit once the budget is
     spent — and only there; the service stays serviceable."""
 
+    @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("fault,exc", [
         ("poison", RuntimeError),
         ("kill", WorkerCrashError),
         ("corrupt-slab", WorkerCrashError),
     ])
-    def test_persistent_fault_surfaces_on_owner(self, backend, fault, exc):
+    def test_persistent_fault_surfaces_on_owner(self, backend, fault, exc,
+                                                entry):
         probe = HandoffProbeService(_config(backend, max_retries=1))
         arrays = _arrays()
         items = probe.items(arrays, faults={3: fault})
         with pytest.raises(exc):
-            probe.run(items)
+            _serve(probe, items, entry)
         totals = probe.health().faults
         assert totals.failures == 1
         assert totals.retries == 1
         _assert_clean(probe, arrays)
 
+    @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("backend", ["thread", "process-shm",
                                          "process-pickle"])
-    def test_persistent_hang_raises_unit_timeout(self, backend):
+    def test_persistent_hang_raises_unit_timeout(self, backend, entry):
         hang_s = 10.0 if backend.startswith("process") else 0.3
         probe = HandoffProbeService(
             _config(backend, unit_timeout_s=0.15, max_retries=1,
@@ -145,26 +179,28 @@ class TestRetriesExhausted:
         arrays = _arrays()
         items = probe.items(arrays, faults={1: "hang"}, hang_s=hang_s)
         with pytest.raises(UnitTimeoutError, match="deadline"):
-            probe.run(items)
+            _serve(probe, items, entry)
         assert probe.health().faults.timeouts >= 2  # initial + retry
         _assert_clean(probe, arrays)
 
-    def test_zero_retries_is_fail_fast(self):
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_zero_retries_is_fail_fast(self, entry):
         probe = HandoffProbeService(_config("process-shm"))
         arrays = _arrays()
         with pytest.raises(WorkerCrashError):
-            probe.run(probe.items(arrays, faults={0: "kill"}))
+            _serve(probe, probe.items(arrays, faults={0: "kill"}), entry)
         assert probe.health().faults.retries == 0
         _assert_clean(probe, arrays)
 
+    @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("backend", ["process-shm", "process-pickle"])
-    def test_crash_charged_only_to_owner(self, backend):
+    def test_crash_charged_only_to_owner(self, backend, entry):
         # A broken pool fails every in-flight future; units other than
         # the killer must be re-driven uncharged and emit attempts=1.
         probe = HandoffProbeService(_config(backend, max_retries=1))
         arrays = _arrays(6)
         items = probe.items(arrays, faults={2: "kill"}, fail_attempts=1)
-        results, stats = probe.run(items, keep_results=True)
+        results, stats = _serve(probe, items, entry)
         assert results == _checksums(arrays)
         assert all(r.attempts == 1 for r in stats.records if r.seq != 2)
 
@@ -196,9 +232,11 @@ class TestRetriesExhausted:
 class TestDegradedFallback:
     """The circuit breaker steps the backend down instead of dying."""
 
+    @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("backend", ["process-shm", "process-pickle"])
     @pytest.mark.parametrize("fault", CRASH_FAULTS)
-    def test_process_degrades_to_thread_and_succeeds(self, backend, fault):
+    def test_process_degrades_to_thread_and_succeeds(self, backend, fault,
+                                                     entry):
         probe = HandoffProbeService(
             _config(backend, max_retries=4, degrade_after=2)
         )
@@ -206,7 +244,7 @@ class TestDegradedFallback:
         # Crashes twice (trips the breaker at degrade_after=2), then the
         # third attempt runs on the thread level and succeeds.
         items = probe.items(arrays, faults={1: fault}, fail_attempts=2)
-        results, stats = probe.run(items, keep_results=True)
+        results, stats = _serve(probe, items, entry)
         assert results == _checksums(arrays)
         assert stats.faults.degraded == 1
         assert stats.level == "thread"
@@ -214,28 +252,30 @@ class TestDegradedFallback:
         assert health.state == "degraded"
         assert health.level == "thread"
         # The step-down is sticky: the follow-up stream reports it too.
-        results, stats = probe.run(arrays, keep_results=True)
+        results, stats = _serve(probe, probe.items(arrays), entry)
         assert results == _checksums(arrays)
         assert stats.level == "thread"
 
-    def test_thread_degrades_to_inline(self):
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_thread_degrades_to_inline(self, entry):
         probe = HandoffProbeService(
             _config("thread", max_retries=4, degrade_after=2)
         )
         arrays = _arrays()
         items = probe.items(arrays, faults={1: "kill"}, fail_attempts=2)
-        results, stats = probe.run(items, keep_results=True)
+        results, stats = _serve(probe, items, entry)
         assert results == _checksums(arrays)
         assert stats.level == "inline"
         assert probe.health().state == "degraded"
 
-    def test_inline_has_no_lower_level(self):
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_inline_has_no_lower_level(self, entry):
         probe = HandoffProbeService(
             _config("inline", max_retries=4, degrade_after=2)
         )
         arrays = _arrays()
         items = probe.items(arrays, faults={1: "kill"}, fail_attempts=3)
-        results, stats = probe.run(items, keep_results=True)
+        results, stats = _serve(probe, items, entry)
         assert results == _checksums(arrays)
         assert stats.faults.degraded == 0
         assert stats.level == "inline"
@@ -363,6 +403,97 @@ class TestDrain:
         assert sum(r.n_wedges for r in records) < len(wedges)
         assert service.health().state == "drained"
 
+    def test_drain_stops_async_intake(self):
+        probe = HandoffProbeService(_config("process-shm"))
+        arrays = _arrays(12)
+        verdicts = []
+        pulled = []
+
+        def source():
+            for item in probe.items(arrays):
+                pulled.append(item.seq)
+                yield item
+
+        async def run():
+            emitted = []
+            async for record, _ in probe.serve_async(source()):
+                if not emitted:
+                    verdicts.append(probe.drain(wait=False))
+                emitted.append(record.seq)
+            return emitted
+
+        emitted = asyncio.run(run())
+        # The stream was still running when drain was requested ...
+        assert verdicts == [False]
+        # ... stopped pulling (at most 2 * inflight units sit between the
+        # source and the consumer, so most of the 12 never started), and
+        # served every unit it did pull.
+        assert emitted == pulled == list(range(len(emitted)))
+        assert 0 < len(emitted) < len(arrays)
+        assert probe.drain(wait=True, timeout=5.0)
+        assert probe.health().state == "drained"
+        assert probe.last_shm["leased_at_close"] == 0
+        with pytest.raises(RuntimeError, match="drain"):
+            _serve(probe, probe.items(arrays), "async")
+
+    def test_async_drain_flushes_partial_batch_as_drain(self):
+        model = build_model("bcae_2d", wedge_spatial=(16, 24, 32), seed=0)
+        # A budget long enough that only "full" and "drain" close batches.
+        service = StreamingCompressionService(
+            model, ServiceConfig(max_batch=4, workers=0, max_delay_s=60.0)
+        )
+        rng = np.random.default_rng(0)
+        wedges = rng.integers(0, 1024, size=(10, 16, 24, 32)).astype(np.uint16)
+        source = AsyncQueueSource()  # never closed: only the drain ends it
+
+        async def produce():
+            for wedge in wedges[:6]:
+                source.put_nowait(wedge)
+            # Wedges 4-5 taken: the stream is pulling its second batch.
+            while source._queue.qsize():
+                await asyncio.sleep(0.005)
+            service.drain(wait=False)
+            for wedge in wedges[6:]:
+                source.put_nowait(wedge)
+
+        async def run():
+            producer = asyncio.create_task(produce())
+            records = [record async for record, _ in
+                       service.compress_stream_async(source)]
+            await producer
+            return records, len(wedges) - source._queue.qsize()
+
+        records, pulled = asyncio.run(run())
+        assert records[-1].closed_by == "drain"
+        assert sum(r.n_wedges for r in records) == pulled < len(wedges)
+        assert service.health().state == "drained"
+
+    def test_drain_releases_async_stream_parked_on_idle_source(self):
+        probe = HandoffProbeService(_config("process-shm"))
+        arrays = _arrays(2)
+
+        async def feed(source):
+            for item in probe.items(arrays):
+                yield item
+            await source.frames().__anext__()  # idle: nothing ever arrives
+
+        async def run():
+            emitted = []
+            stream = probe.serve_async(feed(AsyncQueueSource()))
+            async for record, _ in stream:
+                emitted.append(record.seq)
+                if len(emitted) == len(arrays):
+                    # Both units are out; the stream now waits on a source
+                    # that never produces.  A waiting drain runs off the loop.
+                    loop = asyncio.get_running_loop()
+                    assert await loop.run_in_executor(
+                        None, lambda: probe.drain(wait=True, timeout=5.0))
+            return emitted
+
+        assert asyncio.run(asyncio.wait_for(run(), 10.0)) == [0, 1]
+        assert probe.health().state == "drained"
+        assert probe.last_shm["leased_at_close"] == 0
+
     def test_drain_wait_returns_true_when_idle(self):
         probe = HandoffProbeService(_config("inline"))
         probe.run(probe.items(_arrays(2)))
@@ -383,6 +514,25 @@ class TestHealth:
         assert health.last_unit_latency_s >= 0.0
         assert health.ring_leased == 0
         assert health.faults.total == 0
+
+    def test_health_sees_async_stream(self):
+        probe = HandoffProbeService(_config("process-shm"))
+        arrays = _arrays(12)
+
+        async def run():
+            seen = []
+            async for record, _ in probe.serve_async(probe.items(arrays)):
+                if record.seq == 0:
+                    seen.append(probe.health())
+            return seen[0]
+
+        # 12 units against an intake bound of 2 * inflight = 6: the stream
+        # cannot have finished when the consumer holds unit 0.
+        health = asyncio.run(run())
+        assert health.active_streams == 1
+        assert health.ring_slabs > 0
+        after = probe.health()
+        assert (after.active_streams, after.ring_slabs) == (0, 0)
 
     def test_health_counts_faults_across_streams(self):
         probe = HandoffProbeService(_config("inline", max_retries=1))

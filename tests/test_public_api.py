@@ -191,7 +191,6 @@ class TestServingApiDocumented:
         serving APIs — keep them from rotting away."""
 
         from repro.serve import (
-            AsyncServingSession,
             DecompressionService,
             ServiceConfig,
             SlabRing,
@@ -199,7 +198,7 @@ class TestServingApiDocumented:
         )
 
         for obj in (ServiceConfig, StreamingCompressionService,
-                    DecompressionService, AsyncServingSession, SlabRing,
+                    DecompressionService, SlabRing,
                     StreamingCompressionService.compress_stream_async):
             assert ">>>" in (inspect.getdoc(obj) or ""), (
                 f"{getattr(obj, '__qualname__', obj)} lost its usage example"
