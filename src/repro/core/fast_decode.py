@@ -1,4 +1,4 @@
-"""Allocation-free batched decoder execution — the analysis-side fast path.
+"""Allocation-free decoder execution — the analysis-side fast path.
 
 The deployment loop is bicephalous end to end (§1, §3.1): the counting
 house compresses the wedge stream online, and offline analysis must
@@ -146,7 +146,7 @@ class FastDecoder:
     # ------------------------------------------------------------------
     @property
     def workspace_bytes(self) -> int:
-        """Current workspace footprint (grows to the largest batch seen)."""
+        """Current workspace footprint (one wedge's plus the batch output)."""
 
         return self._ws.nbytes()
 
@@ -163,25 +163,28 @@ class FastDecoder:
         return {"seg": self._seg, "reg": self._reg}
 
     # ------------------------------------------------------------------
-    def _run(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Both heads over one code canvas → channel-major ``(seg, reg)``."""
+    def _runs(self, codes: np.ndarray):
+        """Both heads over each wedge's code canvas in turn → ``i`` and its
+        channel-major ``(seg, reg)``, reused before the next wedge runs."""
 
         self.geometry.check_codes(codes.shape[1:])
-        n, c = codes.shape[:2]
+        if not len(codes):
+            raise ValueError("expected a batch of at least one code")
         spatial = codes.shape[2:]
-        canvas, interior = self._seg.input_canvas(n, c, spatial)
-        np.copyto(interior, codes.swapaxes(0, 1))
-        bound = _entry_bound(interior, self.half)
-        return (self._seg.run(canvas, spatial, bound),
-                self._reg.run(canvas, spatial, bound))
+        canvas, interior = self._seg.input_canvas(codes.shape[1], spatial)
+        for i, code in enumerate(codes):
+            np.copyto(interior, code)
+            bound = _entry_bound(interior, self.half)
+            yield i, (self._seg.run(canvas, spatial, bound),
+                      self._reg.run(canvas, spatial, bound))
 
     @staticmethod
     def _wedges(out: np.ndarray) -> np.ndarray:
-        """Channel-major head output → zero-copy ``(B, R, A, H)`` view: the
+        """``(B, C, …)`` head outputs → zero-copy ``(B, R, A, H)`` view: the
         radial axis is the channels (2D) or the leading spatial axis under
         the one channel the module path drops with ``reshape`` (3D)."""
 
-        return out.swapaxes(0, 1).reshape((out.shape[1], -1) + out.shape[-2:])
+        return out.reshape(out.shape[:1] + (-1,) + out.shape[-2:])
 
     def decode(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Decode fp16/fp32 codes ``(B, C, …)`` into ``(seg, reg)`` maps.
@@ -189,12 +192,16 @@ class FastDecoder:
         Bit-identical values to ``model.decode`` under autocast, shaped
         ``(B, R, A, H)``.  Codes of the wrong rank or channel count raise
         ``ValueError`` before any canvas is touched.  Both returned arrays
-        are zero-copy views of reused workspace buffers (reordered from the
-        engine's channel-major layout) — copy before the next call.
+        are views of reused workspace buffers — copy before the next call.
         """
 
-        seg, reg = self._run(codes)
-        return self._wedges(seg), self._wedges(reg)
+        n = len(codes)
+        for i, (seg, reg) in self._runs(codes):
+            segs = self._ws.get("seg", (n,) + seg.shape)
+            regs = self._ws.get("reg", (n,) + reg.shape)
+            np.copyto(segs[i], seg)
+            np.copyto(regs[i], reg)
+        return self._wedges(segs), self._wedges(regs)
 
     def decompress(self, codes: np.ndarray, original_horizontal: int) -> np.ndarray:
         """Codes → masked log-ADC reconstruction ``(B, R, A, H_orig)``.
@@ -205,13 +212,13 @@ class FastDecoder:
         copy before the next call.
         """
 
-        seg, reg = self._run(codes)
-        mask = self._ws.get("mask", seg.shape, np.bool_)
-        np.greater(seg, self.threshold, out=mask)
-        recon = self._ws.get("recon", reg.shape)
-        # dtype pins the product to fp32 over the fp16-stored grid values —
-        # exactly the module path's ``reg.data * (seg.data > threshold)``.
-        np.multiply(reg, mask, out=recon, dtype=np.float32)
+        for i, (seg, reg) in self._runs(codes):
+            mask = self._ws.get("mask", seg.shape, np.bool_)
+            np.greater(seg, self.threshold, out=mask)
+            recon = self._ws.get("recon", (len(codes),) + reg.shape)
+            # dtype pins the product to fp32 over the fp16-stored grid values —
+            # exactly the module path's ``reg.data * (seg.data > threshold)``.
+            np.multiply(reg, mask, out=recon[i], dtype=np.float32)
         return self._wedges(recon)[..., :int(original_horizontal)]
 
 

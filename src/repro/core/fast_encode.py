@@ -1,4 +1,4 @@
-"""Allocation-free batched encoder execution for deployment (§3.2–3.3).
+"""Allocation-free encoder execution for deployment (§3.2–3.3).
 
 ``BCAECompressor.compress`` runs the encoder through the autograd module
 graph: every convolution re-pads its input, re-quantizes its weights and its
@@ -137,7 +137,7 @@ class FastEncoder:
 
     @property
     def workspace_bytes(self) -> int:
-        """Current workspace footprint (grows to the largest batch seen)."""
+        """Current workspace footprint (one wedge's plus the batch output)."""
 
         return self._plan.workspace_bytes
 
@@ -148,35 +148,32 @@ class FastEncoder:
         ``horizontal_target`` zero-pads the last axis inside the first
         convolution's canvas (the 249→256 padding of §2.3) without a
         separate ``pad_horizontal`` allocation; without it ``H`` must
-        already be the padded length.  A wedge the model cannot take raises
-        ``ValueError`` before any canvas is touched.  The returned fp16
-        ``(B, C, …)`` array is a reused buffer — copy or ``tobytes`` it
+        already be the padded length.  A wedge the model cannot take, or an
+        empty batch, raises ``ValueError`` before any canvas is touched.
+        Each wedge is one plan run into its row of the returned fp16
+        ``(B, C, …)`` array, a reused buffer — copy or ``tobytes`` it
         before the next call.
         """
 
-        if x.ndim != 4:
-            raise ValueError(f"expected (B, R, A, H), got shape {x.shape}")
+        if x.ndim != 4 or not len(x):
+            raise ValueError(f"expected (B ≥ 1, R, A, H), got shape {x.shape}")
         n, h = x.shape[0], x.shape[-1]
         c, spatial = self.geometry.network_input(
             x.shape[1:], h if horizontal_target is None else horizontal_target)
 
-        canvas, interior = self._plan.input_canvas(n, c, spatial)
+        canvas, interior = self._plan.input_canvas(c, spatial)
         if spatial[-1] != h:
             interior[..., h:] = 0
-        if self.half:
-            # Entry quantize.  |log2| of any positive float is < 65504, so
-            # the clip is the identity and the grid snap is the whole job
-            # (one snap pass, then the layout pass to channel-major).
-            x, _b = self._plan._grid(x, LOG_INPUT_BOUND)
-        # The radial axis becomes the channels or the leading spatial axis.
-        x = x.reshape((n, c) + spatial[:-1] + (h,))
-        np.copyto(interior[..., :h], x.swapaxes(0, 1))
-
-        code = self._plan.run(canvas, spatial, LOG_INPUT_BOUND)
-        out16 = self._ws.get(
-            "code16", (code.shape[1], code.shape[0]) + code.shape[2:], np.float16
-        )
-        # Stored grid values cast exactly; this is compress()'s payload
-        # astype.  (In full mode overflow to ±inf matches astype too.)
-        np.copyto(out16, code.swapaxes(0, 1), casting="unsafe")
+        for i, wedge in enumerate(x):
+            if self.half:
+                # Entry quantize.  |log2| of any positive float is < 65504,
+                # so the clip is the identity and the snap is the whole job.
+                wedge, _b = self._plan._grid(wedge, LOG_INPUT_BOUND)
+            # The radial axis becomes the channels or the leading spatial axis.
+            np.copyto(interior[..., :h], wedge.reshape((c,) + spatial[:-1] + (h,)))
+            code = self._plan.run(canvas, spatial, LOG_INPUT_BOUND)
+            out16 = self._ws.get("code16", (n,) + code.shape, np.float16)
+            # Stored grid values cast exactly; this is compress()'s payload
+            # astype.  (In full mode overflow to ±inf matches astype too.)
+            np.copyto(out16[i], code, casting="unsafe")
         return out16

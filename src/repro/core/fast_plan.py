@@ -72,9 +72,11 @@ graph returns.
 Execution model
 ---------------
 
-The executor threads two value streams through the ops:
+A run is one sample — the wrappers loop over a batch, so no problem shape,
+probe verdict or canvas depends on its size — and threads two value streams
+through the ops:
 
-* a padded fp32 **canvas** in channel-major ``(C, B, *spatial)`` layout
+* a padded fp32 **canvas** in channel-major ``(C, *spatial)`` layout
   whose interior holds values already snapped onto the fp16 grid — what the
   next convolution consumes.  Channel-major matches the transposed-GEMM
   result orientation, so conv outputs, residual accumulates and canvas
@@ -105,10 +107,10 @@ plus one panel-sized arena per slot, whatever the depth of the plan.
 Panel epilogue contract
 -----------------------
 
-Every convolution — 2-D or 3-D, ordinary or transposed, any batch — runs
-through one panel routine (:meth:`CompiledStagePlan._panels`).  The output's
-flattened ``(B, *out_spatial)`` grid is cut into panels of whole
-innermost-axis rows and each panel is visited exactly once::
+Every convolution — 2-D or 3-D, ordinary or transposed — runs through one
+panel routine (:meth:`CompiledStagePlan._panels`).  The output's flattened
+``out_spatial`` grid is cut into panels of whole innermost-axis rows and
+each panel is visited exactly once::
 
     gather → GEMM → bias → clip → snap → tail
 
@@ -145,20 +147,19 @@ masked merge.
 
 Above ``_BLOCKED_MIN_BYTES`` of im2col the panels are bounded
 (``_PANEL_BYTES`` of panel slab) and the monolithic im2col buffer
-never materializes; below it the whole result is one panel (one per sample
-in the reference orientation) through the same routine, epilogue and tails.
-A formulation is one of two operand orientations over one partition.
-Which of them reproduce the module path's per-sample contraction bit for
-bit is decided per problem shape by one calibration probe
-(:func:`_gemm_matches`) before a formulation is used — behaviour is never
-traded for speed: a shape whose probe rejects a formulation runs the next
-one the probe accepts, and the chain ends in the module path's own
-per-sample call, which needs no probe.
+never materializes; below it the whole result is one panel through the
+same routine, epilogue and tails.  A formulation is one of two operand
+orientations over one partition.  Which of them reproduce the module path's
+contraction bit for bit is decided per problem shape by one calibration
+probe (:func:`_gemm_matches`) before a formulation is used — behaviour is
+never traded for speed: a shape whose probe rejects a formulation runs the
+next one the probe accepts, and the chain ends in the module path's own
+call, which needs no probe.
 
 A panel is a row range of the flattened output grid, but a padded canvas is
 not uniformly strided across that grid, so gathers and stores address a
-panel as a few index boxes (:func:`_row_boxes`): one in the 2-D
-single-sample case, more where a panel crosses a plane or sample boundary.
+panel as a few index boxes (:func:`_row_boxes`): one in the 2-D case, more
+where a 3-D panel crosses a plane boundary.
 Panels fan out over the plan's panel executor by one partition
 (:func:`_partition`): at width ``T`` slot ``s`` owns the ``s``-th of ``T``
 contiguous, near-equal row blocks and runs its panels in order, the last one
@@ -200,8 +201,8 @@ next to the convolutions it sits between.
 The contract, inherited by every plan the engine compiles, is **bit-identical
 output**: for every input accepted by the module path, :meth:`run` returns
 exactly the values ``nn.Sequential`` under ``nn.amp.autocast`` produces.
-The test suite enforces this across 2D and 3D model variants, batch sizes
-and both precision modes, for the encoders and for both decoder heads.
+The test suite enforces this across 2D and 3D model variants and both
+precision modes, for the encoders and for both decoder heads.
 """
 
 from __future__ import annotations
@@ -653,8 +654,8 @@ class _BNSpec:
 
         * the broadcast path — four whole-array passes with per-channel
           operand columns, used for small streams;
-        * the fused path — one pass over memory: per (channel, sample) the
-          stream is cut into ``_BN_BLOCK``-sized row blocks, the first
+        * the fused path — one pass over memory: per channel the stream
+          is cut into ``_BN_BLOCK``-sized row blocks, the first
           subtract pulls a block out of the (possibly strided) source into
           the contiguous output once, and the remaining three ufuncs rewrite
           it while it is cache-resident with *scalar* per-channel operands.
@@ -666,19 +667,16 @@ class _BNSpec:
         if src[:1].nbytes <= _BN_BLOCK:
             return self.chain(src, out)
         mean, inv_std, gamma, beta = self.mean, self.inv_std, self.gamma, self.beta
-        n = src.shape[1]
-        sp0 = src.shape[2] if src.ndim > 2 else 1
-        row_bytes = max(src[0, 0].nbytes // max(sp0, 1), 1)
-        step = max(1, _BN_BLOCK // row_bytes)
+        sp0 = src.shape[1]
+        step = max(1, _BN_BLOCK // max(src[0].nbytes // sp0, 1))
         for ci in range(src.shape[0]):
             mu, i, g, b = mean[ci], inv_std[ci], gamma[ci], beta[ci]
-            for bi in range(n):
-                for z0 in range(0, sp0, step):
-                    blk = out[ci, bi, z0:z0 + step]
-                    np.subtract(src[ci, bi, z0:z0 + step], mu, out=blk)
-                    np.multiply(blk, i, out=blk)
-                    np.multiply(blk, g, out=blk)
-                    np.add(blk, b, out=blk)
+            for z0 in range(0, sp0, step):
+                blk = out[ci, z0:z0 + step]
+                np.subtract(src[ci, z0:z0 + step], mu, out=blk)
+                np.multiply(blk, i, out=blk)
+                np.multiply(blk, g, out=blk)
+                np.add(blk, b, out=blk)
         return out
 
     def chain(self, src: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -1031,10 +1029,10 @@ def _row_boxes(r0: int, r1: int, dims: tuple[int, ...], j: int = 0) -> list:
     Returns ``(j0, j1, idx)`` triples: rows ``j0:j1`` of the range (counted
     from ``j``) are exactly the box ``idx`` — one int or slice per dim.  A
     panel of whole innermost rows is a row range of the flattened
-    ``(B, *out_spatial[:-1])`` grid, but a padded canvas is not uniformly
-    strided across it, so a panel that crosses a plane or sample boundary
-    is addressed as at most ``2·len(dims) − 1`` boxes (one for the common
-    2-D single-sample case, one for a whole-result panel).
+    ``out_spatial[:-1]`` grid, but a padded canvas is not uniformly strided
+    across it, so a panel that crosses a plane boundary is addressed as at
+    most ``2·len(dims) − 1`` boxes (one for the common 2-D case, one for a
+    whole-result panel).
     """
 
     if r0 >= r1:
@@ -1123,12 +1121,12 @@ def _probe_pool() -> np.ndarray:
     return pool
 
 
-def _probe_problem(n: int, rows: int, K: int, o: int,
+def _probe_problem(rows: int, K: int, o: int,
                    splits: tuple[int, ...] | None = None):
     """Operands and reference of one GEMM calibration probe: a dense-random
-    ``(n·rows, K)`` im2col stand-in ``a``, an F-contiguous ``(K, o)`` kernel
-    ``b`` and ``conv_forward``'s per-sample ``(rows, K) @ (K, o)``
-    contraction of the two.  ``splits`` are the member widths of a stacked
+    ``(rows, K)`` im2col stand-in ``a``, an F-contiguous ``(K, o)`` kernel
+    ``b`` and ``conv_forward``'s ``(rows, K) @ (K, o)`` contraction of the
+    two.  ``splits`` are the member widths of a stacked
     operand (:meth:`_ConvSpec.stacked`): each member's columns are then
     contracted on their own, as its own site would — BLAS may accumulate an
     ``o``-column product differently from the narrower ones it stands for.
@@ -1142,23 +1140,18 @@ def _probe_problem(n: int, rows: int, K: int, o: int,
     element, which at paper geometry is most of a probe.
     """
 
-    size = n * rows * K
+    size = rows * K
     flat = np.resize(_probe_pool(), size + K * o)
-    a = flat[:size].reshape(n * rows, K)
+    a = flat[:size].reshape(rows, K)
     b = np.asfortranarray(flat[size:].reshape(K, o))
-
-    ref = np.empty((n * rows, o), dtype=np.float32)
-    tmp = np.empty(rows * max(splits), dtype=np.float32) if splits else None
+    if not splits:
+        return a, b, np.dot(a, b)
+    ref = np.empty((rows, o), dtype=np.float32)
+    tmp = np.empty(rows * max(splits), dtype=np.float32)
     lo = 0
-    for w in splits or (o,):
-        for i in range(n):
-            part = slice(i * rows, (i + 1) * rows)
-            if splits:  # np.dot wants a contiguous out: stage the columns
-                out = tmp[:rows * w].reshape(rows, w)
-                np.dot(a[part], b[:, lo:lo + w], out=out)
-                ref[part, lo:lo + w] = out
-            else:
-                np.dot(a[part], b, out=ref[part])
+    for w in splits:  # np.dot wants a contiguous out: stage the columns
+        out = tmp[:rows * w].reshape(rows, w)
+        ref[:, lo:lo + w] = np.dot(a, b[:, lo:lo + w], out=out)
         lo += w
     return a, b, ref
 
@@ -1256,14 +1249,14 @@ def _panels_match(a: np.ndarray, b: np.ndarray, want: np.ndarray,
     return True
 
 
-#: (n, rows, K, O | splits, partition, orientation) → whether that
-#: formulation reproduces the per-sample reference contraction bit for bit
-#: on this BLAS build.
+#: (rows, K, O | splits, partition, orientation) → whether that
+#: formulation reproduces the reference contraction bit for bit on this
+#: BLAS build.
 _GEMM_OK: dict = {}
 
 
-def _gemm_matches(n: int, rows: int, K: int, o: int, part: _Partition,
-                  ref: bool, splits: tuple[int, ...] | None = None,
+def _gemm_matches(rows: int, K: int, o: int, part: _Partition, ref: bool,
+                  splits: tuple[int, ...] | None = None,
                   problem=None) -> bool:
     """Calibrate one GEMM formulation for one problem shape.
 
@@ -1272,16 +1265,16 @@ def _gemm_matches(n: int, rows: int, K: int, o: int, part: _Partition,
     against the F-contiguous ``(K, O)`` kernel — otherwise the panels are
     ``(O, K) @ (K, P)`` GEMMs on operands gathered directly in transposed
     layout (the im2col gather then reads whole output rows instead of
-    12-byte kernel taps, ~6× faster); ``part`` cuts the ``n·rows`` output
-    rows into the executor's panels — one panel is the whole-batch GEMM.
-    Every output element is the same K-term dot product as the per-sample
+    12-byte kernel taps, ~6× faster); ``part`` cuts the ``rows`` output
+    columns into the executor's panels — one panel is the whole-sample
+    GEMM.  Every output element is the same K-term dot product as the
     reference, and BLAS packs both layouts into the same micro-kernels with
     the same k-accumulation order — *except* for some shape-dependent
     kernel dispatches (very small output-channel counts, for one).  Since
     the summation order is a function of problem shape only, never of the
-    data, one dense-random probe per (batch, shape, formulation), walking
-    exactly the executor's panels against the per-sample reference on raw
-    bits until the first mismatch, decides whether the formulation may run
+    data, one dense-random probe per (shape, formulation), walking exactly
+    the executor's panels against the reference on raw bits until the
+    first mismatch, decides whether the formulation may run
     — comparable in cost to a single module-path convolution at the same
     shape.  Behaviour is never traded for speed.  ``splits`` probes a
     stacked operand against its members' references
@@ -1290,18 +1283,18 @@ def _gemm_matches(n: int, rows: int, K: int, o: int, part: _Partition,
     The dense-random operands are tiled from one per-process pool of
     prime period (:func:`_probe_pool`) rather than drawn per shape: the
     probe still compares every panel of the partition against the full
-    per-sample reference on raw bits, and the summation order it detects
+    reference on raw bits, and the summation order it detects
     does not depend on the values, so every verdict is the one a fresh
     draw gives.  ``problem`` is a zero-argument callable returning
     :func:`_probe_problem`'s triple, called only on a cache miss, so a
     chain of candidates for one shape can share one memoized draw.
     """
 
-    key = (n, rows, K, splits or o, part, ref)
+    key = (rows, K, splits or o, part, ref)
     hit = _GEMM_OK.get(key)
     if hit is None:
         a, b, want = (problem() if problem is not None
-                      else _probe_problem(n, rows, K, o, splits))
+                      else _probe_problem(rows, K, o, splits))
         hit = _GEMM_OK[key] = _panels_match(a, b, want, part, ref)
     return hit
 
@@ -1339,10 +1332,10 @@ class Workspace:
             for (shape, dtype), b, start in zip(specs, nbytes, starts)
         ]
 
-    def canvas(self, key, c: int, n: int, spatial: tuple[int, ...],
-               padding, dtype=np.float32,
+    def canvas(self, key, c: int, spatial: tuple[int, ...], padding,
+               dtype=np.float32,
                dilation: tuple[int, ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Zero-bordered channel-major canvas ``(C, B, *spatial)`` + interior view.
+        """Zero-bordered channel-major canvas ``(C, *spatial)`` + interior view.
 
         The border is zeroed once at allocation; every later pass writes
         only the interior, so the zeros (= the padding the module path
@@ -1357,14 +1350,14 @@ class Workspace:
         if dilation is None:
             dilation = (1,) * nd
         dil_sz = tuple((s - 1) * d + 1 for s, d in zip(spatial, dilation))
-        shape = (c, n) + tuple(
+        shape = (c,) + tuple(
             ds + pl + ph for ds, (pl, ph) in zip(dil_sz, padding)
         )
         buf = self._bufs.get(key)
         if buf is None or buf.shape != shape or buf.dtype != dtype:
             buf = np.zeros(shape, dtype=dtype)
             self._bufs[key] = buf
-        interior = buf[(slice(None), slice(None)) + tuple(
+        interior = buf[(slice(None),) + tuple(
             slice(pl, pl + ds, d)
             for ds, d, (pl, _ph) in zip(dil_sz, dilation, padding)
         )]
@@ -1596,7 +1589,7 @@ class CompiledStagePlan:
 
     @property
     def workspace_bytes(self) -> int:
-        """Current workspace footprint (grows to the largest batch seen)."""
+        """Current workspace footprint (fixed by the sample geometry)."""
 
         return self._ws.nbytes()
 
@@ -1605,17 +1598,17 @@ class CompiledStagePlan:
 
         Returns a plain-dict observability record: the resolved
         :class:`PanelBudget` (width, cores, BLAS threads, workers),
-        per-stage kind counts,
-        BN fold decisions, per-GEMM-site formulation and partition
-        (``panels``, ``threads``, ``rows_per_panel``, ``slot_rows``),
-        tail kind (a stacked site lists its ``members`` split and both
-        tails, ``"act+requant|act"``; an ``act+requant`` tail adds its
-        ``requant`` formulation, ``"table"`` or ``"sequence"``) and
-        ``staging_bytes`` — workspace
-        bytes keyed to the site, 0 since every output is finished inside
-        its panel — (as recorded by the most recent :meth:`run`; empty until a run has happened, since
-        panel counts depend on the batch geometry) and the workspace
-        footprint.  Printed by ``repro-tpc analyze --stats``.
+        per-stage kind counts, BN fold decisions, per-GEMM-site formulation
+        and partition (``panels``, ``threads``, ``rows_per_panel``,
+        ``slot_rows``), tail kind (a stacked site lists its ``members``
+        split and both tails, ``"act+requant|act"``; an ``act+requant``
+        tail adds its ``requant`` formulation, ``"table"`` or
+        ``"sequence"``) and ``staging_bytes`` — workspace bytes keyed to
+        the site, 0 since every output is finished inside its panel — (as
+        recorded by the most recent :meth:`run`, one sample; empty until a
+        run has happened, since panel counts depend on the sample geometry)
+        and the workspace footprint.  Printed by
+        ``repro-tpc analyze --stats``.
         """
 
         kind_counts: dict[str, int] = {}
@@ -1642,30 +1635,29 @@ class CompiledStagePlan:
 
         return _next_store_spec(self._ops, -1, self._nd)[0]
 
-    def input_canvas(self, n: int, c: int,
+    def input_canvas(self, c: int,
                      spatial: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """The plan's persistent input canvas ``(canvas, interior view)``.
 
-        Channel-major fp32 ``(C, B, *spatial)``.  Callers fill the interior
-        with grid-exact values before :meth:`run`; the zero border doubles
-        as the first convolution's padding (and, for a leading transposed
-        convolution, the dilation gaps stay zero between the strided
-        interior positions).
+        Channel-major fp32 ``(C, *spatial)``, one sample.  Callers fill the
+        interior with grid-exact values before :meth:`run`; the zero border
+        doubles as the first convolution's padding (and, for a leading
+        transposed convolution, the dilation gaps stay zero between the
+        strided interior positions).
         """
 
         padding, dilation = _next_store_spec(self._ops, -1, self._nd)
-        return self._ws.canvas((self.prefix, "in"), c, n, spatial,
-                               padding, self._cdtype, dilation)
+        return self._ws.canvas((self.prefix, "in"), c, spatial, padding,
+                               self._cdtype, dilation)
 
     # ------------------------------------------------------------------
     def run(self, canvas: np.ndarray, spatial: tuple[int, ...], bound: float,
             carry: np.ndarray | None = None, carry_bound: float = 0.0) -> np.ndarray:
-        """Execute the plan; returns the module-graph output values.
+        """Execute the plan on one sample; returns the module-graph output.
 
         ``canvas`` is typically :meth:`input_canvas` with the interior
         filled; ``bound`` is a rigorous magnitude bound on those values.
-        The returned array is channel-major fp32 ``(C, B, *out_spatial)`` —
-        transpose to batch-major with a zero-copy ``.transpose`` view — and
+        The returned array is channel-major fp32 ``(C, *out_spatial)`` and
         is a reused workspace buffer: copy it before the next :meth:`run`
         on this workspace.
         """
@@ -1760,26 +1752,23 @@ class CompiledStagePlan:
 
         One panel routine (:meth:`_panels`) runs every formulation — an
         operand orientation over a partition — and the first one
-        :func:`_gemm_matches` proves bit-equal to the per-sample reference
-        runs:
+        :func:`_gemm_matches` proves bit-equal to the reference runs:
 
         * ``blocked`` / ``blocked_ref`` — above ``_BLOCKED_MIN_BYTES``, the
           transposed / reference orientation cut by the width's
           :func:`_partition` into per-slot row blocks of ``_PANEL_BYTES``
           panels of whole innermost rows; the monolithic im2col buffer
           never materializes;
-        * ``transposed`` — one whole-result panel: the ``(K, B·rows)``
+        * ``transposed`` — one whole-sample panel: the ``(K, rows)``
           im2col operand built directly in transposed layout and a single
           ``wtT @ atT`` call;
-        * ``reference`` — the unprobed end of the chain: one panel per
-          sample in ``conv_forward``'s own operand orientation (identical
-          BLAS calls, identical bits).
+        * ``reference`` — the unprobed end of the chain: the same
+          whole-sample panel in ``conv_forward``'s own operand orientation
+          (identical BLAS calls, identical bits).
 
         ``bound`` is the rigorous magnitude bound of the raw output (the
         saturating clip runs only where it reaches ±65504); ``tail``
         finishes each panel and ``kind`` names it in :meth:`plan_stats`.
-        Payload bits stay invariant to micro-batch composition in every
-        formulation: each output element is a fixed K-term dot product.
         The canvas holds quantized (grid) values, so the module path's
         quantize-on-entry is a no-op and is skipped.
 
@@ -1790,39 +1779,36 @@ class CompiledStagePlan:
         sites.
         """
 
-        c, n = canvas.shape[:2]
-        out_spatial = spec.out_spatial(canvas.shape[2:])
+        out_spatial = spec.out_spatial(canvas.shape[1:])
         rows = math.prod(out_spatial)
-        m = n * rows
-        K = c * math.prod(spec.kernel)
+        K = canvas.shape[0] * math.prod(spec.kernel)
         o = spec.out_channels
-        # m = n·prod(out_spatial) is a whole multiple of ow by construction,
-        # so panels always cover whole innermost-axis rows.
+        # Panels always cover whole innermost-axis rows.
         ow = out_spatial[-1]
+        whole = _Partition(ow, rows // ow, (rows // ow,))
         splits = spec.members
         # (name, partition, reference orientation), in order of preference.
-        chain = [("transposed", _Partition(ow, m // ow, (m // ow,)), False)]
-        if m * K * 4 >= _BLOCKED_MIN_BYTES:
-            part = _partition(K, o, ow, m, self.budget.width)
+        chain = [("transposed", whole, False)]
+        if rows * K * 4 >= _BLOCKED_MIN_BYTES:
+            part = _partition(K, o, ow, rows, self.budget.width)
             chain[:0] = [("blocked", part, False), ("blocked_ref", part, True)]
         # One draw serves every candidate the chain probes.
         problem = functools.cache(
-            functools.partial(_probe_problem, n, rows, K, o, splits))
+            functools.partial(_probe_problem, rows, K, o, splits))
         for name, part, ref in chain[:1] if splits else chain:
-            if _gemm_matches(n, rows, K, o, part, ref, splits, problem):
+            if _gemm_matches(rows, K, o, part, ref, splits, problem):
                 break
         else:
             if splits:
                 return False
-            # One slot, one panel per sample: the module path's own call.
-            name, part, ref = "reference", _Partition(
-                ow, rows // ow, (m // ow,)), True
+            # One panel: the module path's own call.
+            name, part, ref = "reference", whole, True
         del problem  # the operand can be as large as the site's im2col
         tails = tail if splits else (tail,)
         self._panels(key, spec, canvas, out_spatial, part, ref, bound, tails,
                      crop)
         self._gemm_stats[key] = {
-            "formulation": name, "m": m, "K": K, "o": o,
+            "formulation": name, "m": rows, "K": K, "o": o,
             "panels": len(part.panels()), "threads": len(part.slot_rows),
             "rows_per_panel": part.rows_per_panel,
             "slot_rows": list(part.slot_rows),
@@ -1891,7 +1877,7 @@ class CompiledStagePlan:
         """Gather → GEMM → bias → clip → snap → tail, one panel at a time.
 
         A panel is a column range of ``part`` — whole innermost-axis rows
-        of the flattened ``(B, *out_spatial)`` grid — gathered into the
+        of the flattened ``out_spatial`` grid — gathered into the
         slot's ``(K, P)`` slab (``(P, K)`` when ``ref``), multiplied with
         one GEMM, and handed to ``tails`` — one per member of ``spec``, each
         on its own row block — still cache-hot; nothing of the result is
@@ -1907,13 +1893,13 @@ class CompiledStagePlan:
         thread before any worker starts, so the parallel region performs no
         allocation and no workspace-dict mutation.  Slots write disjoint
         rows, and every multi-slot partition was probed bit-equal to the
-        per-sample reference, so output bits are identical at every width.
+        reference, so output bits are identical at every width.
         Each slot makes a few dozen short numpy calls per panel, each a
         possible GIL hand-off while another slot runs: fewer, larger panels
         in one block per slot keep that count down.
         """
 
-        c, n = canvas.shape[:2]
+        c = canvas.shape[0]
         nd = len(spec.kernel)
         ow = out_spatial[-1]
         pre = () if ref else (slice(None),) * (1 + nd)
@@ -1921,20 +1907,20 @@ class CompiledStagePlan:
         cached = self._wins.get(key)
         if cached is None or cached[0] is not canvas or cached[1] != part:
             win = sliding_window_view(canvas, spec.kernel,
-                                      axis=tuple(range(2, 2 + nd)))
-            win = win[(slice(None), slice(None))
+                                      axis=tuple(range(1, 1 + nd)))
+            win = win[(slice(None),)
                       + tuple(slice(None, None, s) for s in spec.stride)]
             # Taps lead in the transposed orientation — one gathered w-row
             # is a (C, *k, ow) column group — and trail in the reference
             # orientation, where it is an (ow, C, *k) row group.
-            taps = (0,) + tuple(range(2 + nd, 2 + 2 * nd))
-            grid = (1,) + tuple(range(2, 2 + nd))
+            taps = (0,) + tuple(range(1 + nd, 1 + 2 * nd))
+            grid = tuple(range(1, 1 + nd))
             view = win.transpose(grid + taps if ref else taps + grid)
             lo, avail = crop if crop is not None else ((0,) * nd, out_spatial)
-            lo, hi = (0,) + lo, (n,) + tuple(l + a for l, a in zip(lo, avail))
+            hi = tuple(l + a for l, a in zip(lo, avail))
             cached = self._wins[key] = (canvas, part, [
                 tuple(((c1 - c0) // ow, _panel_map(
-                    view, pre, c0 // ow, c1 // ow, (n,) + out_spatial, lo, hi))
+                    view, pre, c0 // ow, c1 // ow, out_spatial, lo, hi))
                       for c0, c1 in slot)
                 for slot in part.slots()
             ])
@@ -1998,7 +1984,7 @@ class CompiledStagePlan:
 
         return min(bound, _FP16_MAX) if self.half else bound
 
-    def _lease(self, c: int, n: int, spatial, padding=None, dilation=None,
+    def _lease(self, c: int, spatial, padding=None, dilation=None,
                stream: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """The next canvas (or unpadded fp32 ``stream``) of this geometry.
 
@@ -2018,7 +2004,7 @@ class CompiledStagePlan:
                dilation)
         turn = self._turn.get(key, 0)
         self._turn[key] = turn + 1
-        return self._ws.canvas(key + (turn % (2 if stream else 3),), c, n,
+        return self._ws.canvas(key + (turn % (2 if stream else 3),), c,
                                spatial, padding, self._cdtype, dilation)
 
     # ------------------------------------------------------------------
@@ -2088,9 +2074,9 @@ class CompiledStagePlan:
     def _conv_store(self, key, spec, canvas, bound, store_spec):
         """Convolve and store the (quantized) output into the next canvas."""
 
-        out_spatial = spec.out_spatial(canvas.shape[2:])
-        out_canvas, dest = self._lease(spec.out_channels, canvas.shape[1],
-                                       out_spatial, *store_spec)
+        out_spatial = spec.out_spatial(canvas.shape[1:])
+        out_canvas, dest = self._lease(spec.out_channels, out_spatial,
+                                       *store_spec)
         out_bound = spec.out_bound(bound)
         self._gemm(key, spec, canvas, out_bound, self._store_tail(dest),
                    "store")
@@ -2110,7 +2096,7 @@ class CompiledStagePlan:
         """
 
         out_sp = tspec.out_spatial(spatial)
-        full_sp = tspec.spec.out_spatial(canvas.shape[2:])
+        full_sp = tspec.spec.out_spatial(canvas.shape[1:])
         lo = tuple(pl for (pl, _ph) in tspec.padding)
         avail = tuple(
             min(osz, f - l) for osz, f, l in zip(out_sp, full_sp, lo)
@@ -2149,8 +2135,8 @@ class CompiledStagePlan:
         out_sp, crop, fill, out_bound = self._convt_geometry(
             tspec, canvas, spatial, bound
         )
-        out_canvas, dest = self._lease(tspec.out_channels, canvas.shape[1],
-                                       out_sp, *store_spec)
+        out_canvas, dest = self._lease(tspec.out_channels, out_sp,
+                                       *store_spec)
         self._act_fill(dest, fill)
         self._gemm(key, tspec.spec, canvas, out_bound, self._store_tail(dest),
                    "store", crop)
@@ -2172,15 +2158,15 @@ class CompiledStagePlan:
         """
 
         kernel = tuple(kernel)
-        c, n = src.shape[:2]
+        c = src.shape[0]
         out_sp = tuple(s // k for s, k in zip(spatial, kernel))
-        out = self._lease(c, n, out_sp, stream=True)[1]
+        out = self._lease(c, out_sp, stream=True)[1]
         if kernel == (2, 2):
             a, h = spatial
-            v = src.reshape(c, n, a // 2, 2, h // 2, 2)
+            v = src.reshape(c, a // 2, 2, h // 2, 2)
             t1 = self._ws.get((key, "pt1"), out.shape)
-            np.add(v[:, :, :, 0, :, 0], v[:, :, :, 0, :, 1], out=t1, dtype=_F32)
-            np.add(v[:, :, :, 1, :, 0], v[:, :, :, 1, :, 1], out=out, dtype=_F32)
+            np.add(v[:, :, 0, :, 0], v[:, :, 0, :, 1], out=t1, dtype=_F32)
+            np.add(v[:, :, 1, :, 0], v[:, :, 1, :, 1], out=out, dtype=_F32)
             np.add(t1, out, out=out)
             np.divide(out, np.float32(4.0), out=out)
         else:
@@ -2193,10 +2179,10 @@ class CompiledStagePlan:
                 buf = self._ws.get((key, "poolsrc"), src.shape)
                 np.copyto(buf, src)
                 src = buf
-            shape: list[int] = [c, n]
+            shape: list[int] = [c]
             for s, k in zip(spatial, kernel):
                 shape.extend([s // k, k])
-            kernel_axes = tuple(range(3, 3 + 2 * len(kernel), 2))
+            kernel_axes = tuple(range(2, 2 + 2 * len(kernel), 2))
             src.reshape(shape).mean(axis=kernel_axes, dtype=_F32, out=out)
         return out, bound  # mean cannot grow the magnitude bound
 
@@ -2211,11 +2197,11 @@ class CompiledStagePlan:
         """
 
         factors = tuple(factors)
-        c, n = src.shape[:2]
+        c = src.shape[0]
         out_sp = tuple(s * f for s, f in zip(spatial, factors))
-        out = self._lease(c, n, out_sp, stream=True)[1]
-        shape: list[int] = [c, n]
-        src_index: list = [slice(None), slice(None)]
+        out = self._lease(c, out_sp, stream=True)[1]
+        shape: list[int] = [c]
+        src_index: list = [slice(None)]
         for s, f in zip(spatial, factors):
             shape.extend([s, f])
             src_index.extend([slice(None), None])
@@ -2291,9 +2277,9 @@ class CompiledStagePlan:
         """
 
         spec1, spec2, slope1, slope2 = op
-        c, n = canvas.shape[:2]
-        out_spatial = spec1.out_spatial(canvas.shape[2:])
-        mid_canvas, mid = self._lease(spec1.out_channels, n, out_spatial,
+        c = canvas.shape[0]
+        out_spatial = spec1.out_spatial(canvas.shape[1:])
+        mid_canvas, mid = self._lease(spec1.out_channels, out_spatial,
                                       spec2.padding)
         b1_raw = spec1.out_bound(bound)
         b1 = self._cap(b1_raw)
@@ -2304,13 +2290,13 @@ class CompiledStagePlan:
         skip = carry
         if carry is None:
             skip = _interior(canvas, spec1.padding, spatial)
-            carry = self._lease(c, n, spatial, stream=True)[1]
+            carry = self._lease(c, spatial, stream=True)[1]
             carry_bound = bound
         b2_raw = spec2.out_bound(b1)
         carry_bound = carry_bound + self._cap(b2_raw)
         out_canvas, dest = canvas, None
         if store:
-            out_canvas, dest = self._lease(c, n, out_spatial, *store_spec)
+            out_canvas, dest = self._lease(c, out_spatial, *store_spec)
         self._gemm((key, 1), spec2, mid_canvas, b2_raw,
                    self._sum_tail(slope2, None, skip, carry, dest, carry_bound),
                    "act+skip+store" if store else "act+skip")
@@ -2342,7 +2328,6 @@ class CompiledStagePlan:
         """
 
         main_spec, inner_spec, skip_spec, s1, s2, s3, bn1, bn2, bn3, pair = op
-        n = canvas.shape[1]
         o = inner_spec.out_channels
         if transposed:
             out_sp, crop1, fill1, b1_raw = self._convt_geometry(
@@ -2351,13 +2336,13 @@ class CompiledStagePlan:
                 skip_spec, canvas, spatial, bound)
             main_spec, skip_spec = main_spec.spec, skip_spec.spec
         else:
-            out_sp = main_spec.out_spatial(canvas.shape[2:])
+            out_sp = main_spec.out_spatial(canvas.shape[1:])
             crop1 = crop3 = fill1 = fill3 = None
             b1_raw = main_spec.out_bound(bound)
             b3_raw = skip_spec.out_bound(bound)
-        mid_canvas, mid = self._lease(o, n, out_sp, inner_spec.padding)
-        total = self._lease(o, n, out_sp, stream=True)[1]
-        out_canvas, dest = self._lease(o, n, out_sp, *store_spec)
+        mid_canvas, mid = self._lease(o, out_sp, inner_spec.padding)
+        total = self._lease(o, out_sp, stream=True)[1]
+        out_canvas, dest = self._lease(o, out_sp, *store_spec)
 
         # norm1 sits between act1 and the inner conv's entry quantize:
         # leaky on the exact stream, the affine on the fp32 values, then
@@ -2397,8 +2382,7 @@ class CompiledStagePlan:
     def _store_stream(self, src, bound, spatial, store_spec):
         """Store the unquantized fp32 stream into a conv-input canvas."""
 
-        c, n = src.shape[:2]
-        canvas, dest = self._lease(c, n, spatial, *store_spec)
+        canvas, dest = self._lease(src.shape[0], spatial, *store_spec)
         if self.half:
             q32, bound = self._grid(src, bound)
             np.copyto(dest, q32)
@@ -2408,7 +2392,7 @@ class CompiledStagePlan:
 
 
 def _interior(canvas: np.ndarray, padding, spatial: tuple[int, ...]) -> np.ndarray:
-    return canvas[(slice(None), slice(None)) + tuple(
+    return canvas[(slice(None),) + tuple(
         slice(pl, pl + s) for s, (pl, _ph) in zip(spatial, padding)
     )]
 
@@ -2418,7 +2402,7 @@ def _canvas_padding(canvas: np.ndarray, spatial) -> tuple[tuple[int, int], ...]:
 
     out = []
     for axis, s in enumerate(spatial):
-        p = canvas.shape[2 + axis] - s
+        p = canvas.shape[1 + axis] - s
         out.append((p // 2, p - p // 2))
     return tuple(out)
 

@@ -143,8 +143,10 @@ class ServiceConfig:
     Attributes
     ----------
     max_batch:
-        Work-unit size cap in wedges (the knee of the Figure-6 batch curve
-    	for compression; payload batches are split to this for decode).
+        Work-unit size cap in wedges (payload batches are split to this for
+        decode).  Batching amortizes the per-unit hand-off and framing, not
+        compute: the compiled engine makes one plan run per wedge, whatever
+        the batch size.
     max_delay_s:
         Stream-time accumulation budget (see :class:`MicroBatcher`);
         compression only.

@@ -296,8 +296,8 @@ class TestCodeGeometryErrors:
 
 def _single_head_bytes(model, codes) -> int:
     plan = CompiledStagePlan(_head_stages(model.seg_decoder))
-    n, ch = codes.shape[:2]
-    canvas, interior = plan.input_canvas(n, ch, codes.shape[2:])
-    np.copyto(interior, codes.swapaxes(0, 1))
-    plan.run(canvas, codes.shape[2:], 65504.0)
+    canvas, interior = plan.input_canvas(codes.shape[1], codes.shape[2:])
+    for code in codes:
+        np.copyto(interior, code)
+        plan.run(canvas, codes.shape[2:], 65504.0)
     return plan.workspace_bytes

@@ -20,39 +20,35 @@ from repro.core import fast_plan as fp
 
 L = fp._PROBE_POOL_LEN
 
-#: ``(n, rows, K, o, ow)`` probe shapes whose ``n·rows·K`` spans several
-#: pool periods; the last has O = 1, whose transposed orientation this
-#: BLAS contracts differently from the reference (a rejecting shape).
-SHAPES = [(2, 4800, 384, 8, 48), (2, 2400, 1536, 8, 48),
-          (1, 8192, 300, 2, 64), (1, 8192, 300, 1, 64)]
+#: ``(rows, K, o, ow)`` probe shapes whose ``rows·K`` spans several pool
+#: periods; the last has O = 1, whose transposed orientation this BLAS
+#: contracts differently from the reference (a rejecting shape).
+SHAPES = [(9600, 384, 8, 48), (4800, 1536, 8, 48),
+          (8192, 300, 2, 64), (8192, 300, 1, 64)]
 ACCEPTED = SHAPES[:3]
 
 
-def _fresh_problem(n, rows, K, o):
+def _fresh_problem(rows, K, o):
     """A per-shape draw of the probe's operands and reference: a dense
     ``standard_normal`` operand and kernel from one seeded generator."""
 
     rng = np.random.default_rng(0xB10C)
-    a = rng.standard_normal((n * rows, K), dtype=np.float32)
+    a = rng.standard_normal((rows, K), dtype=np.float32)
     b = np.asfortranarray(rng.standard_normal((K, o), dtype=np.float32))
-    want = np.empty((n * rows, o), np.float32)
-    for i in range(n):
-        np.dot(a[i * rows:(i + 1) * rows], b, out=want[i * rows:(i + 1) * rows])
-    return a, b, want
+    return a, b, np.dot(a, b)
 
 
-def _formulations(n, rows, K, o, ow):
+def _formulations(rows, K, o, ow):
     """``(partition, reference orientation)`` of every formulation a site
     of this shape may run: the blocked partitions at widths 1–3 and at the
-    width this host derives, in both orientations, the whole-result panel
-    and the per-sample reference panels."""
+    width this host derives, and the whole-result panel, each in both
+    orientations."""
 
-    m = n * rows
     widths = sorted({1, 2, 3, fp.panel_budget().width})
-    return ([(fp._partition(K, o, ow, m, w), ref)
-             for w in widths for ref in (False, True)]
-            + [(fp._Partition(ow, m // ow, (m // ow,)), False),
-               (fp._Partition(ow, rows // ow, (m // ow,)), True)])
+    whole = fp._Partition(ow, rows // ow, (rows // ow,))
+    return [(part, ref)
+            for part in [fp._partition(K, o, ow, rows, w) for w in widths]
+            + [whole] for ref in (False, True)]
 
 
 class TestPool:
@@ -87,7 +83,7 @@ class TestPool:
     @pytest.mark.parametrize("K", [36, 1536])
     def test_rows_are_pairwise_distinct(self, K):
         rows = 3 * L // K  # an operand three periods long
-        a, b, _ = fp._probe_problem(1, rows, K, 4)
+        a, b, _ = fp._probe_problem(rows, K, 4)
         assert np.unique(a, axis=0).shape[0] == rows
         assert np.isfinite(a).all() and np.isfinite(b).all()
         assert b.flags.f_contiguous
@@ -96,9 +92,9 @@ class TestPool:
 class TestProbePower:
     @pytest.mark.parametrize("shape", ACCEPTED, ids=str)
     def test_accepts_the_genuine_partitions(self, shape):
-        n, rows, K, o, ow = shape
-        a, b, want = fp._probe_problem(n, rows, K, o)
-        assert n * rows * K > 2 * L
+        rows, K, o, ow = shape
+        a, b, want = fp._probe_problem(rows, K, o)
+        assert rows * K > 2 * L
         for part, ref in _formulations(*shape):
             assert fp._panels_match(a, b, want, part, ref)
 
@@ -109,8 +105,8 @@ class TestProbePower:
         are a different contraction; so is one that sums only the last
         row, periods past the first, as two halves."""
 
-        n, rows, K, o, ow = shape
-        a, b, want = fp._probe_problem(n, rows, K, o)
+        rows, K, o, ow = shape
+        a, b, want = fp._probe_problem(rows, K, o)
         h = K // 2
         if order == "reversed":
             other = (np.ascontiguousarray(a[:, ::-1])
@@ -125,8 +121,8 @@ class TestProbePower:
 
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
     def test_verdicts_equal_a_fresh_draw(self, shape):
-        pooled = fp._probe_problem(*shape[:4])
-        fresh = _fresh_problem(*shape[:4])
+        pooled = fp._probe_problem(*shape[:3])
+        fresh = _fresh_problem(*shape[:3])
         verdicts = [fp._panels_match(*pooled, part, ref)
                     for part, ref in _formulations(*shape)]
         assert verdicts == [fp._panels_match(*fresh, part, ref)
@@ -139,23 +135,23 @@ class TestOneDrawPerChain:
     candidate of its chain (``blocked`` → ``blocked_ref`` →
     ``transposed``); a cache hit draws nothing."""
 
-    N, ROWS, OW, K, O = 2, 60, 10, 36, 4
+    ROWS, OW, K, O = 120, 10, 36, 4
 
     def _run(self, plan):
-        n, rows, ow, K, o = self.N, self.ROWS, self.OW, self.K, self.O
+        rows, ow, K, o = self.ROWS, self.OW, self.K, self.O
         spec = SimpleNamespace(out_spatial=lambda spatial: (rows // ow, ow),
                                kernel=(3, 3), out_channels=o, members=None)
-        canvas = np.empty((K // 9, n, 1, 1), np.float32)
+        canvas = np.empty((K // 9, 1, 1), np.float32)
         fp.CompiledStagePlan._gemm(plan, "site", spec, canvas, 1.0, None,
                                    "store")
 
     def test_one_draw_serves_the_chain(self, monkeypatch):
-        n, rows, ow, K, o = self.N, self.ROWS, self.OW, self.K, self.O
+        rows, ow, K, o = self.ROWS, self.OW, self.K, self.O
         monkeypatch.setattr(fp, "_GEMM_OK", {})
         monkeypatch.setattr(fp, "_BLOCKED_MIN_BYTES", 1)
         monkeypatch.setattr(fp, "_PANEL_BYTES", 2 * ow * fp._column_bytes(K, o))
-        blocked = fp._partition(K, o, ow, n * rows, 2)
-        whole = fp._Partition(ow, n * rows // ow, (n * rows // ow,))
+        blocked = fp._partition(K, o, ow, rows, 2)
+        whole = fp._Partition(ow, rows // ow, (rows // ow,))
         assert len(blocked.panels()) > 1
 
         draws, seen = [], []
@@ -183,16 +179,58 @@ class TestOneDrawPerChain:
                 ran.append((part, ref)))
         self._run(plan)
 
-        assert draws == [(n, rows, K, o, None)]
+        assert draws == [(rows, K, o, None)]
         assert [c for c, _, _ in seen] == [
             (blocked, False), (blocked, True), (whole, False)]
         assert len({ident for _, ident, _ in seen}) == 1
         for (part, ref), _, verdict in seen:
-            assert verdict == real_match(*real_problem(n, rows, K, o), part,
-                                         ref)
-        assert ran == [(whole, False) if seen[-1][2] else (
-            fp._Partition(ow, rows // ow, (n * rows // ow,)), True)]
+            assert verdict == real_match(*real_problem(rows, K, o), part, ref)
+        assert ran == [(whole, not seen[-1][2])]
 
         seen.clear()
         self._run(plan)  # every candidate's verdict is cached now
         assert len(draws) == 1 and not seen
+
+
+class TestOneVerdictPerSite:
+    """A plan runs one wedge at a time, so a batch of any size meets the
+    site shapes, probe verdicts, canvases and slabs of one wedge."""
+
+    MID = {"bcae_2d": dict(wedge_spatial=(16, 64, 64), m=1, n=2, d=1),
+           "bcae_pp": dict(wedge_spatial=(8, 32, 48))}
+
+    @pytest.mark.parametrize("name", sorted(MID))
+    def test_batch_sizes_probe_and_allocate_nothing(self, monkeypatch, name):
+        """After a one-wedge warm-up, batches of 2, 3 and 4 wedges in both
+        directions run no probe, add no verdict, and grow no plan buffer:
+        only the batch-sized outputs follow the batch."""
+
+        model = build_model(name, seed=0, **self.MID[name])
+        model.eval()
+        comp = BCAECompressor(model)
+        rng = np.random.default_rng(3)
+        raw = rng.integers(0, 1024, (4,) + self.MID[name]["wedge_spatial"],
+                           dtype=np.uint16)
+        raw[raw < 500] = 0
+        probes = []
+        real = fp._panels_match
+        monkeypatch.setattr(fp, "_GEMM_OK", {})
+        monkeypatch.setattr(fp, "_panels_match",
+                            lambda *args: probes.append(args[3:]) or real(*args))
+
+        comp.decompress_into(comp.compress_into(raw[:1]))
+        workspaces = [comp._fast_encoder().plan.workspace,
+                      comp._fast_decoder()._ws]
+
+        def plan_buffers():
+            return [{k: b.nbytes for k, b in ws._bufs.items()
+                     if k not in ("code16", "recon")} for ws in workspaces]
+
+        assert probes and fp._GEMM_OK
+        probes.clear()
+        verdicts, buffers = len(fp._GEMM_OK), plan_buffers()
+        for n in (2, 3, 4):
+            comp.decompress_into(comp.compress_into(raw[:n]))
+        assert not probes
+        assert len(fp._GEMM_OK) == verdicts
+        assert plan_buffers() == buffers

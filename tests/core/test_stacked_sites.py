@@ -45,10 +45,10 @@ def _plans(comp):
     return [comp._fast_encoder().plan, *comp._fast_decoder().plans.values()]
 
 
-def _whole(n, rows, K, o, splits=None):
+def _whole(rows, K, o, splits=None):
     """The probe's verdict on the one-panel ``transposed`` formulation."""
 
-    return fp._gemm_matches(n, rows, K, o, fp._Partition(rows, n, (n,)),
+    return fp._gemm_matches(rows, K, o, fp._Partition(rows, 1, (1,)),
                             False, splits)
 
 
@@ -66,7 +66,7 @@ class TestStackingProbe:
     @pytest.mark.parametrize("rows,K,splits,ow", PAPER_PAIR_SITES)
     def test_accepts_the_paper_shapes(self, rows, K, splits, ow, width):
         part = fp._partition(K, sum(splits), ow, rows, width)
-        assert fp._gemm_matches(1, rows, K, sum(splits), part, False, splits)
+        assert fp._gemm_matches(rows, K, sum(splits), part, False, splits)
 
     @pytest.mark.parametrize("ref", [False, True],
                              ids=["transposed", "reference"])
@@ -76,10 +76,10 @@ class TestStackingProbe:
         probe compares no panel past the one that holds it, in either
         orientation."""
 
-        n, rows, K, o = 2, 48, 16, 4
+        rows, K, o = 96, 16, 4
         part = fp._Partition(16, 2, (6,))  # three panels of 32 columns
         monkeypatch.setattr(fp, "_GEMM_OK", {})
-        assert fp._gemm_matches(n, rows, K, o, part, ref)
+        assert fp._gemm_matches(rows, K, o, part, ref)
 
         class Panels(np.ndarray):
             """A reference that counts the panel slices taken from it."""
@@ -99,34 +99,32 @@ class TestStackingProbe:
 
         monkeypatch.setattr(fp, "_probe_problem", corrupted)
         monkeypatch.setattr(fp, "_GEMM_OK", {})
-        assert fp._gemm_matches(n, rows, K, o, part, ref) is False
+        assert fp._gemm_matches(rows, K, o, part, ref) is False
         assert len(compared) == (1 if where == "first" else 3)
 
     def test_compares_each_member_with_its_own_reference(self):
-        """At ``(n, rows, K) = (2, 240, 384)`` this host's BLAS contracts
-        8 kernel columns differently from two 4-column products, so a probe
+        """At ``(rows, K) = (240, 384)`` this host's BLAS contracts 8
+        kernel columns differently from two 4-column products, so a probe
         against the 8-column reference would accept rows the members' own
         sites do not produce."""
 
-        n, rows, K, splits = 2, 240, 384, (4, 4)
+        rows, K, splits = 240, 384, (4, 4)
         rng = np.random.default_rng(7)
-        a = rng.standard_normal((n * rows, K), dtype=np.float32)
+        a = rng.standard_normal((rows, K), dtype=np.float32)
         b = np.asfortranarray(rng.standard_normal((K, 8), dtype=np.float32))
 
         def reference(lo, hi):
-            cols = np.asfortranarray(b[:, lo:hi])
-            return np.concatenate([np.dot(a[i * rows:(i + 1) * rows], cols)
-                                   for i in range(n)])
+            return np.dot(a, np.asfortranarray(b[:, lo:hi]))
 
         stacked = np.dot(np.ascontiguousarray(b.T), np.ascontiguousarray(a.T)).T
         own = np.concatenate([reference(0, 4), reference(4, 8)], axis=1)
         wide = reference(0, 8)
-        assert _whole(n, rows, K, 8, splits) == np.array_equal(stacked, own)
-        assert _whole(n, rows, K, 8) == np.array_equal(stacked, wide)
+        assert _whole(rows, K, 8, splits) == np.array_equal(stacked, own)
+        assert _whole(rows, K, 8) == np.array_equal(stacked, wide)
         if np.array_equal(wide, own):
             pytest.skip("this BLAS contracts 8 columns like two 4-column "
                         "products at this shape")
-        assert not (_whole(n, rows, K, 8, splits) and _whole(n, rows, K, 8))
+        assert not (_whole(rows, K, 8, splits) and _whole(rows, K, 8))
 
     def test_rejected_shape_runs_as_two_sites(self):
         """Whatever the probe decided per pair, the stats agree with it and
@@ -149,10 +147,9 @@ class TestStackingProbe:
             assert {g["formulation"] for g in stacked} <= {"transposed"}
             for g in stacked:
                 assert g["tail"] == "act+requant|act"
-                assert _whole(n, g["m"] // n, g["K"], g["o"],
-                              tuple(g["members"]))
+                assert _whole(g["m"], g["K"], g["o"], tuple(g["members"]))
             for g in apart:
-                assert not _whole(n, g["m"] // n, g["K"], 2 * g["o"],
+                assert not _whole(g["m"], g["K"], 2 * g["o"],
                                   (g["o"], g["o"]))
 
     def test_forced_rejection_same_bytes(self, monkeypatch):
@@ -170,8 +167,8 @@ class TestStackingProbe:
         real = fp._gemm_matches
         monkeypatch.setattr(
             fp, "_gemm_matches",
-            lambda n, rows, K, o, part, ref, splits=None, problem=None:
-                splits is None and real(n, rows, K, o, part, ref))
+            lambda rows, K, o, part, ref, splits=None, problem=None:
+                splits is None and real(rows, K, o, part, ref))
         apart = BCAECompressor(model)
         assert bytes(apart.compress_into(w).payload) == payload
         assert np.array_equal(
