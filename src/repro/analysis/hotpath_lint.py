@@ -23,13 +23,14 @@ of every stage-execution and batch loop), the constructs that allocate:
     comprehensions.
 ``HP005``
     Workspace slab acquisition (``self._ws.get(...)``) inside a nested
-    function — the lexical shape of the panel-executor worker closures.
-    :class:`~repro.core.fast_plan.Workspace` is not thread-safe by
-    contract: the parallel panel path must acquire every per-slot slab on
-    the caller thread *before* the workers start, so a ``_ws.get`` inside
-    a closure is a per-call allocation racing the other slots.  Unlike
-    HP001–HP004 this rule applies at any loop depth (the closure body is
-    the worker's whole run).
+    function — the lexical shape of the panel closures.  A panel closure
+    also runs in the forked panel slot processes, which share the
+    workspace's buffers but may not allocate
+    (:class:`~repro.core.fast_plan.Workspace`): every per-slot slab is
+    acquired before the panels run, so a ``_ws.get`` inside a closure is
+    a per-panel lookup at best and, in a slot, an allocation no other
+    process can see.  Unlike HP001–HP004 this rule applies at any loop
+    depth (the closure body is the slot's whole run).
 
 Compile-time loops (plan construction, calibration probes) trip these
 rules too; those findings are *grandfathered* in the checked-in baseline
@@ -194,10 +195,11 @@ class _HotPathVisitor(ast.NodeVisitor):
                 and isinstance(func0.value, ast.Attribute)
                 and func0.value.attr == "_ws"):
             self._emit("HP005", node,
-                       "_ws.get() inside a nested function — the panel "
-                       "worker closures run concurrently, so workspace "
-                       "slabs must be acquired on the caller thread "
-                       "before the workers start", token="_ws.get")
+                       "_ws.get() inside a nested function — panel "
+                       "closures also run in the forked slot processes, "
+                       "which may not allocate, so workspace slabs must "
+                       "be acquired before the panels run",
+                       token="_ws.get")
         if self._loop_depth > 0:
             func = node.func
             if (isinstance(func, ast.Attribute)

@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verify the fp32 plans instead of fp16")
     z.add_argument("--stats", action="store_true",
                    help="print each verified plan's plan_stats() summary "
-                        "(stage kinds, GEMM formulations, panel/thread "
+                        "(stage kinds, GEMM formulations, panel/slot "
                         "counts, fold decisions)")
 
     return parser

@@ -136,6 +136,9 @@ class FastDecoder:
         # identical, so the sequential seg → reg runs reuse every buffer
         # (each op fully rewrites what it reads; see CompiledStagePlan).
         self._ws = Workspace()
+        # Batch-sized outputs live apart from the heads' workspace, which
+        # panel slot processes share and which must not grow with the batch.
+        self._out = Workspace()
         self._seg, self._reg = (
             CompiledStagePlan(_head_stages(head), half=self.half,
                               workspace=self._ws, prefix="d",
@@ -148,7 +151,7 @@ class FastDecoder:
     def workspace_bytes(self) -> int:
         """Current workspace footprint (one wedge's plus the batch output)."""
 
-        return self._ws.nbytes()
+        return self._ws.nbytes() + self._out.nbytes()
 
     @property
     def bn_folds(self) -> list[dict]:
@@ -197,8 +200,8 @@ class FastDecoder:
 
         n = len(codes)
         for i, (seg, reg) in self._runs(codes):
-            segs = self._ws.get("seg", (n,) + seg.shape)
-            regs = self._ws.get("reg", (n,) + reg.shape)
+            segs = self._out.get("seg", (n,) + seg.shape)
+            regs = self._out.get("reg", (n,) + reg.shape)
             np.copyto(segs[i], seg)
             np.copyto(regs[i], reg)
         return self._wedges(segs), self._wedges(regs)
@@ -213,9 +216,9 @@ class FastDecoder:
         """
 
         for i, (seg, reg) in self._runs(codes):
-            mask = self._ws.get("mask", seg.shape, np.bool_)
+            mask = self._out.get("mask", seg.shape, np.bool_)
             np.greater(seg, self.threshold, out=mask)
-            recon = self._ws.get("recon", (len(codes),) + reg.shape)
+            recon = self._out.get("recon", (len(codes),) + reg.shape)
             # dtype pins the product to fp32 over the fp16-stored grid values —
             # exactly the module path's ``reg.data * (seg.data > threshold)``.
             np.multiply(reg, mask, out=recon[i], dtype=np.float32)

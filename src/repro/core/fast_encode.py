@@ -121,7 +121,10 @@ class FastEncoder:
         self.geometry = WedgeGeometry.of(encoder)
         self._plan = CompiledStagePlan(_encoder_stages(encoder), half=self.half,
                                        _workers=_workers)
-        self._ws = self._plan.workspace
+        # The batch-sized output lives apart from the plan's workspace,
+        # which panel slot processes share and which must not grow with
+        # the batch.
+        self._out = Workspace()
 
     @property
     def bn_folds(self) -> list[dict]:
@@ -139,7 +142,7 @@ class FastEncoder:
     def workspace_bytes(self) -> int:
         """Current workspace footprint (one wedge's plus the batch output)."""
 
-        return self._plan.workspace_bytes
+        return self._plan.workspace_bytes + self._out.nbytes()
 
     # ------------------------------------------------------------------
     def encode(self, x: np.ndarray, horizontal_target: int | None = None) -> np.ndarray:
@@ -172,7 +175,7 @@ class FastEncoder:
             # The radial axis becomes the channels or the leading spatial axis.
             np.copyto(interior[..., :h], wedge.reshape((c,) + spatial[:-1] + (h,)))
             code = self._plan.run(canvas, spatial, LOG_INPUT_BOUND)
-            out16 = self._ws.get("code16", (n,) + code.shape, np.float16)
+            out16 = self._out.get("code16", (n,) + code.shape, np.float16)
             # Stored grid values cast exactly; this is compress()'s payload
             # astype.  (In full mode overflow to ±inf matches astype too.)
             np.copyto(out16[i], code, casting="unsafe")

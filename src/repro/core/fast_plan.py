@@ -100,7 +100,7 @@ path's fp32 arithmetic on the same grid values.
 Buffers are leased, not owned per site: canvases and carry streams come
 from a per-geometry round robin (:meth:`CompiledStagePlan._lease` — three
 canvases and two streams of a geometry cover every stage's live set) and all
-panel / snap scratch is carved from one grow-only arena per panel-executor
+panel / snap scratch is carved from one grow-only arena per panel
 slot (:meth:`Workspace.carve`), so the working set is a handful of canvases
 plus one panel-sized arena per slot, whatever the depth of the plan.
 
@@ -160,14 +160,20 @@ A panel is a row range of the flattened output grid, but a padded canvas is
 not uniformly strided across that grid, so gathers and stores address a
 panel as a few index boxes (:func:`_row_boxes`): one in the 2-D case, more
 where a 3-D panel crosses a plane boundary.
-Panels fan out over the plan's panel executor by one partition
+Panels fan out over the plan's panel slots by one partition
 (:func:`_partition`): at width ``T`` slot ``s`` owns the ``s``-th of ``T``
 contiguous, near-equal row blocks and runs its panels in order, the last one
-possibly narrower.  Slots own private arenas and write disjoint destination
-rows, and the probe walks exactly the executor's partition, so output bits
-are identical at every thread count.  Every numpy call of a panel may hand
-the GIL to another slot, so the partition keeps panels few and large
-rather than cache-sized.
+possibly narrower.  Slot 0 is the calling process; slots ``1 … T−1`` are
+processes forked over the plan's :class:`Workspace`, whose buffers then live
+in shared anonymous memory.  Every process runs the same :meth:`run` over
+the same buffers: slot ``s`` runs only its own panels, the writes outside
+panels (pools, upsamples, stream stores, heads) run on slot 0, and all slots
+meet at a pipe barrier after every op that writes.  Before the first run of
+a geometry the caller makes a *dry pass* — leases, probes, partitions, slab
+carving and gather maps, no array written — so the slots fork with every
+buffer in place and never allocate.  Slots own private arenas and write
+disjoint destination rows, and the probe walks exactly the executor's
+partition, so output bits are identical at every width.
 
 BatchNorm folding
 -----------------
@@ -207,13 +213,17 @@ precision modes, for the encoders and for both decoder heads.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import functools
+import gc
 import itertools
 import math
+import mmap
 import os
-from typing import NamedTuple
+import pickle
+import signal
+import weakref
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -230,6 +240,7 @@ __all__ = [
     "DECODE_ENTRY_KINDS",
     "FP16_MAX",
     "PanelBudget",
+    "SlotProcessError",
     "Workspace",
     "entry_kinds_ok",
     "fold_batchnorm",
@@ -253,11 +264,14 @@ _F32 = np.float32
 _BLOCKED_MIN_BYTES = 4 << 20
 
 #: Byte budget of one panel's slab (gathered operand + GEMM block + snap
-#: scratch, see :func:`_column_bytes`), one constant at every width.  A
-#: panel costs ~20–35 numpy calls and, with two slots running, each call
-#: may hand the GIL over, so panels are sized for few calls rather than L2.
-#: No budget sweep behind the choice of 6 MB over 4 MB has been recorded.
-_PANEL_BYTES = 6 << 20
+#: scratch, see :func:`_column_bytes`), one constant at every width.  Panel
+#: slots are processes, so a panel's ~20–35 numpy calls hand nothing over
+#: and the slab is sized for the cache: at width 2 under slot processes,
+#: 1, 2 and 4 MB tie on the paper-geometry BCAE-2D decode and 6 MB reads
+#: ~1.3× slower; on the BCAE++ encode 1 and 2 MB tie and 6 MB reads ~1.25×
+#: slower (docs/BENCHMARKS.md, the sweep under process slots).  The
+#: smallest of the tie wins.
+_PANEL_BYTES = 1 << 20
 
 #: Byte size of one cache-resident block of the fused BatchNorm affine
 #: kernel (see :meth:`_BNSpec.apply`).
@@ -282,7 +296,7 @@ class PanelBudget(NamedTuple):
 
 
 def panel_budget(workers: int = 1) -> PanelBudget:
-    """Derive the panel executor width from the cores this process may use.
+    """Derive the panel width from the cores this process may use.
 
     ``width = cores // (blas_threads · workers)``, floored at 1.  ``cores``
     is the CPU affinity (``taskset -c 0`` gives 1).  ``blas_threads`` is the
@@ -642,8 +656,13 @@ class _BNSpec:
     def _col(self, a: np.ndarray, ndim: int) -> np.ndarray:
         return a.reshape((self.num_features,) + (1,) * (ndim - 1))
 
-    def apply(self, ws: "Workspace", key, src: np.ndarray) -> np.ndarray:
+    def apply(self, ws: "Workspace", key, src: np.ndarray,
+              write: bool = True) -> np.ndarray:
         """The module's eval forward on a channel-major stream, verbatim.
+
+        Returns the workspace buffer ``(key, "bn")``, filled unless
+        ``write`` is False (a plan's dry pass, or a panel slot other than
+        slot 0).
 
         The chain is the module's exact four fp32 ufuncs — subtract μ,
         multiply inv_std, multiply γ, add β.  Elementwise fp32 ops round
@@ -664,6 +683,8 @@ class _BNSpec:
         """
 
         out = ws.get((key, "bn"), src.shape)
+        if not write:
+            return out
         if src[:1].nbytes <= _BN_BLOCK:
             return self.chain(src, out)
         mean, inv_std, gamma, beta = self.mean, self.inv_std, self.gamma, self.beta
@@ -1299,17 +1320,79 @@ def _gemm_matches(rows: int, K: int, o: int, part: _Partition, ref: bool,
     return hit
 
 
+class SlotProcessError(RuntimeError):
+    """A panel slot process died or raised during a plan run.
+
+    The run that meets the failure raises this; the plan's slots are torn
+    down, and the next run forks fresh ones.  :attr:`slot` is the failed
+    slot's index (``1 … width − 1``; slot 0 is the calling process).
+    """
+
+    def __init__(self, slot: int, detail: str) -> None:
+        super().__init__(f"panel slot {slot} {detail}")
+        self.slot = slot
+
+
+#: Marker role of the dry pass: leases, probes and maps, no array written.
+_DRY = -1
+
+#: Live slot groups and shared workspaces of this process, for the at-fork
+#: rule (:func:`_after_fork_in_child`).
+_GROUPS: "weakref.WeakSet[_SlotGroup]" = weakref.WeakSet()
+_SHARED: "weakref.WeakSet[Workspace]" = weakref.WeakSet()
+
+#: The workspace whose slots are being forked right now (None otherwise).
+_FORKING: "Workspace | None" = None
+
+
 class Workspace:
-    """Named, shape-checked reusable buffers (compiled-plan/compressor scratch)."""
+    """Named, shape-checked reusable buffers (compiled-plan/compressor scratch).
+
+    A workspace whose plans run at width ``> 1`` is *shared*: its buffers
+    are shared anonymous memory, so the panel slot processes forked over it
+    (:class:`_SlotGroup`) read and write the very pages the caller does.  A
+    slot allocates nothing: every allocation bumps :attr:`_gen`, slots fork
+    once a dry pass has allocated every buffer a run uses, and an
+    allocation while slots run raises.
+    """
 
     def __init__(self) -> None:
         self._bufs: dict = {}
+        self._shared = False
+        self._frozen = False
+        #: Allocation count: slots forked at another count are stale.
+        self._gen = 0
+        #: Weak references to the plans compiled onto this workspace.
+        self._plans: list = []
+        self._slots: _SlotGroup | None = None
+
+    def _share(self) -> None:
+        """Back every later buffer with shared memory (private buffers
+        made before would be invisible to the slots, so they go)."""
+
+        if not self._shared:
+            self._shared = True
+            self._bufs.clear()
+            _SHARED.add(self)
+
+    def _alloc(self, key, shape: tuple[int, ...], dtype,
+               zero: bool = False) -> np.ndarray:
+        if self._frozen:
+            raise RuntimeError(
+                f"workspace buffer {key!r} allocated while panel slots run: "
+                "the dry pass must allocate every buffer a run uses")
+        self._gen += 1
+        if not self._shared:
+            return (np.zeros if zero else np.empty)(shape, dtype)
+        count = math.prod(shape)
+        # Fresh anonymous pages read as zeros and fault in on first touch.
+        mem = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))
+        return np.frombuffer(mem, dtype, count).reshape(shape)
 
     def get(self, key, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
         buf = self._bufs.get(key)
         if buf is None or buf.shape != tuple(shape) or buf.dtype != dtype:
-            buf = np.empty(shape, dtype=dtype)
-            self._bufs[key] = buf
+            buf = self._bufs[key] = self._alloc(key, tuple(shape), dtype)
         return buf
 
     def carve(self, key, *specs) -> list[np.ndarray]:
@@ -1326,7 +1409,7 @@ class Workspace:
         starts = [0, *itertools.accumulate(-(-b // 64) * 64 for b in nbytes)]
         buf = self._bufs.get(key)
         if buf is None or buf.nbytes < starts[-1]:
-            buf = self._bufs[key] = np.empty(starts[-1], np.uint8)
+            buf = self._bufs[key] = self._alloc(key, (starts[-1],), np.uint8)
         return [
             buf[start:start + b].view(dtype).reshape(shape)
             for (shape, dtype), b, start in zip(specs, nbytes, starts)
@@ -1355,8 +1438,7 @@ class Workspace:
         )
         buf = self._bufs.get(key)
         if buf is None or buf.shape != shape or buf.dtype != dtype:
-            buf = np.zeros(shape, dtype=dtype)
-            self._bufs[key] = buf
+            buf = self._bufs[key] = self._alloc(key, shape, dtype, zero=True)
         interior = buf[(slice(None),) + tuple(
             slice(pl, pl + ds, d)
             for ds, d, (pl, _ph) in zip(dil_sz, dilation, padding)
@@ -1370,6 +1452,234 @@ class Workspace:
             b.nbytes for k, b in self._bufs.items()
             if owner is None or (isinstance(k, tuple) and k[0] == owner)
         )
+
+    def _slot_group(self, plan: "CompiledStagePlan", canvas: np.ndarray,
+                    spatial: tuple[int, ...],
+                    bound: float) -> "_SlotGroup | None":
+        """The live slots for a run of ``plan`` on ``canvas``, or None to
+        run every slot in the caller.
+
+        Slots run only out of a shared workspace and on a plan's own input
+        canvas (the one buffer they can find).  Slots forked at an older
+        allocation count, or without ``plan``, are replaced: every plan on
+        this input canvas makes a dry pass, then ``width − 1`` processes
+        fork, so the first real run is already parallel.
+        """
+
+        if not self._shared or self._bufs.get((plan.prefix, "in")) is not canvas:
+            return None
+        group = self._slots
+        if group is None or group.gen != self._gen or group.index(plan) < 0:
+            self._close_slots()
+            plans = [p for p in (r() for r in self._plans) if p is not None
+                     and self._bufs.get((p.prefix, "in")) is canvas]
+            if plan not in plans:
+                return None  # compiled at width 1: nothing to split
+            for p in plans:
+                p._execute(canvas, spatial, bound, _DRY, None)
+            try:
+                group = self._slots = _SlotGroup(self, plans,
+                                                 plan.budget.width)
+            except OSError:
+                return None  # no process to fork now: this run stays serial
+        return group
+
+    def _close_slots(self) -> None:
+        if self._slots is not None:
+            self._slots.close()
+            self._slots = None
+
+
+class _SlotGroup:
+    """``width − 1`` forked panel slot processes over one shared workspace.
+
+    Slot ``s`` talks to the caller (slot 0) through two pipes: commands
+    and barrier releases go down ``cmd``, barrier arrivals and error
+    reports come up ``ack``.  A run is one command (plan index, spatial
+    shape, bound), after which every process runs the same
+    :meth:`CompiledStagePlan._execute` and meets the others at
+    :meth:`barrier` after every op that writes.  Slots ignore SIGINT,
+    exit when ``cmd`` reaches EOF, and are killed and reaped when the group
+    closes or is collected.
+    """
+
+    def __init__(self, ws: Workspace, plans: list, width: int) -> None:
+        global _FORKING
+        self.gen = ws._gen
+        self.plans = [weakref.ref(p) for p in plans]
+        self.owner = os.getpid()
+        #: ``(pid, cmd write end, ack read end)`` per slot 1 … width − 1.
+        self.slots: list[tuple[int, int, int]] = []
+        self._finalizer = weakref.finalize(self, _reap, self.owner, self.slots)
+        _GROUPS.add(self)
+        _FORKING = ws
+        try:
+            for slot in range(1, width):
+                cmd_r, cmd_w = os.pipe()
+                ack_r, ack_w = os.pipe()
+                try:
+                    pid = os.fork()
+                except BaseException:
+                    _close_fds(cmd_r, cmd_w, ack_r, ack_w)
+                    raise
+                if pid == 0:
+                    _slot_main(ws, plans, slot, cmd_r, ack_w)
+                _close_fds(cmd_r, ack_w)
+                self.slots.append((pid, cmd_w, ack_r))  # lint: allow-alloc
+        except BaseException:
+            self.close()
+            raise
+        finally:
+            _FORKING = None
+
+    def index(self, plan: "CompiledStagePlan") -> int:
+        return next((i for i, r in enumerate(self.plans) if r() is plan), -1)
+
+    def close(self) -> None:
+        self._finalizer()
+
+    def disown(self) -> None:
+        """In a forked child: let go of the parent's slots untouched."""
+
+        self._finalizer.detach()
+        for _pid, cmd_w, ack_r in self.slots:
+            _close_fds(cmd_w, ack_r)
+        self.slots.clear()
+
+    def command(self, plan: "CompiledStagePlan", spatial, bound: float) -> None:
+        msg = pickle.dumps((self.index(plan), tuple(spatial), float(bound)))
+        data = len(msg).to_bytes(4, "little") + msg
+        for slot in range(1, len(self.slots) + 1):
+            self._send(slot, data)
+
+    def barrier(self) -> None:
+        for slot, (_pid, _cmd_w, ack_r) in enumerate(self.slots, 1):
+            got = os.read(ack_r, 1)
+            if got != b".":
+                raise self._failure(slot, got)
+        for slot in range(1, len(self.slots) + 1):
+            self._send(slot, b".")
+
+    def _send(self, slot: int, data: bytes) -> None:
+        try:
+            os.write(self.slots[slot - 1][1], data)
+        except OSError:
+            raise self._failure(slot, b"") from None
+
+    def _failure(self, slot: int, got: bytes) -> SlotProcessError:
+        """The typed error for slot ``slot``: its report after ``!``, else
+        how it ended."""
+
+        pid, cmd_w, ack_r = self.slots[slot - 1]
+        if got == b"!":
+            report = b"".join(iter(lambda: os.read(ack_r, 4096), b""))
+            return SlotProcessError(slot, report.decode(errors="replace"))
+        _reap(self.owner, [(pid, cmd_w, ack_r)])  # it cannot take commands
+        self.slots[slot - 1] = (0, -1, -1)
+        return SlotProcessError(slot, f"(pid {pid}) died")
+
+
+def _close_fds(*fds: int) -> None:
+    for fd in fds:
+        try:
+            os.close(fd)
+        except OSError:
+            pass
+
+
+def _reap(owner: int, slots: list) -> None:
+    """Kill and reap a group's slots — in the process that forked them."""
+
+    if os.getpid() != owner:
+        return
+    for pid, cmd_w, ack_r in slots:
+        _close_fds(cmd_w, ack_r)
+        if pid:
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass
+    slots.clear()
+
+
+class _SlotLink:
+    """A slot's end of its pipes (see :class:`_SlotGroup`)."""
+
+    def __init__(self, cmd_r: int, ack_w: int) -> None:
+        self.cmd_r, self.ack_w = cmd_r, ack_w
+
+    def _read(self, n: int) -> bytes:
+        data = b""
+        while len(data) < n:
+            chunk = os.read(self.cmd_r, n - len(data))
+            if not chunk:  # the caller is gone
+                os._exit(0)
+            data += chunk
+        return data
+
+    def command(self) -> tuple:
+        return pickle.loads(self._read(int.from_bytes(self._read(4), "little")))
+
+    def barrier(self) -> None:
+        os.write(self.ack_w, b".")
+        self._read(1)
+
+
+def _slot_main(ws: Workspace, plans: list, slot: int, cmd_r: int,
+               ack_w: int) -> NoReturn:
+    """Body of slot process ``slot``: run commands until EOF, never return.
+
+    Every inherited descriptor but the slot's two pipe ends is closed, so
+    a slot holds no socket, file or other group's pipe open.  Any error is
+    reported up ``ack`` and ends the process.
+    """
+
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            signal.set_wakeup_fd(-1)
+        except ValueError:
+            pass
+        lo, hi = sorted((cmd_r, ack_w))
+        os.closerange(3, lo)
+        os.closerange(lo + 1, hi)
+        os.closerange(hi + 1, os.sysconf("SC_OPEN_MAX"))
+        gc.freeze()  # keep the collector off the parent's pages
+        ws._frozen = True
+        link = _SlotLink(cmd_r, ack_w)
+        while True:
+            index, spatial, bound = link.command()
+            plan = plans[index]
+            plan._execute(ws._bufs[(plan.prefix, "in")], spatial, bound, slot,
+                          link)
+    except BaseException as exc:  # noqa: BLE001 — reported, then exit
+        try:
+            os.write(ack_w, b"!" + f"raised {type(exc).__name__}: {exc}"
+                     .encode(errors="replace")[:4000])
+        except OSError:
+            pass
+    finally:
+        os._exit(1)
+
+
+def _after_fork_in_child() -> None:
+    """A forked child never drives its parent's slots or shares its
+    parent's buffers: it disowns every slot group and drops the buffers of
+    every shared workspace (its plans re-allocate, warm and fork their own
+    slots on their next run) — except, in a new slot, the workspace it
+    serves."""
+
+    for group in list(_GROUPS):
+        group.disown()
+    for ws in list(_SHARED):
+        if ws is not _FORKING:
+            ws._bufs.clear()
+            ws._slots = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 class CompiledStagePlan:
@@ -1394,8 +1704,10 @@ class CompiledStagePlan:
     prefix:
         Workspace key namespace for this plan's buffers.
 
-    The panel executor's width is fixed here by :func:`panel_budget`
-    (``_workers``: compressors the caller runs at once); slots own their
+    The panel width is fixed here by :func:`panel_budget` (``_workers``:
+    compressors the caller runs at once).  Above width 1, where ``os.fork``
+    exists, the workspace turns shared and :meth:`run` drives ``width − 1``
+    forked slot processes over it (see *Execution model*); slots own their
     scratch and write disjoint rows, so bits are identical at any width.
     """
 
@@ -1413,12 +1725,17 @@ class CompiledStagePlan:
         self.budget = panel_budget(_workers)
         self.prefix = prefix
         self._ws = Workspace() if workspace is None else workspace
-        #: Per-GEMM-site execution stats (formulation, panel/thread counts)
+        #: Per-GEMM-site execution stats (formulation, panel/slot counts)
         #: recorded by :meth:`_gemm` on each run — see :meth:`plan_stats`.
         self._gemm_stats: dict = {}
-        #: ``(pid, executor)`` of the lazily created panel executor
-        #: (``width − 1`` workers; the caller thread always runs slot 0).
-        self._panel_executor: tuple | None = None
+        #: The slot this process plays in the current run: None runs every
+        #: slot here, ``_DRY`` writes nothing, ``s ≥ 0`` is slot ``s`` of a
+        #: forked group whose barrier ``_link`` provides.
+        self._role: int | None = None
+        self._link = None
+        if self.budget.width > 1 and hasattr(os, "fork"):
+            self._ws._share()
+            self._ws._plans.append(weakref.ref(self))
         #: Per-geometry lease counters of the current :meth:`run`.
         self._turn: dict = {}
         # Canvases stay fp32 even in half mode: their values are fp16 grid
@@ -1651,21 +1968,63 @@ class CompiledStagePlan:
                                self._cdtype, dilation)
 
     # ------------------------------------------------------------------
-    def run(self, canvas: np.ndarray, spatial: tuple[int, ...], bound: float,
-            carry: np.ndarray | None = None, carry_bound: float = 0.0) -> np.ndarray:
+    def run(self, canvas: np.ndarray, spatial: tuple[int, ...],
+            bound: float) -> np.ndarray:
         """Execute the plan on one sample; returns the module-graph output.
 
         ``canvas`` is typically :meth:`input_canvas` with the interior
         filled; ``bound`` is a rigorous magnitude bound on those values.
         The returned array is channel-major fp32 ``(C, *out_spatial)`` and
         is a reused workspace buffer: copy it before the next :meth:`run`
-        on this workspace.
+        on this workspace.  On the input canvas of a shared workspace the
+        run is split with the panel slot processes; a slot that died or
+        raised fails the run with :class:`SlotProcessError`, and the next
+        run forks new slots.
         """
 
+        ws = self._ws
+        group = ws._slot_group(self, canvas, spatial, bound)
+        if group is None:
+            return self._execute(canvas, spatial, bound, None, None)
+        ws._frozen = True
+        try:
+            group.command(self, spatial, bound)
+            return self._execute(canvas, spatial, bound, 0, group)
+        except BaseException:
+            ws._close_slots()
+            raise
+        finally:
+            ws._frozen = False
+
+    def _execute(self, canvas, spatial, bound, role, link) -> np.ndarray:
+        """:meth:`run`'s body in the given ``role``; ``link`` is the
+        barrier of a forked group (None when no other process runs)."""
+
+        self._role, self._link = role, link
+        try:
+            return self._ops_pass(canvas, spatial, bound)
+        finally:
+            self._role = self._link = None
+
+    @property
+    def _writes(self) -> bool:
+        """Whether this process makes the writes outside panels (slot 0)."""
+
+        return self._role is None or self._role == 0
+
+    def _sync(self) -> None:
+        """The barrier every process of a group meets after a write."""
+
+        if self._link is not None:
+            self._link.barrier()
+
+    def _ops_pass(self, canvas, spatial, bound) -> np.ndarray:
         ops = self._ops
         nd = self._nd
         self._turn.clear()
         self._gemm_stats.clear()
+        carry: np.ndarray | None = None
+        carry_bound = 0.0
         result: np.ndarray | None = None
         for i, (kind, op) in enumerate(ops):
             store_spec = _next_store_spec(ops, i, nd)
@@ -1712,7 +2071,7 @@ class CompiledStagePlan:
                 else:
                     # The module path normalizes the *unquantized* stream.
                     src, src_bound = carry, carry_bound
-                carry = op.apply(self._ws, key, src)
+                carry = op.apply(self._ws, key, src, self._writes)
                 carry_bound = op.out_bound(src_bound)
                 canvas, result, bound = self._store_stream(
                     carry, carry_bound, spatial, store_spec
@@ -1740,6 +2099,8 @@ class CompiledStagePlan:
             elif kind == "regout":
                 result = self._regout(key, op, result)
             # "identity": the module pass-through — state is unchanged.
+        # A head (sigmoid / regout) is the last op and runs on slot 0 only:
+        # the barrier after the last convolution is the run's last.
 
         assert result is not None
         return result
@@ -1819,17 +2180,6 @@ class CompiledStagePlan:
         return True
 
     # ------------------------------------------------------------------
-    def _panel_pool(self) -> concurrent.futures.ThreadPoolExecutor:
-        """The plan's panel executor, built on first use in this process:
-        an executor inherited across ``fork`` has no threads behind it."""
-
-        pid = os.getpid()
-        if self._panel_executor is None or self._panel_executor[0] != pid:
-            self._panel_executor = (pid, concurrent.futures.ThreadPoolExecutor(
-                max_workers=self.budget.width - 1,
-                thread_name_prefix="repro-panel"))
-        return self._panel_executor[1]
-
     def _slab(self, slot: int, spec: _ConvSpec, c: int, rows: int, ow: int,
               ref: bool) -> tuple:
         """Slot ``slot``'s panel scratch for ``rows`` whole output rows.
@@ -1887,16 +2237,16 @@ class CompiledStagePlan:
 
         Slot ``s`` of the partition's ``T`` owns one contiguous block of
         output rows and runs its panels in order, the last one possibly
-        narrower, so nothing is left for the caller after the join.  Its
-        slabs — one per distinct panel width, aliasing in the slot's arena
-        since the slot runs one panel at a time — are carved on the caller
-        thread before any worker starts, so the parallel region performs no
-        allocation and no workspace-dict mutation.  Slots write disjoint
-        rows, and every multi-slot partition was probed bit-equal to the
-        reference, so output bits are identical at every width.
-        Each slot makes a few dozen short numpy calls per panel, each a
-        possible GIL hand-off while another slot runs: fewer, larger panels
-        in one block per slot keep that count down.
+        narrower, so nothing is left for slot 0 after the barrier.  Every
+        process carves every slot's slabs — one per distinct panel width,
+        aliasing in the slot's arena since the slot runs one panel at a
+        time — and builds the same maps, so the dry pass leaves them all in
+        the shared workspace and a slot process only looks them up.  This
+        process then runs its own slot (every slot when it runs alone,
+        none in the dry pass) and meets the others at the barrier.  Slots
+        write disjoint rows, and every multi-slot partition was probed
+        bit-equal to the reference, so output bits are identical at every
+        width.
         """
 
         c = canvas.shape[0]
@@ -1947,19 +2297,13 @@ class CompiledStagePlan:
                   for rows in dict.fromkeys(rows for rows, _ in slot)}
                  for s, slot in enumerate(slots)]
 
-        def run_slot(slot: int) -> None:
-            own = slabs[slot]
-            for rows, panel in slots[slot]:
+        role = self._role
+        for s in (range(len(slots)) if role is None
+                  else (role,) if 0 <= role < len(slots) else ()):
+            own = slabs[s]
+            for rows, panel in slots[s]:
                 run_panel(own[rows], panel)
-
-        if len(slots) == 1:
-            run_slot(0)
-        else:
-            pool = self._panel_pool()
-            futures = [pool.submit(run_slot, s) for s in range(1, len(slots))]
-            run_slot(0)
-            for f in futures:
-                f.result()
+        self._sync()
 
     # ------------------------------------------------------------------
     def _grid(self, src: np.ndarray, bound: float) -> tuple[np.ndarray, float]:
@@ -1968,8 +2312,9 @@ class CompiledStagePlan:
         panel epilogue instead).
 
         Returns ``src``'s values snapped onto the fp16 grid — an array of
-        the shared ``"grid"`` arena, consume it before the next call — and
-        the stored bound.  The saturating clip runs only when ``bound``
+        the shared ``"grid"`` arena, consume it before the next call; None
+        where this process makes no writes (see :attr:`_writes`) — and the
+        stored bound.  The saturating clip runs only when ``bound``
         says ±65504 is reachable and a lane is beyond it — elsewhere it is
         the identity — and never mutates ``src``: the residual stream
         keeps its unclipped fp32 values.
@@ -1977,7 +2322,8 @@ class CompiledStagePlan:
 
         scr, (t,) = _scratch(self._ws, "grid", src.shape, (src.shape, _F32))
         clip = t if bound >= _FP16_MAX else None
-        return _snap(src, scr, clip), min(bound, _FP16_MAX)
+        return (_snap(src, scr, clip) if self._writes else None,
+                min(bound, _FP16_MAX))
 
     def _cap(self, bound: float) -> float:
         """Magnitude bound of a conv output as stored (saturated in half)."""
@@ -2116,18 +2462,22 @@ class CompiledStagePlan:
 
         Beyond the correlation's support the module stream is (norm ∘)
         act of q(bias) — re-quantized by the next conv's entry when
-        ``quantize`` — the same scalar ufunc chain on ``(C,)``.
+        ``quantize`` — the same scalar ufunc chain on ``(C,)``.  Slot 0
+        fills; the barrier keeps every slot's panels after the fill.
         """
 
         if fill is None:
             return
-        if slope is not None:
-            fill = fill * np.where(fill > 0, np.float32(1.0), np.float32(slope))
-            if bn is not None:
-                fill = bn.apply_channels(fill)
-            if quantize and self.half:
-                fill = quantize_fp16(fill)
-        dest[:] = fill.reshape((-1,) + (1,) * (dest.ndim - 1))
+        if self._writes:
+            if slope is not None:
+                fill = fill * np.where(fill > 0, np.float32(1.0),
+                                       np.float32(slope))
+                if bn is not None:
+                    fill = bn.apply_channels(fill)
+                if quantize and self.half:
+                    fill = quantize_fp16(fill)
+            dest[:] = fill.reshape((-1,) + (1,) * (dest.ndim - 1))
+        self._sync()
 
     def _convt_store(self, key, tspec, canvas, spatial, bound, store_spec):
         """Transposed-convolve and store the quantized crop into the next canvas."""
@@ -2162,13 +2512,14 @@ class CompiledStagePlan:
         out_sp = tuple(s // k for s, k in zip(spatial, kernel))
         out = self._lease(c, out_sp, stream=True)[1]
         if kernel == (2, 2):
-            a, h = spatial
-            v = src.reshape(c, a // 2, 2, h // 2, 2)
             t1 = self._ws.get((key, "pt1"), out.shape)
-            np.add(v[:, :, 0, :, 0], v[:, :, 0, :, 1], out=t1, dtype=_F32)
-            np.add(v[:, :, 1, :, 0], v[:, :, 1, :, 1], out=out, dtype=_F32)
-            np.add(t1, out, out=out)
-            np.divide(out, np.float32(4.0), out=out)
+            if self._writes:
+                a, h = spatial
+                v = src.reshape(c, a // 2, 2, h // 2, 2)
+                np.add(v[:, :, 0, :, 0], v[:, :, 0, :, 1], out=t1, dtype=_F32)
+                np.add(v[:, :, 1, :, 0], v[:, :, 1, :, 1], out=out, dtype=_F32)
+                np.add(t1, out, out=out)
+                np.divide(out, np.float32(4.0), out=out)
         else:
             # The module path's exact call: reshape to interleaved
             # (.., s/k, k, ..) axes and mean over the kernel axes.  The
@@ -2177,13 +2528,15 @@ class CompiledStagePlan:
             # path's contiguous input (bit-for-bit identical pairing).
             if not src.flags.c_contiguous:
                 buf = self._ws.get((key, "poolsrc"), src.shape)
-                np.copyto(buf, src)
+                if self._writes:
+                    np.copyto(buf, src)
                 src = buf
             shape: list[int] = [c]
             for s, k in zip(spatial, kernel):
                 shape.extend([s // k, k])
             kernel_axes = tuple(range(2, 2 + 2 * len(kernel), 2))
-            src.reshape(shape).mean(axis=kernel_axes, dtype=_F32, out=out)
+            if self._writes:
+                src.reshape(shape).mean(axis=kernel_axes, dtype=_F32, out=out)
         return out, bound  # mean cannot grow the magnitude bound
 
     # ------------------------------------------------------------------
@@ -2205,7 +2558,8 @@ class CompiledStagePlan:
         for s, f in zip(spatial, factors):
             shape.extend([s, f])
             src_index.extend([slice(None), None])
-        out.reshape(shape)[:] = src[tuple(src_index)]
+        if self._writes:
+            out.reshape(shape)[:] = src[tuple(src_index)]
         return out, bound
 
     # ------------------------------------------------------------------
@@ -2224,9 +2578,11 @@ class CompiledStagePlan:
         """
 
         pos = self._ws.get((key, "pos"), x.shape, np.bool_)
-        np.greater_equal(x, np.float32(0.0), out=pos)
         out = self._ws.get((key, "sig"), x.shape)
         t = self._ws.get((key, "st"), x.shape)
+        if not self._writes:
+            return out
+        np.greater_equal(x, np.float32(0.0), out=pos)
         with np.errstate(over="ignore", invalid="ignore"):
             # x < 0 branch into out, t the temporary: exp(x) / (1 + exp(x))
             np.exp(x, out=t, dtype=_F32)
@@ -2253,6 +2609,8 @@ class CompiledStagePlan:
 
         offset, scale, max_exponent = op
         out = self._ws.get((key, "ro"), x.shape)
+        if not self._writes:
+            return out
         np.clip(x, None, max_exponent, out=out)
         np.exp(out, out=out)
         np.multiply(out, np.float32(scale), out=out)
@@ -2380,14 +2738,15 @@ class CompiledStagePlan:
 
     # ------------------------------------------------------------------
     def _store_stream(self, src, bound, spatial, store_spec):
-        """Store the unquantized fp32 stream into a conv-input canvas."""
+        """Store the unquantized fp32 stream into a conv-input canvas (slot
+        0 stores; the barrier keeps the next op's panels after it)."""
 
         canvas, dest = self._lease(src.shape[0], spatial, *store_spec)
         if self.half:
-            q32, bound = self._grid(src, bound)
-            np.copyto(dest, q32)
-        else:
+            src, bound = self._grid(src, bound)
+        if self._writes:
             np.copyto(dest, src)
+        self._sync()
         return canvas, dest, bound
 
 

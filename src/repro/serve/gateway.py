@@ -483,6 +483,11 @@ class StreamRouter:
         if not services:
             raise ValueError("StreamRouter needs at least one service")
         self._services = list(services)
+        # The shards split the host's cores: each panel budget counts
+        # every shard's workers, so a plan forks panel slots only onto
+        # cores no other shard computes on.
+        for service in self._services:
+            service._share_cores(len(self._services))
         self._inflight_per_shard = int(inflight_per_shard)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._shards: list[_Shard] = []

@@ -154,7 +154,7 @@ class ServiceConfig:
         Pool size.  ``0`` runs inline on the caller's thread — the fastest
         configuration for single-core NumPy; ``>= 1`` exercises the real
         hand-off machinery.  Pooled compressors split the cores between
-        their panel executors (:func:`~repro.core.fast_plan.panel_budget`).
+        their panel slots (:func:`~repro.core.fast_plan.panel_budget`).
     backend:
         ``"thread"`` (default) or ``"process"`` — how ``workers >= 1`` are
         hosted.  The process pool sidesteps the GIL on multi-core boxes at
@@ -519,6 +519,9 @@ class ModelPoolService:
         # a compressor's non-thread-safe scratch.  Process-backend workers
         # own compressors in their own processes instead.
         self._pool_lock = threading.Lock()
+        #: Services sharing the host's cores with this one (a gateway's
+        #: shard count, see :meth:`_share_cores`).
+        self._shards = 1
         prewarm = 1 if self.config.backend == "process" else max(1, self.config.workers)
         self._idle: list[BCAECompressor] = [
             self._build_compressor() for _ in range(prewarm)
@@ -540,8 +543,24 @@ class ModelPoolService:
     # ------------------------------------------------------------------
     def _build_compressor(self) -> BCAECompressor:
         cfg = self.config
-        return _make_compressor(self.model, cfg.half, cfg.workers,
+        return _make_compressor(self.model, cfg.half, self._panel_workers,
                                 cfg.rate_policy, cfg.rate_budget_mbps)
+
+    @property
+    def _panel_workers(self) -> int:
+        """Compressors running at once on this host, as far as this
+        service knows: its own workers (inline counts 1) × its shards."""
+
+        return max(1, self.config.workers) * self._shards
+
+    def _share_cores(self, shards: int) -> None:
+        """Count ``shards`` services on the host's cores in every panel
+        budget from now on; idle compressors built for another share are
+        rebuilt (compilation is lazy, so this costs no compile)."""
+
+        with self._pool_lock:
+            self._shards = max(1, int(shards))
+            self._idle = [self._build_compressor() for _ in self._idle]
 
     def _acquire(self) -> BCAECompressor:
         with self._pool_lock:
@@ -651,7 +670,7 @@ class ModelPoolService:
             backend="inline" if self.config.workers == 0 else self.config.backend,
             level=sup.level,
             workers=self.config.workers,
-            panel_width=panel_budget(self.config.workers).width,
+            panel_width=panel_budget(self._panel_workers).width,
             active_streams=sup.active_streams,
             ring_slabs=ring_slabs,
             ring_leased=ring_leased,
@@ -1976,8 +1995,9 @@ class _ProcessTransport:
     def initargs(self) -> tuple:
         cfg = self._service.config
         spec = self.ring.spec() if self.ring is not None else None
-        return (self._service.model, cfg.half, spec, cfg.workers,
-                cfg.rate_policy, cfg.rate_budget_mbps)
+        return (self._service.model, cfg.half, spec,
+                self._service._panel_workers, cfg.rate_policy,
+                cfg.rate_budget_mbps)
 
     # -- per-kind payload plumbing --------------------------------------
     def _unit_array(self, item) -> np.ndarray:

@@ -112,8 +112,8 @@ class TestHotPathLint:
         assert diags == []
 
     def test_workspace_get_in_closure_flagged(self):
-        """HP005: slab acquisition inside a panel-worker closure races the
-        other slots — must happen on the caller thread."""
+        """HP005: slab acquisition inside a panel closure would allocate
+        in a slot process — it must happen before the panels run."""
 
         diags = lint_hotpath(_src("""
             class Plan:
@@ -127,8 +127,8 @@ class TestHotPathLint:
         assert "_ws.get" in diags[0].message
 
     def test_workspace_get_on_caller_thread_clean(self):
-        """The blessed shape: slabs acquired in the method body (caller
-        thread), the closure only indexes the pre-built list."""
+        """The blessed shape: slabs acquired in the method body (before
+        the panels run), the closure only indexes the pre-built list."""
 
         diags = lint_hotpath(_src("""
             class Plan:

@@ -479,7 +479,7 @@ class TestActTable:
             assert all("requant" not in g for g in sites
                        if "act+requant" not in g["tail"])
             panels += sum(g["panels"] for g in sites)
-        assert panels > 600 and not dense  # 6 MB slabs, ~4 MB gathered
+        assert panels > 600 and not dense  # 1 MB slabs
 
 
 class TestVocabularySlopes:

@@ -1,10 +1,12 @@
 """The derived panel width across the serving stack: fork safety, health.
 
-A plan's panel executor is a thread pool, and threads do not survive
-``fork``: a process-backend worker (or any forked child) that inherited a
-plan whose pool already ran must build a fresh pool, never submit to the
-parent's.  Both cases run at width 2 through the private width hook, under
-a deadline, so a regression fails instead of hanging the suite.
+Above width 1 a plan's panel slots are processes forked over its shared
+workspace.  A process-backend worker (or any forked child) that inherited a
+plan whose slots already ran must fork slots of its own over buffers of its
+own, never command the parent's slots or write the parent's buffers.  Both
+cases run at width 2 through the private width hook, under a deadline, so
+a regression fails instead of hanging the suite.  A gateway's shards split
+the cores between them, so two shards on two cores fork nothing.
 """
 
 import concurrent.futures
@@ -18,7 +20,12 @@ import pytest
 
 import repro.core.fast_plan as fp
 from repro.core import BCAECompressor, build_model
-from repro.serve import ServiceConfig, StreamingCompressionService, start_health_server
+from repro.serve import (
+    ServiceConfig,
+    ServingGateway,
+    StreamingCompressionService,
+    start_health_server,
+)
 
 SPATIAL = (8, 16, 14)
 
@@ -55,12 +62,21 @@ def _payload(service, wedges):
     return b"".join(bytes(p.payload) for p in payloads)
 
 
-def _inherited_compress(wedges):
-    """Forked-child body: run the parent's compressor, report whether the
-    panel executor it ran on was built in this process."""
+def _slot_pids(compressor):
+    group = compressor._fast_encoder().plan.workspace._slots
+    return [] if group is None else [pid for pid, *_ in group.slots]
 
+
+def _inherited_compress(wedges):
+    """Forked-child body: run the parent's compressor; report its payload,
+    the slots it ran on and whether each is this process's own child."""
+
+    plan = _INHERITED._fast_encoder().plan
+    inherited = plan.workspace._slots
     payload = bytes(_INHERITED.compress_into(wedges).payload)
-    return payload, _INHERITED._fast_encoder().plan._panel_executor[0] == os.getpid()
+    pids = _slot_pids(_INHERITED)
+    own = [os.waitpid(pid, os.WNOHANG) == (0, 0) for pid in pids]
+    return payload, pids, own, inherited is None or not inherited.slots
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -75,7 +91,7 @@ class TestForkSafety:
         parent = BCAECompressor(model)
         expected = bytes(parent.compress_into(wedges).payload)
         plan = parent._fast_encoder().plan
-        assert plan._panel_executor is not None and _threaded_sites(plan)
+        assert _slot_pids(parent) and _threaded_sites(plan)
 
         inline = StreamingCompressionService(
             model, ServiceConfig(max_batch=2, workers=0))
@@ -85,8 +101,12 @@ class TestForkSafety:
         assert _payload(process, wedges) == expected
 
     def test_inherited_pool_is_never_reused(self, width_two):
-        """A forked child running the parent's own plan builds its own
-        panel executor instead of queueing work on threads it has not got."""
+        """A forked child running the parent's own plan forks slots of its
+        own instead of commanding the parent's: it disowned the parent's
+        group, its slots are its own children, and the parent's slots are
+        untouched — they run the parent's next wedges in step, bit for bit,
+        without a re-fork.  Had the child written to their pipes, they
+        would have run its commands and fallen out of step."""
 
         global _INHERITED
         model, wedges = _model_and_wedges()
@@ -94,19 +114,62 @@ class TestForkSafety:
         try:
             expected = bytes(_INHERITED.compress_into(wedges).payload)
             assert _threaded_sites(_INHERITED._fast_encoder().plan)
+            parent_slots = _slot_pids(_INHERITED)
+            assert parent_slots
             pool = concurrent.futures.ProcessPoolExecutor(
                 1, mp_context=multiprocessing.get_context("fork"))
             try:
-                payload, rebuilt = pool.submit(
+                payload, child_slots, own, disowned = pool.submit(
                     _inherited_compress, wedges).result(timeout=60)
             finally:
                 for proc in list(pool._processes.values()):
                     proc.kill()
                 pool.shutdown(wait=True, cancel_futures=True)
+            assert payload == expected
+            assert disowned and child_slots and all(own)
+            assert not set(child_slots) & set(parent_slots)
+            for _ in range(2):
+                assert bytes(_INHERITED.compress_into(wedges).payload) \
+                    == expected
+            assert _slot_pids(_INHERITED) == parent_slots
         finally:
             _INHERITED = None
-        assert payload == expected
-        assert rebuilt
+
+
+class TestShardsShareTheCores:
+    def test_two_shards_on_two_cores_fork_nothing(self, monkeypatch):
+        """Two gateway shards on two cores (BLAS pinned) each count both
+        shards: width 1 in ``/health`` and in their plans, and a served
+        dense wedge forks no panel slot."""
+
+        monkeypatch.setattr(fp.os, "sched_getaffinity", lambda pid: {0, 1})
+        for name in fp._BLAS_THREAD_VARS:
+            monkeypatch.setenv(name, "1")
+        model, wedges = _model_and_wedges()
+        services = [StreamingCompressionService(model, ServiceConfig(
+            max_batch=2, workers=0)) for _ in range(2)]
+        assert services[0].health().panel_width == 2  # alone: both cores
+        ServingGateway(services)
+        for service in services:
+            assert service.health().panel_width == 1
+            assert _payload(service, wedges) == bytes(
+                BCAECompressor(model).compress(wedges).payload)
+            compressor = service._idle[0]
+            plan = compressor._fast_encoder().plan
+            assert plan.budget == fp.PanelBudget(
+                width=1, cores=2, blas_threads=1, workers=2)
+            assert not plan.workspace._shared and not _slot_pids(compressor)
+
+    def test_gateway_serves_with_one_shard(self, monkeypatch):
+        """One shard keeps every core: its width is the service's own."""
+
+        monkeypatch.setattr(fp.os, "sched_getaffinity", lambda pid: {0, 1})
+        for name in fp._BLAS_THREAD_VARS:
+            monkeypatch.setenv(name, "1")
+        model, _wedges = _model_and_wedges()
+        service = StreamingCompressionService(model, ServiceConfig(workers=0))
+        ServingGateway([service])
+        assert service.health().panel_width == 2
 
 
 class TestHealthReportsWidth:
