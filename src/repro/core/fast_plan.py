@@ -213,6 +213,7 @@ precision modes, for the encoders and for both decoder heads.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import gc
@@ -221,7 +222,10 @@ import math
 import mmap
 import os
 import pickle
+import select
 import signal
+import threading
+import time
 import weakref
 from typing import NamedTuple, NoReturn
 
@@ -1341,8 +1345,66 @@ _DRY = -1
 _GROUPS: "weakref.WeakSet[_SlotGroup]" = weakref.WeakSet()
 _SHARED: "weakref.WeakSet[Workspace]" = weakref.WeakSet()
 
-#: The workspace whose slots are being forked right now (None otherwise).
-_FORKING: "Workspace | None" = None
+#: Seconds the caller waits at a barrier for one slot before the run fails
+#: (a slot that neither arrives nor dies — stopped, or stuck on a lock).
+_BARRIER_TIMEOUT_S = 60.0
+
+
+class _ForkGate:
+    """The process's rule for forking slots beside other threads.
+
+    A fork copies only the forking thread: a lock another thread holds at
+    that moment (inside BLAS, say) stays held in the child for good.  So
+    every plan computes inside :meth:`compute`, and a group forks inside
+    :meth:`fork`, which waits until no thread of this process computes and
+    holds new computations off until the slots exist.  Forks are serialized,
+    and :meth:`forking` names the workspace being forked over, for the
+    at-fork rule.
+    """
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition(threading.Lock())
+        self._busy = 0  # computations running now
+        self._waiting = 0  # forks waiting for them to end
+        #: ``(workspace, thread id)`` of the fork in progress, or None.
+        self._fork: tuple | None = None
+
+    @contextlib.contextmanager
+    def compute(self):
+        with self._cond:
+            self._cond.wait_for(lambda: not self._waiting)
+            self._busy += 1
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._busy -= 1
+                self._cond.notify_all()
+
+    @contextlib.contextmanager
+    def fork(self, ws: "Workspace"):
+        with self._cond:
+            self._waiting += 1
+            try:
+                self._cond.wait_for(lambda: not self._busy)
+            finally:
+                self._waiting -= 1
+            self._fork = (ws, threading.get_ident())
+            try:
+                yield
+            finally:
+                self._fork = None
+                self._cond.notify_all()
+
+    def forking(self) -> "Workspace | None":
+        """The workspace this thread is forking slots over, if any (in a
+        child: the one the new slot serves)."""
+
+        fork = self._fork
+        return fork[0] if fork and fork[1] == threading.get_ident() else None
+
+
+_GATE = _ForkGate()
 
 
 class Workspace:
@@ -1475,11 +1537,13 @@ class Workspace:
                      and self._bufs.get((p.prefix, "in")) is canvas]
             if plan not in plans:
                 return None  # compiled at width 1: nothing to split
-            for p in plans:
-                p._execute(canvas, spatial, bound, _DRY, None)
+            with _GATE.compute():
+                for p in plans:
+                    p._execute(canvas, spatial, bound, _DRY, None)
             try:
-                group = self._slots = _SlotGroup(self, plans,
-                                                 plan.budget.width)
+                with _GATE.fork(self):
+                    group = self._slots = _SlotGroup(self, plans,
+                                                     plan.budget.width)
             except OSError:
                 return None  # no process to fork now: this run stays serial
         return group
@@ -1504,7 +1568,6 @@ class _SlotGroup:
     """
 
     def __init__(self, ws: Workspace, plans: list, width: int) -> None:
-        global _FORKING
         self.gen = ws._gen
         self.plans = [weakref.ref(p) for p in plans]
         self.owner = os.getpid()
@@ -1512,7 +1575,6 @@ class _SlotGroup:
         self.slots: list[tuple[int, int, int]] = []
         self._finalizer = weakref.finalize(self, _reap, self.owner, self.slots)
         _GROUPS.add(self)
-        _FORKING = ws
         try:
             for slot in range(1, width):
                 cmd_r, cmd_w = os.pipe()
@@ -1529,8 +1591,6 @@ class _SlotGroup:
         except BaseException:
             self.close()
             raise
-        finally:
-            _FORKING = None
 
     def index(self, plan: "CompiledStagePlan") -> int:
         return next((i for i, r in enumerate(self.plans) if r() is plan), -1)
@@ -1553,7 +1613,12 @@ class _SlotGroup:
             self._send(slot, data)
 
     def barrier(self) -> None:
+        deadline = time.monotonic() + _BARRIER_TIMEOUT_S
         for slot, (_pid, _cmd_w, ack_r) in enumerate(self.slots, 1):
+            poll = select.poll()
+            poll.register(ack_r, select.POLLIN)
+            if not poll.poll(max(0.0, deadline - time.monotonic()) * 1e3):
+                raise self._failure(slot, None)
             got = os.read(ack_r, 1)
             if got != b".":
                 raise self._failure(slot, got)
@@ -1566,16 +1631,19 @@ class _SlotGroup:
         except OSError:
             raise self._failure(slot, b"") from None
 
-    def _failure(self, slot: int, got: bytes) -> SlotProcessError:
+    def _failure(self, slot: int, got: bytes | None) -> SlotProcessError:
         """The typed error for slot ``slot``: its report after ``!``, else
-        how it ended."""
+        how it ended (``got`` None: it missed the barrier's deadline)."""
 
         pid, cmd_w, ack_r = self.slots[slot - 1]
         if got == b"!":
             report = b"".join(iter(lambda: os.read(ack_r, 4096), b""))
             return SlotProcessError(slot, report.decode(errors="replace"))
-        _reap(self.owner, [(pid, cmd_w, ack_r)])  # it cannot take commands
         self.slots[slot - 1] = (0, -1, -1)
+        _reap(self.owner, [(pid, cmd_w, ack_r)])  # it cannot take commands
+        if got is None:
+            return SlotProcessError(slot, f"(pid {pid}) missed a barrier "
+                                          f"for {_BARRIER_TIMEOUT_S:g} s")
         return SlotProcessError(slot, f"(pid {pid}) died")
 
 
@@ -1592,7 +1660,12 @@ def _reap(owner: int, slots: list) -> None:
 
     if os.getpid() != owner:
         return
-    for pid, cmd_w, ack_r in slots:
+    # Unlist before closing: a slot forked meanwhile by another thread
+    # closes every listed descriptor, and a closed number may already
+    # belong to its own new pipe.
+    gone = slots[:]
+    slots.clear()
+    for pid, cmd_w, ack_r in gone:
         _close_fds(cmd_w, ack_r)
         if pid:
             try:
@@ -1600,7 +1673,6 @@ def _reap(owner: int, slots: list) -> None:
                 os.waitpid(pid, 0)
             except (ProcessLookupError, ChildProcessError):
                 pass
-    slots.clear()
 
 
 class _SlotLink:
@@ -1668,12 +1740,15 @@ def _after_fork_in_child() -> None:
     parent's buffers: it disowns every slot group and drops the buffers of
     every shared workspace (its plans re-allocate, warm and fork their own
     slots on their next run) — except, in a new slot, the workspace it
-    serves."""
+    serves.  The child, which has one thread, starts a fresh gate."""
 
+    global _GATE
+    serving = _GATE.forking()
+    _GATE = _ForkGate()
     for group in list(_GROUPS):
         group.disown()
     for ws in list(_SHARED):
-        if ws is not _FORKING:
+        if ws is not serving:
             ws._bufs.clear()
             ws._slots = None
 
@@ -1791,7 +1866,8 @@ class CompiledStagePlan:
             else:
                 op = None
             self._ops.append((kind, op))
-        self._fold_batchnorms()
+        with _GATE.compute():  # the fold probes call BLAS
+            self._fold_batchnorms()
         self._release_fold_sources()
         self._nd = _plan_nd(self._ops)
         #: Per-op gather-view cache: sliding_window_view / transpose /
@@ -1984,17 +2060,18 @@ class CompiledStagePlan:
 
         ws = self._ws
         group = ws._slot_group(self, canvas, spatial, bound)
-        if group is None:
-            return self._execute(canvas, spatial, bound, None, None)
-        ws._frozen = True
-        try:
-            group.command(self, spatial, bound)
-            return self._execute(canvas, spatial, bound, 0, group)
-        except BaseException:
-            ws._close_slots()
-            raise
-        finally:
-            ws._frozen = False
+        with _GATE.compute():
+            if group is None:
+                return self._execute(canvas, spatial, bound, None, None)
+            ws._frozen = True
+            try:
+                group.command(self, spatial, bound)
+                return self._execute(canvas, spatial, bound, 0, group)
+            except BaseException:
+                ws._close_slots()
+                raise
+            finally:
+                ws._frozen = False
 
     def _execute(self, canvas, spatial, bound, role, link) -> np.ndarray:
         """:meth:`run`'s body in the given ``role``; ``link`` is the

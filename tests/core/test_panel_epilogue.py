@@ -454,7 +454,10 @@ class TestActTable:
             self, monkeypatch):
         """One BCAE-2D wedge at the paper's geometry: every ``act+requant``
         site ran the lookup, and no snap met a majority of denormal-range
-        lanes (the dense fix-up is for mostly-zero entry streams)."""
+        lanes (the dense fix-up is for mostly-zero entry streams).  The
+        snap spy sees only this process, so it watches a width-1 decode of
+        the same wedge, whose panels all run here; the derived width's
+        decode must equal it."""
 
         from repro.tpc import generate_wedge_stream
 
@@ -463,14 +466,18 @@ class TestActTable:
         model.eval()
         comp = BCAECompressor(model)
         rec = comp.compress_into(w)
+        recon = np.asarray(comp.decompress_into(rec))
+        assert recon.shape == w.shape and np.isfinite(recon).all()
+        monkeypatch.setattr(fp, "_FORCED_WIDTH", 1)
+        alone = BCAECompressor(model)
         dense = []
         real = fp._denormal_dense
         monkeypatch.setattr(
             fp, "_denormal_dense",
             lambda src, uf, mask, d: (dense.append(mask.shape),
                                       real(src, uf, mask, d))[1])
-        recon = np.asarray(comp.decompress_into(rec))
-        assert recon.shape == w.shape and np.isfinite(recon).all()
+        assert np.array_equal(np.asarray(alone.decompress_into(rec)), recon)
+        assert dense == [] and alone._fast_decoder()._ws._slots is None
         panels = 0
         for plan in comp._fast_decoder().plans.values():
             sites = _gemms(plan)
@@ -479,7 +486,7 @@ class TestActTable:
             assert all("requant" not in g for g in sites
                        if "act+requant" not in g["tail"])
             panels += sum(g["panels"] for g in sites)
-        assert panels > 600 and not dense  # 1 MB slabs
+        assert panels > 600  # 1 MB slabs
 
 
 class TestVocabularySlopes:

@@ -106,12 +106,15 @@ class TestProbePower:
         for part, ref in _formulations(*shape):
             assert fp._panels_match(a, b, want, part, ref)
 
+    @pytest.mark.parametrize("budget", [ACCEPTED_BUDGET, fp._PANEL_BYTES],
+                             ids=["accepted_budget", "engine_budget"])
     @pytest.mark.parametrize("order", ["split", "reversed", "last_row"])
     @pytest.mark.parametrize("shape", ACCEPTED, ids=str)
-    def test_rejects_another_summation_order(self, shape, order):
+    def test_rejects_another_summation_order(self, shape, order, budget):
         """The same K products summed as two halves, or in reverse order,
         are a different contraction; so is one that sums only the last
-        row, periods past the first, as two halves."""
+        row, periods past the first, as two halves.  Rejection holds at
+        the engine's partitions too, whatever this BLAS accepts there."""
 
         rows, K, o, ow = shape
         a, b, want = fp._probe_problem(rows, K, o)
@@ -124,7 +127,7 @@ class TestProbePower:
         if order == "last_row":
             other = np.concatenate([want[:-1], other[-1:]])
         assert not np.array_equal(other, want)
-        for part, ref in _formulations(*shape):
+        for part, ref in _formulations(*shape, budget):
             assert not fp._panels_match(a, b, other, part, ref)
 
     @pytest.mark.parametrize("budget", [ACCEPTED_BUDGET, fp._PANEL_BYTES],

@@ -4,8 +4,8 @@ Above width 1 a plan's workspace is shared anonymous memory and slots
 ``1 … width − 1`` are processes forked over it after a dry pass; slot 0 is
 the caller.  These tests hold the process side of the contract: the bytes
 equal width 1's, a failed slot fails one run with a typed error and the
-next run forks afresh, no slot outlives its plan, and a slot never
-allocates.  Widths are forced through the private ``_FORCED_WIDTH`` hook
+next run forks afresh, no slot outlives its plan, a slot never allocates,
+and a fork waits until no other thread of the process computes.  Widths are forced through the private ``_FORCED_WIDTH`` hook
 and the blocked-GEMM thresholds shrunk, so the slot-parallel panels run at
 test scale.
 """
@@ -13,6 +13,7 @@ test scale.
 import gc
 import os
 import signal
+import threading
 import time
 from pathlib import Path
 
@@ -22,6 +23,7 @@ import pytest
 import repro.core.fast_plan as fp
 from repro.core import BCAECompressor, build_model
 from repro.core.model_zoo import MODEL_NAMES
+from repro.serve import ServiceConfig, StreamingCompressionService
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="slot processes need os.fork")
@@ -108,6 +110,7 @@ class TestBytesAcrossWidths:
     def test_width_one_forks_nothing(self, small_blocks, monkeypatch):
         model, raw = _build("bcae_ht")
         comp = _compressor_at(monkeypatch, model, 1)
+        gc.collect()  # earlier tests' garbage reaps its slots now, not later
         before = _children()
         _round_trip(comp, raw)
         assert not any(ws._shared for ws in _workspaces(comp))
@@ -160,6 +163,26 @@ class TestSlotFailure:
         monkeypatch.setattr(fp.Workspace, "carve", real)
         assert _round_trip(comp, raw)[0] == want[0]
 
+    def test_stopped_slot_misses_the_barrier(self, small_blocks,
+                                             monkeypatch):
+        """A slot that neither arrives nor dies (stopped here; stuck on a
+        lock alike) fails the run at the barrier's deadline instead of
+        hanging it; the next run forks afresh and is bit-identical."""
+
+        model, raw = _build("bcae_2d")
+        comp = _compressor_at(monkeypatch, model, 2)
+        want = _round_trip(comp, raw)
+        ws = comp._fast_encoder().plan.workspace
+        (pid, *_), = ws._slots.slots
+        monkeypatch.setattr(fp, "_BARRIER_TIMEOUT_S", 0.5)
+        os.kill(pid, signal.SIGSTOP)
+        with pytest.raises(fp.SlotProcessError, match="missed a barrier") \
+                as err:
+            comp.compress_into(raw)
+        assert err.value.slot == 1 and ws._slots is None and _gone(pid)
+        assert _round_trip(comp, raw)[0] == want[0]
+        assert ws._slots.slots[0][0] != pid
+
     def test_slot_ignores_sigint_and_exits_on_eof(self, small_blocks,
                                                   monkeypatch):
         model, raw = _build("bcae_2d")
@@ -189,6 +212,7 @@ class TestSlotLifetime:
         width = 3
         model, raw = _build("bcae_2d")
         comp = _compressor_at(monkeypatch, model, width)
+        gc.collect()
         before = _children()
         seen: set[int] = set()
 
@@ -213,3 +237,96 @@ class TestSlotLifetime:
         gc.collect()
         assert _children() == before
         assert all(_gone(pid) for pid in seen)
+
+
+class TestForkBesideThreads:
+    def test_two_thread_workers_at_forced_width_two(self, small_blocks,
+                                                    monkeypatch):
+        """Two thread-backend workers, each compressor at width 2, compile,
+        warm and fork their slots from two threads at once: every fork
+        waits for the other thread's computation, each slot keeps the
+        workspace it serves, and the payload equals width 1's."""
+
+        model, raw = _build("bcae_ht")
+        wedges = np.concatenate([raw] * 4)
+        want = _compressor_at(monkeypatch, model, 1).compress_into(wedges)
+        monkeypatch.setattr(fp, "_FORCED_WIDTH", 2)
+        service = StreamingCompressionService(
+            model, ServiceConfig(max_batch=1, workers=2))
+        gc.collect()
+        before = _children()
+        for _ in range(2):
+            payloads, _stats = service.run(wedges)
+            assert b"".join(bytes(p.payload) for p in payloads) \
+                == bytes(want.payload)
+        pids = [pid for comp in service._idle for pid in _slot_pids(comp)]
+        assert 1 <= len(pids) <= 2 and set(pids) <= _children() - before
+
+    def test_two_threads_fork_at_once(self, small_blocks, monkeypatch):
+        """Two width-2 compressors make their first runs — and, on a new
+        geometry, their re-forks — from two threads released together:
+        both round trips equal width 1's every time."""
+
+        model, raw = _build("bcae_2d")
+        wider = np.concatenate([raw, raw[:, :, :8]], axis=2)
+        want = {n: _round_trip(_compressor_at(monkeypatch, model, 1), w)
+                for n, w in (("raw", raw), ("wider", wider))}
+        comps = [_compressor_at(monkeypatch, model, 2) for _ in range(2)]
+        start = threading.Barrier(2)
+        got: dict = {}
+
+        def drive(i):
+            for name, wedges in (("raw", raw), ("wider", wider)) * 2:
+                start.wait(30)
+                got[i, name] = _round_trip(comps[i], wedges)
+                payload, recon = got[i, name]
+                assert payload == want[name][0]
+                assert np.array_equal(recon, want[name][1])
+                got[i, name] = True
+
+        threads = [threading.Thread(target=drive, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+        assert got == {(i, n): True for i in (0, 1) for n in ("raw", "wider")}
+        assert all(len(_slot_pids(c)) == 2 for c in comps)
+
+    def test_fork_waits_for_another_threads_computation(self, small_blocks,
+                                                        monkeypatch):
+        """While another thread computes, a first run warms but forks no
+        slot; once that computation ends, the run forks and finishes with
+        width 1's payload."""
+
+        model, raw = _build("bcae_ht")
+        want = _compressor_at(monkeypatch, model, 1).compress_into(raw)
+        comp = _compressor_at(monkeypatch, model, 2)
+        ws = comp._fast_encoder().plan.workspace
+        computing, release = threading.Event(), threading.Event()
+
+        def other():
+            with fp._GATE.compute():
+                computing.set()
+                release.wait(30)
+
+        holder = threading.Thread(target=other)
+        holder.start()
+        assert computing.wait(30)
+        got = []
+        runner = threading.Thread(
+            target=lambda: got.append(comp.compress_into(raw)))
+        gc.collect()
+        before = _children()
+        runner.start()
+        try:
+            deadline = time.monotonic() + 0.5
+            while time.monotonic() < deadline:
+                assert ws._slots is None and _children() == before
+                time.sleep(0.02)
+            assert runner.is_alive()
+        finally:
+            release.set()
+            holder.join(30)
+            runner.join(60)
+        assert bytes(got[0].payload) == bytes(want.payload)
+        assert len(_slot_pids(comp)) == 1
