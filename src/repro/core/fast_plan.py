@@ -171,9 +171,11 @@ panels (pools, upsamples, stream stores, heads) run on slot 0, and all slots
 meet at a pipe barrier after every op that writes.  Before the first run of
 a geometry the caller makes a *dry pass* — leases, probes, partitions, slab
 carving and gather maps, no array written — so the slots fork with every
-buffer in place and never allocate.  Slots own private arenas and write
-disjoint destination rows, and the probe walks exactly the executor's
-partition, so output bits are identical at every width.
+buffer in place and never allocate.  A fork waits until no other thread of
+the process is inside a plan (:class:`_ForkGate`), so a slot never inherits
+a lock held inside BLAS.  Slots own private arenas and write disjoint
+destination rows, and the probe walks exactly the executor's partition, so
+output bits are identical at every width.
 
 BatchNorm folding
 -----------------
