@@ -5,9 +5,9 @@ Above width 1 a plan's workspace is shared anonymous memory and slots
 the caller.  These tests hold the process side of the contract: the bytes
 equal width 1's, a failed slot fails one run with a typed error and the
 next run forks afresh, no slot outlives its plan, a slot never allocates,
-and a fork waits until no other thread of the process computes.  Widths are forced through the private ``_FORCED_WIDTH`` hook
-and the blocked-GEMM thresholds shrunk, so the slot-parallel panels run at
-test scale.
+and a fork waits until no other thread of the process computes.  Widths
+are forced through the private ``_FORCED_WIDTH`` hook and the blocked-GEMM
+thresholds shrunk, so the slot-parallel panels run at test scale.
 """
 
 import gc
@@ -273,23 +273,21 @@ class TestForkBesideThreads:
                 for n, w in (("raw", raw), ("wider", wider))}
         comps = [_compressor_at(monkeypatch, model, 2) for _ in range(2)]
         start = threading.Barrier(2)
-        got: dict = {}
+        same: list[tuple] = []
 
         def drive(i):
-            for name, wedges in (("raw", raw), ("wider", wider)) * 2:
+            for name, wedges in (("raw", raw), ("wider", wider)) * 4:
                 start.wait(30)
-                got[i, name] = _round_trip(comps[i], wedges)
-                payload, recon = got[i, name]
-                assert payload == want[name][0]
-                assert np.array_equal(recon, want[name][1])
-                got[i, name] = True
+                payload, recon = _round_trip(comps[i], wedges)
+                same.append((i, name, payload == want[name][0]
+                             and np.array_equal(recon, want[name][1])))
 
         threads = [threading.Thread(target=drive, args=(i,)) for i in (0, 1)]
         for t in threads:
             t.start()
         for t in threads:
             t.join(120)
-        assert got == {(i, n): True for i in (0, 1) for n in ("raw", "wider")}
+        assert len(same) == 16 and all(ok for *_, ok in same), same
         assert all(len(_slot_pids(c)) == 2 for c in comps)
 
     def test_fork_waits_for_another_threads_computation(self, small_blocks,
