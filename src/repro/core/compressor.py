@@ -53,7 +53,7 @@ from ..tpc.transforms import (
     unpad_horizontal,
 )
 from .fast_decode import FastDecoder, supports_fast_decode
-from .fast_encode import FastEncoder, Workspace, supports_fast_encode
+from .fast_encode import FastEncoder, Workspace, log_into, supports_fast_encode
 from .geometry import WedgeGeometry
 from .heads import BicephalousAutoencoder
 
@@ -305,17 +305,10 @@ class BCAECompressor:
         return self._fast
 
     def _log_into(self, wedges: np.ndarray) -> np.ndarray:
-        """``log_transform`` into a persistent scratch buffer.
+        """``log_transform`` into a persistent scratch buffer, cast for
+        cast (:func:`~repro.core.fast_encode.log_into`)."""
 
-        Replicates ``log2(adc.astype(float32) + 1)`` cast-for-cast so the
-        values match the reference path for any input dtype.
-        """
-
-        buf = self._scratch.get("log", wedges.shape)
-        np.copyto(buf, wedges, casting="unsafe")  # the astype(float32)
-        buf += 1.0
-        np.log2(buf, out=buf)
-        return buf
+        return log_into(self._scratch.get("log", wedges.shape), wedges)
 
     def compress_into(self, wedges: np.ndarray, out: bytearray | None = None) -> CompressedWedges:
         """Compress through persistent workspaces — the serving hot path.
@@ -334,10 +327,14 @@ class BCAECompressor:
         horizontal = wedges.shape[-1]
         target = self._horizontal_target(wedges.shape[1:])
         fast = self._fast_encoder()
-        x = self._log_into(wedges)
-        if fast is not None:
-            code16 = fast.encode(x, horizontal_target=target)
+        if fast is not None and fast.takes_adc(wedges.dtype):
+            # Integer ADC: log transform and entry snap are one lookup.
+            code16 = fast.encode_adc(wedges, horizontal_target=target)
+        elif fast is not None:
+            code16 = fast.encode(self._log_into(wedges),
+                                 horizontal_target=target)
         else:
+            x = self._log_into(wedges)
             # Module-graph fallback (genuinely unknown stage stacks, or
             # training-mode BatchNorm — every zoo model in eval mode
             # compiles): still avoids the per-call log/pad allocations of

@@ -22,7 +22,11 @@ a one-channel volume (§2.2) — one ``reshape`` on the way in.  The wrapper
 owns only what is encoder-specific: the entry quantize of the
 log-transformed input and the 249→256 horizontal padding of §2.3, folded
 into the first convolution's canvas so no separate ``pad_horizontal``
-allocation exists.
+allocation exists.  Integer ADC input (``uint8`` / ``uint16``, the
+detector's 10-bit counts) skips both the log transform and the snap: the
+network input of a lane is a function of its one ``uint16`` value, so the
+entry is one lookup of a calibrated 65 536-entry table
+(:meth:`FastEncoder.encode_adc`).
 
 The contract is *bit-identical output*: for every input accepted by the
 module path, ``encode`` returns exactly the code bytes that ``model.encode``
@@ -33,17 +37,26 @@ under ``nn.amp.autocast`` (followed by the fp16 payload cast of
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .bcae3d import BCAEEncoder3D
 from .encoder2d import BCAEEncoder2D
-from .fast_plan import CompiledStagePlan, Workspace, entry_kinds_ok, stage_kinds
+from .fast_plan import (
+    CompiledStagePlan,
+    Workspace,
+    entry_kinds_ok,
+    snap_to_grid,
+    stage_kinds,
+)
 from .geometry import WedgeGeometry
 
 __all__ = [
     "FastEncoder",
     "LOG_INPUT_BOUND",
     "Workspace",
+    "log_into",
     "make_fast_encoder",
     "supports_fast_encode",
 ]
@@ -59,6 +72,59 @@ LOG_INPUT_BOUND = 150.0
 #: cast expects the stored grid values of the final convolution).
 _ENCODER_KINDS = {"conv", "pool", "res", "conv3d", "down3d", "pool3d", "up3d",
                   "bnorm"}
+
+#: Integer ADC dtypes every value of which indexes the entry table.
+_ADC_DTYPES = frozenset({np.dtype(np.uint8), np.dtype(np.uint16)})
+
+#: Lane offsets the entry table's calibration presents every value at.
+_ENTRY_OFFSETS = 64
+
+
+def log_into(buf: np.ndarray, adc: np.ndarray) -> np.ndarray:
+    """``log_transform`` into ``buf``: ``log2(adc.astype(float32) + 1)``
+    cast for cast, so the values match the reference path for any input
+    dtype.  Returns ``buf``."""
+
+    np.copyto(buf, adc, casting="unsafe")  # the astype(float32)
+    buf += 1.0
+    np.log2(buf, out=buf)
+    return buf
+
+
+def _entry_lanes(adc: np.ndarray, half: bool) -> np.ndarray:
+    """The log path's network input for a 1-D ``adc``: :func:`log_into`,
+    then in half mode the snap :meth:`CompiledStagePlan._grid` makes (its
+    clip is elided: ``|log2| ≤ LOG_INPUT_BOUND``)."""
+
+    x = log_into(np.empty(adc.shape, np.float32), adc)
+    return snap_to_grid(x) if half else x
+
+
+@functools.cache
+def _entry_table(half: bool) -> np.ndarray | None:
+    """The integer-ADC entry as one lookup, shared read-only by every
+    encoder of one precision; None where calibration fails.
+
+    Entry ``v`` holds what the log path stores for ADC value ``v``
+    (:func:`_entry_lanes` over all 65 536 ``uint16`` values).  The log is
+    a SIMD kernel, so a lane's result could depend on where in the array
+    it sits; the calibration presents every value at every lane offset
+    ``0 … 63`` of a contiguous array (behind ``offset`` leading zeros,
+    which also moves the array's tail) and compares raw bits.  A build
+    where any lane deviates keeps the log path — behaviour is never
+    traded for speed.
+    """
+
+    values = np.arange(1 << 16, dtype=np.uint16)
+    table = _entry_lanes(values, half)  # offset 0
+    padded = np.zeros(_ENTRY_OFFSETS + values.size, np.uint16)
+    padded[_ENTRY_OFFSETS:] = values
+    for offset in range(1, _ENTRY_OFFSETS):
+        got = _entry_lanes(padded[_ENTRY_OFFSETS - offset:], half)[offset:]
+        if not np.array_equal(got.view(np.uint32), table.view(np.uint32)):
+            return None
+    table.flags.writeable = False
+    return table
 
 
 def _encoder_stages(encoder):
@@ -125,6 +191,9 @@ class FastEncoder:
         # which panel slot processes share and which must not grow with
         # the batch.
         self._out = Workspace()
+        #: The integer-ADC entry lookup (read-only, 256 KB), or None where
+        #: its calibration failed and integer input takes the log path.
+        self.entry_table = _entry_table(self.half)
 
     @property
     def bn_folds(self) -> list[dict]:
@@ -145,6 +214,27 @@ class FastEncoder:
         return self._plan.workspace_bytes + self._out.nbytes()
 
     # ------------------------------------------------------------------
+    def takes_adc(self, dtype) -> bool:
+        """Whether :meth:`encode_adc` takes raw ADC wedges of ``dtype``:
+        ``uint8`` / ``uint16``, where the entry table calibrated."""
+
+        return self.entry_table is not None and np.dtype(dtype) in _ADC_DTYPES
+
+    def encode_adc(self, adc: np.ndarray,
+                   horizontal_target: int | None = None) -> np.ndarray:
+        """Encode raw integer ADC wedges ``(B, R, A, H)`` into fp16 codes.
+
+        The same codes as :meth:`encode` of ``log_transform(adc)``: each
+        wedge's network input is one ``np.take`` of :attr:`entry_table`
+        into the input canvas — no log, no snap, no staging array.  Only
+        for dtypes :meth:`takes_adc` accepts (``TypeError`` otherwise).
+        """
+
+        if not self.takes_adc(adc.dtype):
+            raise TypeError(f"no entry table for {adc.dtype} ADC input; "
+                            "encode log_transform(adc) instead")
+        return self._encode(adc, horizontal_target, self.entry_table)
+
     def encode(self, x: np.ndarray, horizontal_target: int | None = None) -> np.ndarray:
         """Encode log-transformed wedges ``(B, R, A, H)`` into fp16 codes.
 
@@ -158,6 +248,13 @@ class FastEncoder:
         before the next call.
         """
 
+        return self._encode(x, horizontal_target, None)
+
+    def _encode(self, x: np.ndarray, horizontal_target: int | None,
+                table: np.ndarray | None) -> np.ndarray:
+        """:meth:`encode`'s loop; ``x`` is raw ADC looked up in ``table``,
+        or the network input itself where ``table`` is None."""
+
         if x.ndim != 4 or not len(x):
             raise ValueError(f"expected (B ≥ 1, R, A, H), got shape {x.shape}")
         n, h = x.shape[0], x.shape[-1]
@@ -167,13 +264,19 @@ class FastEncoder:
         canvas, interior = self._plan.input_canvas(c, spatial)
         if spatial[-1] != h:
             interior[..., h:] = 0
+        dest = interior[..., :h]
         for i, wedge in enumerate(x):
-            if self.half:
-                # Entry quantize.  |log2| of any positive float is < 65504,
-                # so the clip is the identity and the snap is the whole job.
-                wedge, _b = self._plan._grid(wedge, LOG_INPUT_BOUND)
             # The radial axis becomes the channels or the leading spatial axis.
-            np.copyto(interior[..., :h], wedge.reshape((c,) + spatial[:-1] + (h,)))
+            if table is not None:
+                np.take(table, wedge.reshape(dest.shape), out=dest,
+                        mode="wrap")
+            else:
+                if self.half:
+                    # Entry quantize.  |log2| of any positive float is
+                    # < 65504, so the clip is the identity and the snap is
+                    # the whole job.
+                    wedge, _b = self._plan._grid(wedge, LOG_INPUT_BOUND)
+                np.copyto(dest, wedge.reshape(dest.shape))
             code = self._plan.run(canvas, spatial, LOG_INPUT_BOUND)
             out16 = self._out.get("code16", (n,) + code.shape, np.float16)
             # Stored grid values cast exactly; this is compress()'s payload

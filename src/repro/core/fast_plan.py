@@ -145,10 +145,12 @@ between, ``2 + 4 + [c] + S``); the sum tail
 — exact for the compiled slopes ``0 < slope ≤ 1`` — instead of a mask and a
 masked merge.
 
-Above ``_BLOCKED_MIN_BYTES`` of im2col the panels are bounded
-(``_PANEL_BYTES`` of panel slab) and the monolithic im2col buffer
-never materializes; below it the whole result is one panel through the
-same routine, epilogue and tails.  A formulation is one of two operand
+One slab rule decides the panels: a site whose whole-sample slab
+(``m`` output columns of :func:`_column_bytes` each) exceeds
+``_PANEL_BYTES`` is *blocked* — bounded panels of at most that slab, cut
+over the panel slots, and the monolithic im2col buffer never
+materializes; a site whose slab fits is one panel through the same
+routine, epilogue and tails.  A formulation is one of two operand
 orientations over one partition.  Which of them reproduce the module path's
 contraction bit for bit is decided per problem shape by one calibration
 probe (:func:`_gemm_matches`) before a formulation is used — behaviour is
@@ -166,16 +168,21 @@ contiguous, near-equal row blocks and runs its panels in order, the last one
 possibly narrower.  Slot 0 is the calling process; slots ``1 … T−1`` are
 processes forked over the plan's :class:`Workspace`, whose buffers then live
 in shared anonymous memory.  Every process runs the same :meth:`run` over
-the same buffers: slot ``s`` runs only its own panels, the writes outside
-panels (pools, upsamples, stream stores, heads) run on slot 0, and all slots
-meet at a pipe barrier after every op that writes.  Before the first run of
+the same buffers: slot ``s`` runs only its own panels, and every write
+outside panels (pools, upsamples, norms, stream stores, fills, heads)
+touches only slot ``s``'s near-equal block of channels
+(:func:`_channel_block`).  All of those writers cut the same blocks, so a
+process reads back only channels it wrote itself until the next barrier:
+the processes meet at a pipe barrier after every panel op, stream store
+and fill, and once after the head.  Before the first run of
 a geometry the caller makes a *dry pass* — leases, probes, partitions, slab
 carving and gather maps, no array written — so the slots fork with every
 buffer in place and never allocate.  A fork waits until no other thread of
 the process is inside a plan (:class:`_ForkGate`), so a slot never inherits
-a lock held inside BLAS.  Slots own private arenas and write disjoint
-destination rows, and the probe walks exactly the executor's partition, so
-output bits are identical at every width.
+a lock held inside BLAS.  Slots own private panel arenas and write
+disjoint destination rows or channels, an op outside panels computes a
+channel the same way in any block, and the probe walks exactly the
+executor's partition, so output bits are identical at every width.
 
 BatchNorm folding
 -----------------
@@ -251,6 +258,7 @@ __all__ = [
     "entry_kinds_ok",
     "fold_batchnorm",
     "panel_budget",
+    "snap_to_grid",
     "stage_kinds",
 ]
 
@@ -264,13 +272,9 @@ _FP16_MAX = FP16_MAX
 
 _F32 = np.float32
 
-#: im2col problem size (bytes of the monolithic gather) above which the
-#: panel-blocked formulation is attempted.  Below it the whole-problem
-#: buffers fit comfortably in cache and the monolithic paths win.
-_BLOCKED_MIN_BYTES = 4 << 20
-
 #: Byte budget of one panel's slab (gathered operand + GEMM block + snap
-#: scratch, see :func:`_column_bytes`), one constant at every width.  Panel
+#: scratch, see :func:`_column_bytes`), one constant at every width; a GEMM
+#: site whose whole-sample slab exceeds it is blocked.  Panel
 #: slots are processes, so a panel's ~20–35 numpy calls hand nothing over
 #: and the slab is sized for the cache: at width 2 under slot processes,
 #: 1, 2 and 4 MB tie on the paper-geometry BCAE-2D decode and 6 MB reads
@@ -659,16 +663,16 @@ class _BNSpec:
         )
 
     # ------------------------------------------------------------------
-    def _col(self, a: np.ndarray, ndim: int) -> np.ndarray:
-        return a.reshape((self.num_features,) + (1,) * (ndim - 1))
+    def _col(self, a: np.ndarray, ndim: int, ch: slice) -> np.ndarray:
+        return a[ch].reshape((-1,) + (1,) * (ndim - 1))
 
     def apply(self, ws: "Workspace", key, src: np.ndarray,
-              write: bool = True) -> np.ndarray:
+              ch: slice) -> np.ndarray:
         """The module's eval forward on a channel-major stream, verbatim.
 
-        Returns the workspace buffer ``(key, "bn")``, filled unless
-        ``write`` is False (a plan's dry pass, or a panel slot other than
-        slot 0).
+        Returns the workspace buffer ``(key, "bn")``, of which the channels
+        ``ch`` are filled (a panel slot's block; none in a plan's dry
+        pass).
 
         The chain is the module's exact four fp32 ufuncs — subtract μ,
         multiply inv_std, multiply γ, add β.  Elementwise fp32 ops round
@@ -689,14 +693,13 @@ class _BNSpec:
         """
 
         out = ws.get((key, "bn"), src.shape)
-        if not write:
-            return out
         if src[:1].nbytes <= _BN_BLOCK:
-            return self.chain(src, out)
+            self.chain(src[ch], out[ch], ch)
+            return out
         mean, inv_std, gamma, beta = self.mean, self.inv_std, self.gamma, self.beta
         sp0 = src.shape[1]
         step = max(1, _BN_BLOCK // max(src[0].nbytes // sp0, 1))
-        for ci in range(src.shape[0]):
+        for ci in range(*ch.indices(src.shape[0])):
             mu, i, g, b = mean[ci], inv_std[ci], gamma[ci], beta[ci]
             for z0 in range(0, sp0, step):
                 blk = out[ci, z0:z0 + step]
@@ -706,14 +709,17 @@ class _BNSpec:
                 np.add(blk, b, out=blk)
         return out
 
-    def chain(self, src: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def chain(self, src: np.ndarray, out: np.ndarray,
+              ch: slice = slice(None)) -> np.ndarray:
         """The four-ufunc chain, broadcast over a channel-major array
-        (``out`` may be ``src`` — how the panel tails run it in place)."""
+        holding channels ``ch`` (``out`` may be ``src`` — how the panel
+        tails run it in place)."""
 
-        np.subtract(src, self._col(self.mean, src.ndim), out=out)
-        np.multiply(out, self._col(self.inv_std, src.ndim), out=out)
-        np.multiply(out, self._col(self.gamma, src.ndim), out=out)
-        np.add(out, self._col(self.beta, src.ndim), out=out)
+        nd = src.ndim
+        np.subtract(src, self._col(self.mean, nd, ch), out=out)
+        np.multiply(out, self._col(self.inv_std, nd, ch), out=out)
+        np.multiply(out, self._col(self.gamma, nd, ch), out=out)
+        np.add(out, self._col(self.beta, nd, ch), out=out)
         return out
 
     def apply_channels(self, vals: np.ndarray) -> np.ndarray:
@@ -1017,6 +1023,17 @@ def _snap(src: np.ndarray, scr: tuple,
     return scr[1]
 
 
+def snap_to_grid(src: np.ndarray) -> np.ndarray:
+    """``quantize_fp16`` of an fp32 array with ``|x| ≤ 65504``, as a new
+    array, through the snap a plan's stream stores run
+    (:meth:`CompiledStagePlan._grid`, its clip elided there by the same
+    bound).  For tables built once — the encoder's integer-ADC entry
+    table — not for a hot path."""
+
+    scr, _ = _scratch(Workspace(), "grid", src.shape)
+    return _snap(src, scr).copy()
+
+
 def _act(v: np.ndarray, t: np.ndarray, slope: float, bn=None) -> np.ndarray:
     """LeakyReLU (→ norm) of a finished block into the temporary ``t``.
 
@@ -1245,6 +1262,16 @@ def _partition(K: int, o: int, ow: int, m: int, width: int) -> _Partition:
     slot_rows = tuple(q + (s < r) for s in range(T))
     rpp = max(1, _PANEL_BYTES // (_column_bytes(K, o) * ow))
     return _Partition(ow, min(rpp, slot_rows[0]), slot_rows)
+
+
+def _channel_block(c: int, width: int, slot: int) -> slice:
+    """Slot ``slot``'s block of ``c`` channels at panel width ``width``:
+    ``width`` contiguous near-equal blocks (sizes differ by at most one
+    channel, the larger first; empty where ``c < width``)."""
+
+    q, r = divmod(c, width)
+    lo = slot * q + min(slot, r)
+    return slice(lo, lo + q + (slot < r))
 
 
 def _panels_match(a: np.ndarray, b: np.ndarray, want: np.ndarray,
@@ -1564,7 +1591,8 @@ class _SlotGroup:
     reports come up ``ack``.  A run is one command (plan index, spatial
     shape, bound), after which every process runs the same
     :meth:`CompiledStagePlan._execute` and meets the others at
-    :meth:`barrier` after every op that writes.  Slots ignore SIGINT,
+    :meth:`barrier` after every panel op, stream store, fill and head.
+    Slots ignore SIGINT,
     exit when ``cmd`` reaches EOF, and are killed and reaped when the group
     closes or is collected.
     """
@@ -1785,7 +1813,8 @@ class CompiledStagePlan:
     compressors the caller runs at once).  Above width 1, where ``os.fork``
     exists, the workspace turns shared and :meth:`run` drives ``width − 1``
     forked slot processes over it (see *Execution model*); slots own their
-    scratch and write disjoint rows, so bits are identical at any width.
+    panel scratch and write disjoint rows or channel blocks, so bits are
+    identical at any width.
     """
 
     def __init__(self, stages, half: bool = True,
@@ -2085,11 +2114,18 @@ class CompiledStagePlan:
         finally:
             self._role = self._link = None
 
-    @property
-    def _writes(self) -> bool:
-        """Whether this process makes the writes outside panels (slot 0)."""
+    def _own(self, c: int) -> slice:
+        """The channels of a ``c``-channel array this process writes
+        outside panels: all of them when it runs alone, none in the dry
+        pass, else its slot's :func:`_channel_block` — one rule for every
+        such writer, so a process reads back only channels it wrote."""
 
-        return self._role is None or self._role == 0
+        role = self._role
+        if role is None:
+            return slice(0, c)
+        if role == _DRY:
+            return slice(0, 0)
+        return _channel_block(c, self.budget.width, role)
 
     def _sync(self) -> None:
         """The barrier every process of a group meets after a write."""
@@ -2150,7 +2186,7 @@ class CompiledStagePlan:
                 else:
                     # The module path normalizes the *unquantized* stream.
                     src, src_bound = carry, carry_bound
-                carry = op.apply(self._ws, key, src, self._writes)
+                carry = op.apply(self._ws, key, src, self._own(src.shape[0]))
                 carry_bound = op.out_bound(src_bound)
                 canvas, result, bound = self._store_stream(
                     carry, carry_bound, spatial, store_spec
@@ -2178,8 +2214,9 @@ class CompiledStagePlan:
             elif kind == "regout":
                 result = self._regout(key, op, result)
             # "identity": the module pass-through — state is unchanged.
-        # A head (sigmoid / regout) is the last op and runs on slot 0 only:
-        # the barrier after the last convolution is the run's last.
+        # A head (sigmoid / regout) is the last op; each process finishes
+        # its own channels and the head's barrier is the run's last, so
+        # the caller returns a complete output.
 
         assert result is not None
         return result
@@ -2194,14 +2231,16 @@ class CompiledStagePlan:
         operand orientation over a partition — and the first one
         :func:`_gemm_matches` proves bit-equal to the reference runs:
 
-        * ``blocked`` / ``blocked_ref`` — above ``_BLOCKED_MIN_BYTES``, the
-          transposed / reference orientation cut by the width's
-          :func:`_partition` into per-slot row blocks of ``_PANEL_BYTES``
-          panels of whole innermost rows; the monolithic im2col buffer
-          never materializes;
-        * ``transposed`` — one whole-sample panel: the ``(K, rows)``
-          im2col operand built directly in transposed layout and a single
-          ``wtT @ atT`` call;
+        * ``blocked`` / ``blocked_ref`` — where the whole-sample slab
+          (``rows`` columns of :func:`_column_bytes` each) exceeds
+          ``_PANEL_BYTES``, the transposed / reference orientation cut by
+          the width's :func:`_partition` into per-slot row blocks of
+          ``_PANEL_BYTES`` panels of whole innermost rows; the monolithic
+          im2col buffer never materializes;
+        * ``transposed`` — one whole-sample panel, run by slot 0 (its
+          slab fits one panel, or every blocked formulation was
+          rejected): the ``(K, rows)`` im2col operand built directly in
+          transposed layout and a single ``wtT @ atT`` call;
         * ``reference`` — the unprobed end of the chain: the same
           whole-sample panel in ``conv_forward``'s own operand orientation
           (identical BLAS calls, identical bits).
@@ -2229,7 +2268,7 @@ class CompiledStagePlan:
         splits = spec.members
         # (name, partition, reference orientation), in order of preference.
         chain = [("transposed", whole, False)]
-        if rows * K * 4 >= _BLOCKED_MIN_BYTES:
+        if rows * _column_bytes(K, o) > _PANEL_BYTES:
             part = _partition(K, o, ow, rows, self.budget.width)
             chain[:0] = [("blocked", part, False), ("blocked_ref", part, True)]
         # One draw serves every candidate the chain probes.
@@ -2386,23 +2425,26 @@ class CompiledStagePlan:
 
     # ------------------------------------------------------------------
     def _grid(self, src: np.ndarray, bound: float) -> tuple[np.ndarray, float]:
-        """``quantize_fp16`` replica for a whole stream (network entry,
-        pool / upsample / norm stores — conv outputs are quantized by the
-        panel epilogue instead).
+        """``quantize_fp16`` replica for a whole stream (network entry of
+        non-integer input, pool / upsample / norm stores — conv outputs are
+        quantized by the panel epilogue instead).
 
-        Returns ``src``'s values snapped onto the fp16 grid — an array of
-        the shared ``"grid"`` arena, consume it before the next call; None
-        where this process makes no writes (see :attr:`_writes`) — and the
-        stored bound.  The saturating clip runs only when ``bound``
-        says ±65504 is reachable and a lane is beyond it — elsewhere it is
-        the identity — and never mutates ``src``: the residual stream
-        keeps its unclipped fp32 values.
+        Returns an array of the shared ``"grid"`` arena, consume it before
+        the next call, holding ``src``'s values snapped onto the fp16 grid
+        in this process's channels (:meth:`_own`: the arena is carved at
+        full shape and each process snaps its own block of it), and the
+        stored bound.  The saturating clip runs only when ``bound`` says
+        ±65504 is reachable and a lane is beyond it — elsewhere it is the
+        identity — and never mutates ``src``: the residual stream keeps
+        its unclipped fp32 values.
         """
 
         scr, (t,) = _scratch(self._ws, "grid", src.shape, (src.shape, _F32))
-        clip = t if bound >= _FP16_MAX else None
-        return (_snap(src, scr, clip) if self._writes else None,
-                min(bound, _FP16_MAX))
+        ch = self._own(src.shape[0])
+        if ch.start < ch.stop:
+            _snap(src[ch], tuple(x[ch] for x in scr),
+                  t[ch] if bound >= _FP16_MAX else None)
+        return scr[1], min(bound, _FP16_MAX)
 
     def _cap(self, bound: float) -> float:
         """Magnitude bound of a conv output as stored (saturated in half)."""
@@ -2541,21 +2583,23 @@ class CompiledStagePlan:
 
         Beyond the correlation's support the module stream is (norm ∘)
         act of q(bias) — re-quantized by the next conv's entry when
-        ``quantize`` — the same scalar ufunc chain on ``(C,)``.  Slot 0
-        fills; the barrier keeps every slot's panels after the fill.
+        ``quantize`` — the same scalar ufunc chain on ``(C,)``.  Each
+        process fills its own channels (:meth:`_own`); the barrier keeps
+        every slot's panels, which write rows of all channels, after the
+        fill.
         """
 
         if fill is None:
             return
-        if self._writes:
-            if slope is not None:
-                fill = fill * np.where(fill > 0, np.float32(1.0),
-                                       np.float32(slope))
-                if bn is not None:
-                    fill = bn.apply_channels(fill)
-                if quantize and self.half:
-                    fill = quantize_fp16(fill)
-            dest[:] = fill.reshape((-1,) + (1,) * (dest.ndim - 1))
+        if slope is not None:
+            fill = fill * np.where(fill > 0, np.float32(1.0),
+                                   np.float32(slope))
+            if bn is not None:
+                fill = bn.apply_channels(fill)
+            if quantize and self.half:
+                fill = quantize_fp16(fill)
+        ch = self._own(dest.shape[0])
+        dest[ch] = fill[ch].reshape((-1,) + (1,) * (dest.ndim - 1))
         self._sync()
 
     def _convt_store(self, key, tspec, canvas, spatial, bound, store_spec):
@@ -2583,22 +2627,24 @@ class CompiledStagePlan:
         (including 3D pools) run the same multi-axis ``mean`` call the
         module path runs, pinned to fp32.  ``dtype=float32`` pins the
         arithmetic to fp32 when the source is an fp16-stored canvas (the
-        widening cast is exact).
+        widening cast is exact).  Each process pools its own channels
+        (:meth:`_own`); the stream store after it reads the same ones.
         """
 
         kernel = tuple(kernel)
         c = src.shape[0]
+        ch = self._own(c)
         out_sp = tuple(s // k for s, k in zip(spatial, kernel))
-        out = self._lease(c, out_sp, stream=True)[1]
+        full = self._lease(c, out_sp, stream=True)[1]
+        out = full[ch]
         if kernel == (2, 2):
-            t1 = self._ws.get((key, "pt1"), out.shape)
-            if self._writes:
-                a, h = spatial
-                v = src.reshape(c, a // 2, 2, h // 2, 2)
-                np.add(v[:, :, 0, :, 0], v[:, :, 0, :, 1], out=t1, dtype=_F32)
-                np.add(v[:, :, 1, :, 0], v[:, :, 1, :, 1], out=out, dtype=_F32)
-                np.add(t1, out, out=out)
-                np.divide(out, np.float32(4.0), out=out)
+            t1 = self._ws.get((key, "pt1"), full.shape)[ch]
+            a, h = spatial
+            v = src[ch].reshape(-1, a // 2, 2, h // 2, 2)
+            np.add(v[:, :, 0, :, 0], v[:, :, 0, :, 1], out=t1, dtype=_F32)
+            np.add(v[:, :, 1, :, 0], v[:, :, 1, :, 1], out=out, dtype=_F32)
+            np.add(t1, out, out=out)
+            np.divide(out, np.float32(4.0), out=out)
         else:
             # The module path's exact call: reshape to interleaved
             # (.., s/k, k, ..) axes and mean over the kernel axes.  The
@@ -2607,16 +2653,14 @@ class CompiledStagePlan:
             # path's contiguous input (bit-for-bit identical pairing).
             if not src.flags.c_contiguous:
                 buf = self._ws.get((key, "poolsrc"), src.shape)
-                if self._writes:
-                    np.copyto(buf, src)
+                np.copyto(buf[ch], src[ch])
                 src = buf
-            shape: list[int] = [c]
+            shape: list[int] = [-1]
             for s, k in zip(spatial, kernel):
                 shape.extend([s // k, k])
             kernel_axes = tuple(range(2, 2 + 2 * len(kernel), 2))
-            if self._writes:
-                src.reshape(shape).mean(axis=kernel_axes, dtype=_F32, out=out)
-        return out, bound  # mean cannot grow the magnitude bound
+            src[ch].reshape(shape).mean(axis=kernel_axes, dtype=_F32, out=out)
+        return full, bound  # mean cannot grow the magnitude bound
 
     # ------------------------------------------------------------------
     def _up(self, factors, src, spatial, bound):
@@ -2625,20 +2669,21 @@ class CompiledStagePlan:
         A broadcast store into the reused output buffer places value ``v``
         at every position of its factor block — the same values the module
         path's per-axis ``np.repeat`` produces, without the intermediate
-        allocations.  Repetition cannot grow the bound.
+        allocations.  Repetition cannot grow the bound.  Each process
+        repeats its own channels (:meth:`_own`).
         """
 
         factors = tuple(factors)
         c = src.shape[0]
+        ch = self._own(c)
         out_sp = tuple(s * f for s, f in zip(spatial, factors))
         out = self._lease(c, out_sp, stream=True)[1]
         shape: list[int] = [c]
-        src_index: list = [slice(None)]
+        src_index: list = [ch]
         for s, f in zip(spatial, factors):
             shape.extend([s, f])
             src_index.extend([slice(None), None])
-        if self._writes:
-            out.reshape(shape)[:] = src[tuple(src_index)]
+        out.reshape(shape)[ch] = src[tuple(src_index)]
         return out, bound
 
     # ------------------------------------------------------------------
@@ -2653,14 +2698,16 @@ class CompiledStagePlan:
         discarded branch may overflow to inf (→ 0 or NaN) — harmless and
         silenced, exactly because it is discarded.  Two fp32 buffers carry
         it: the ``x < 0`` branch lands in ``out`` with ``t`` as its
-        temporary, then the ``x ≥ 0`` branch in ``t``.
+        temporary, then the ``x ≥ 0`` branch in ``t``.  Each process runs
+        its own channels (:meth:`_own`) and meets the others at the run's
+        last barrier.
         """
 
-        pos = self._ws.get((key, "pos"), x.shape, np.bool_)
-        out = self._ws.get((key, "sig"), x.shape)
-        t = self._ws.get((key, "st"), x.shape)
-        if not self._writes:
-            return out
+        full = self._ws.get((key, "sig"), x.shape)
+        ch = self._own(x.shape[0])
+        pos = self._ws.get((key, "pos"), x.shape, np.bool_)[ch]
+        t = self._ws.get((key, "st"), x.shape)[ch]
+        out, x = full[ch], x[ch]
         np.greater_equal(x, np.float32(0.0), out=pos)
         with np.errstate(over="ignore", invalid="ignore"):
             # x < 0 branch into out, t the temporary: exp(x) / (1 + exp(x))
@@ -2673,7 +2720,8 @@ class CompiledStagePlan:
             np.add(t, np.float32(1.0), out=t)
             np.divide(np.float32(1.0), t, out=t)
         np.copyto(out, t, where=pos)
-        return out
+        self._sync()
+        return full
 
     # ------------------------------------------------------------------
     def _regout(self, key, op, x):
@@ -2683,18 +2731,20 @@ class CompiledStagePlan:
         arithmetic under NEP 50), exponentiates, and scales/offsets with
         fp32 scalars (``Tensor`` coerces python floats to fp32) — the same
         ufunc chain over the same contiguous grid values, staged through a
-        reused buffer.
+        reused buffer.  Each process runs its own channels (:meth:`_own`)
+        and meets the others at the run's last barrier.
         """
 
         offset, scale, max_exponent = op
-        out = self._ws.get((key, "ro"), x.shape)
-        if not self._writes:
-            return out
-        np.clip(x, None, max_exponent, out=out)
+        full = self._ws.get((key, "ro"), x.shape)
+        ch = self._own(x.shape[0])
+        out = full[ch]
+        np.clip(x[ch], None, max_exponent, out=out)
         np.exp(out, out=out)
         np.multiply(out, np.float32(scale), out=out)
         np.add(out, np.float32(offset), out=out)
-        return out
+        self._sync()
+        return full
 
     # ------------------------------------------------------------------
     def _res(self, key, op, canvas, spatial, bound, carry, carry_bound,
@@ -2817,14 +2867,18 @@ class CompiledStagePlan:
 
     # ------------------------------------------------------------------
     def _store_stream(self, src, bound, spatial, store_spec):
-        """Store the unquantized fp32 stream into a conv-input canvas (slot
-        0 stores; the barrier keeps the next op's panels after it)."""
+        """Store the unquantized fp32 stream into a conv-input canvas.
+
+        Each process snaps and stores its own channels (:meth:`_own`) —
+        the block its pool / upsample / norm wrote, so no barrier sits
+        between them — and the barrier after the store keeps the next
+        op's panels, which read every channel, after it."""
 
         canvas, dest = self._lease(src.shape[0], spatial, *store_spec)
         if self.half:
             src, bound = self._grid(src, bound)
-        if self._writes:
-            np.copyto(dest, src)
+        ch = self._own(src.shape[0])
+        np.copyto(dest[ch], src[ch])
         self._sync()
         return canvas, dest, bound
 

@@ -1,9 +1,9 @@
 """Panel epilogue contract: every conv output is finished inside its panel.
 
 The blocked GEMM sites are exercised at a geometry that engages them on
-its own (no threshold monkeypatching — `test_parallel_panels.py` covers the
-shrunk-threshold variant): 64×64 spatial with K = 288 puts the 2-D
-decoder's im2col above ``_BLOCKED_MIN_BYTES``, and the 3-D geometries do
+its own (no slab monkeypatching — `test_parallel_panels.py` covers the
+shrunk-slab variant): 64×64 spatial with K = 288 puts the 2-D decoder's
+whole-sample slab above ``_PANEL_BYTES``, and the 3-D geometries do
 the same for the transposed-conv tails of BCAE++ and the BatchNorm BCAE.
 Everything is compared against the module-graph oracle.
 """

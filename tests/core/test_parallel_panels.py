@@ -35,10 +35,10 @@ from repro.serve import ServiceConfig, StreamingCompressionService
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    """Shrink the blocked-GEMM engagement thresholds so the panel-blocked
-    im2col paths (and with them the parallel executor) run at test scale."""
+    """Shrink the panel slab so the panel-blocked im2col paths (and with
+    them the parallel executor) run at test scale: a site is blocked where
+    its whole-sample slab exceeds ``_PANEL_BYTES``."""
 
-    monkeypatch.setattr(fp, "_BLOCKED_MIN_BYTES", 1 << 10)
     monkeypatch.setattr(fp, "_PANEL_BYTES", 1 << 12)
 
 
@@ -246,12 +246,12 @@ def _record_probe_walks(monkeypatch) -> list[list[tuple[int, int]]]:
 
 
 class TestSelectionChain:
-    """``_gemm`` runs the first formulation the probe accepts — above
-    ``_BLOCKED_MIN_BYTES`` ``blocked`` → ``blocked_ref`` → ``transposed``,
-    below it ``transposed`` — and otherwise the unprobed ``reference``; a
-    stacked site tries its first candidate only.  The probe is replaced by
-    an accept set, so the chain is checked whatever this host's BLAS
-    decides."""
+    """``_gemm`` runs the first formulation the probe accepts — where the
+    whole-sample slab exceeds ``_PANEL_BYTES`` ``blocked`` → ``blocked_ref``
+    → ``transposed``, else ``transposed`` — and otherwise the unprobed
+    ``reference``; a stacked site tries its first candidate only.  The
+    probe is replaced by an accept set, so the chain is checked whatever
+    this host's BLAS decides."""
 
     ROWS, OW, K, O = 120, 10, 36, 4
 
@@ -265,10 +265,11 @@ class TestSelectionChain:
     def test_first_accepted_formulation_runs(self, monkeypatch, accept, big,
                                              splits):
         rows, ow, K, o = self.ROWS, self.OW, self.K, self.O
-        monkeypatch.setattr(fp, "_BLOCKED_MIN_BYTES",
-                            1 if big else rows * K * 4 + 1)
         monkeypatch.setattr(fp, "_PANEL_BYTES", 2 * ow * fp._column_bytes(K, o))
         blocked = fp._partition(K, o, ow, rows, 2)
+        if not big:  # the whole-sample slab fits one panel: not blocked
+            monkeypatch.setattr(fp, "_PANEL_BYTES",
+                                rows * fp._column_bytes(K, o))
         whole = fp._Partition(ow, rows // ow, (rows // ow,))
         candidates = {"blocked": (blocked, False),
                       "blocked_ref": (blocked, True),

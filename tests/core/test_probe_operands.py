@@ -162,7 +162,6 @@ class TestOneDrawPerChain:
     def test_one_draw_serves_the_chain(self, monkeypatch):
         rows, ow, K, o = self.ROWS, self.OW, self.K, self.O
         monkeypatch.setattr(fp, "_GEMM_OK", {})
-        monkeypatch.setattr(fp, "_BLOCKED_MIN_BYTES", 1)
         monkeypatch.setattr(fp, "_PANEL_BYTES", 2 * ow * fp._column_bytes(K, o))
         blocked = fp._partition(K, o, ow, rows, 2)
         whole = fp._Partition(ow, rows // ow, (rows // ow,))

@@ -6,8 +6,8 @@ the caller.  These tests hold the process side of the contract: the bytes
 equal width 1's, a failed slot fails one run with a typed error and the
 next run forks afresh, no slot outlives its plan, a slot never allocates,
 and a fork waits until no other thread of the process computes.  Widths
-are forced through the private ``_FORCED_WIDTH`` hook and the blocked-GEMM
-thresholds shrunk, so the slot-parallel panels run at test scale.
+are forced through the private ``_FORCED_WIDTH`` hook and the panel slab
+shrunk, so the slot-parallel panels run at test scale.
 """
 
 import gc
@@ -31,7 +31,6 @@ pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    monkeypatch.setattr(fp, "_BLOCKED_MIN_BYTES", 1 << 10)
     monkeypatch.setattr(fp, "_PANEL_BYTES", 1 << 12)
 
 
@@ -86,26 +85,92 @@ def _gone(pid: int) -> bool:
     return False
 
 
+def _batches(raw):
+    """Three different batches of ``raw``'s shape: every run's bytes differ
+    from the last one's, so a process that read a block before its writer
+    finished would meet a previous run's values."""
+
+    rng = np.random.default_rng(11)
+    more = rng.integers(0, 1024, size=(2,) + raw.shape, dtype=raw.dtype)
+    more[more < 600] = 0
+    return [raw, *more]
+
+
 class TestBytesAcrossWidths:
     @pytest.mark.parametrize("half", [True, False])
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_slot_processes_reproduce_width_one(self, small_blocks,
                                                 monkeypatch, name, half):
-        """Payloads and reconstructions at widths 2 and 4 — run by
-        ``width − 1`` forked slots per workspace — equal width 1's, on the
-        first (parallel) run and the next."""
+        """Payloads and reconstructions at widths 2, 3 and 4 — run by
+        ``width − 1`` forked slots per workspace, every write outside the
+        panels split into channel blocks (uneven at width 3) — equal width
+        1's: three runs per direction per compressor, the first of them
+        the first (parallel) run, each on a different batch."""
 
         model, raw = _build(name)
-        want = _round_trip(_compressor_at(monkeypatch, model, 1, half=half),
-                           raw)
-        for width in (2, 4):
+        batches = _batches(raw)
+        comp = _compressor_at(monkeypatch, model, 1, half=half)
+        want = [_round_trip(comp, batch) for batch in batches]
+        for width in (2, 3, 4):
             comp = _compressor_at(monkeypatch, model, width, half=half)
-            for _ in range(2):
-                payload, recon = _round_trip(comp, raw)
-                assert payload == want[0], (name, half, width)
-                assert np.array_equal(recon, want[1]), (name, half, width)
+            for i, batch in enumerate(batches):
+                payload, recon = _round_trip(comp, batch)
+                assert payload == want[i][0], (name, half, width, i)
+                assert np.array_equal(recon, want[i][1]), (name, half,
+                                                           width, i)
             assert all(ws._shared for ws in _workspaces(comp))
             assert len(_slot_pids(comp)) == 2 * (width - 1)
+
+    def test_channel_blocks_tile_every_channel_count(self):
+        """One rule for every writer outside the panels: near-equal
+        contiguous blocks, the larger first, empty where channels run out
+        (32 channels at width 3 split 11/11/10, 16 split 6/5/5)."""
+
+        def sizes(c, width):
+            blocks = [fp._channel_block(c, width, s) for s in range(width)]
+            assert blocks[0].start == 0 and blocks[-1].stop == c
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            return [b.stop - b.start for b in blocks]
+
+        assert sizes(32, 3) == [11, 11, 10] and sizes(16, 3) == [6, 5, 5]
+        for c in range(40):
+            for width in range(1, 6):
+                got = sizes(c, width)
+                assert got == sorted(got, reverse=True)
+                assert got[0] - got[-1] <= 1
+
+
+class TestDryPass:
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_dry_pass_leaves_every_buffer_unchanged(self, small_blocks,
+                                                    monkeypatch, name):
+        """The dry pass every fork follows — leases, probes, partitions,
+        slab carving and maps, every channel block empty — writes no byte
+        of a warm shared workspace and allocates nothing."""
+
+        model, raw = _build(name)
+        comp = _compressor_at(monkeypatch, model, 3)
+        runs = {}
+        real = fp.CompiledStagePlan.run
+
+        def run(plan, canvas, spatial, bound):
+            runs[plan] = (canvas, spatial, bound)
+            return real(plan, canvas, spatial, bound)
+
+        monkeypatch.setattr(fp.CompiledStagePlan, "run", run)
+        _round_trip(comp, raw)
+        monkeypatch.setattr(fp.CompiledStagePlan, "run", real)
+        assert len(runs) == 3
+        for ws in _workspaces(comp):
+            assert ws._shared
+            gen = ws._gen
+            before = {key: buf.tobytes() for key, buf in ws._bufs.items()}
+            for plan, args in runs.items():
+                if plan.workspace is ws:
+                    plan._execute(*args, fp._DRY, None)
+            assert ws._gen == gen
+            assert {key: buf.tobytes() for key, buf in ws._bufs.items()} \
+                == before
 
     def test_width_one_forks_nothing(self, small_blocks, monkeypatch):
         model, raw = _build("bcae_ht")

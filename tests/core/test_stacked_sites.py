@@ -52,6 +52,19 @@ def _whole(rows, K, o, splits=None):
                             False, splits)
 
 
+def _first(g, o, width, splits):
+    """The probe's verdict on the one candidate a stacked site of ``g``'s
+    shape tries: ``blocked`` where its whole-sample slab exceeds
+    ``_PANEL_BYTES``, else the one-panel ``transposed``."""
+
+    m, K = g["m"], g["K"]
+    if m * fp._column_bytes(K, o) <= fp._PANEL_BYTES:
+        return _whole(m, K, o, splits)
+    ow = m // sum(g["slot_rows"])
+    return fp._gemm_matches(m, K, o, fp._partition(K, o, ow, m, width),
+                            False, splits)
+
+
 def _pair_sites(plan):
     """``(stacked, apart)``: the fused sites of a plan after a run, and the
     skip-path sites of the pairs that run as two."""
@@ -144,13 +157,14 @@ class TestStackingProbe:
             stacked, apart = _pair_sites(plan)
             assert len(stacked) + len(apart) == sum(
                 stats["stage_kinds"].get(k, 0) for k in ("down3d", "upblock3d"))
-            assert {g["formulation"] for g in stacked} <= {"transposed"}
+            width = plan.budget.width
+            assert {g["formulation"] for g in stacked} <= {"blocked",
+                                                           "transposed"}
             for g in stacked:
                 assert g["tail"] == "act+requant|act"
-                assert _whole(g["m"], g["K"], g["o"], tuple(g["members"]))
+                assert _first(g, g["o"], width, tuple(g["members"]))
             for g in apart:
-                assert not _whole(g["m"], g["K"], 2 * g["o"],
-                                  (g["o"], g["o"]))
+                assert not _first(g, 2 * g["o"], width, (g["o"], g["o"]))
 
     def test_forced_rejection_same_bytes(self, monkeypatch):
         """With every stacking probe refusing, all pairs run as two sites

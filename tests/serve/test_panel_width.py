@@ -35,12 +35,12 @@ _INHERITED: BCAECompressor | None = None
 
 @pytest.fixture
 def width_two(monkeypatch):
-    """Width 2 through the private hook, with the blocked-GEMM thresholds
-    shrunk so the slot-parallel panels run at test scale.  Module state
-    crosses ``fork``, so forked workers compile at the same width."""
+    """Width 2 through the private hook, with the panel slab shrunk so the
+    slot-parallel panels run at test scale (a site is blocked where its
+    whole-sample slab exceeds ``_PANEL_BYTES``).  Module state crosses
+    ``fork``, so forked workers compile at the same width."""
 
     monkeypatch.setattr(fp, "_FORCED_WIDTH", 2)
-    monkeypatch.setattr(fp, "_BLOCKED_MIN_BYTES", 1 << 10)
     monkeypatch.setattr(fp, "_PANEL_BYTES", 1 << 12)
 
 
