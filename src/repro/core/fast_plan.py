@@ -156,12 +156,20 @@ contraction bit for bit is decided per problem shape by one calibration
 probe (:func:`_gemm_matches`) before a formulation is used — behaviour is
 never traded for speed: a shape whose probe rejects a formulation runs the
 next one the probe accepts, and the chain ends in the module path's own
-call, which needs no probe.
+calls, which need no probe.  The module path contracts a sample as one
+``np.dot`` per chunk of :func:`~repro.nn.convolution.gemm_chunk_rows`
+whole output rows (a function of the problem shape alone), so that end of the
+chain is the chunk partition in ``conv_forward``'s operand orientation,
+and a probe compares its panels against exactly those chunk calls.  No
+formulation, probe or oracle call builds a whole-sample im2col unless the
+executor itself runs a whole-sample panel: a probe tiles each panel's
+operand rows and computes the reference one chunk at a time
+(:class:`_ProbeProblem`).
 
 A panel is a row range of the flattened output grid, but a padded canvas is
 not uniformly strided across that grid, so gathers and stores address a
-panel as a few index boxes (:func:`_row_boxes`): one in the 2-D case, more
-where a 3-D panel crosses a plane boundary.
+panel as a few index boxes (:func:`~repro.nn.convolution.row_boxes`): one
+in the 2-D case, more where a 3-D panel crosses a plane boundary.
 Panels fan out over the plan's panel slots by one partition
 (:func:`_partition`): at width ``T`` slot ``s`` owns the ``s``-th of ``T``
 contiguous, near-equal row blocks and runs its panels in order, the last one
@@ -243,7 +251,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .. import nn
 from ..nn.amp import quantize_fp16
-from ..nn.convolution import conv_forward, conv_transpose_output_shape
+from ..nn.convolution import (
+    conv_forward,
+    conv_transpose_output_shape,
+    gemm_chunk_rows,
+    row_boxes,
+)
 from ..nn.norm import BatchNormNd
 from .blocks import DownBlock3d, ResBlock2d, UpBlock3d
 
@@ -1067,38 +1080,6 @@ def _act_table(slope: float, clip: bool) -> np.ndarray:
     return table
 
 
-def _row_boxes(r0: int, r1: int, dims: tuple[int, ...], j: int = 0) -> list:
-    """Index boxes tiling rows ``[r0, r1)`` of a C-ordered ``dims`` grid.
-
-    Returns ``(j0, j1, idx)`` triples: rows ``j0:j1`` of the range (counted
-    from ``j``) are exactly the box ``idx`` — one int or slice per dim.  A
-    panel of whole innermost rows is a row range of the flattened
-    ``out_spatial[:-1]`` grid, but a padded canvas is not uniformly strided
-    across it, so a panel that crosses a plane boundary is addressed as at
-    most ``2·len(dims) − 1`` boxes (one for the common 2-D case, one for a
-    whole-result panel).
-    """
-
-    if r0 >= r1:
-        return []
-    if len(dims) == 1:
-        return [(j, j + r1 - r0, (slice(r0, r1),))]
-    s = int(np.prod(dims[1:]))
-
-    def sub(i, a, b, jj):
-        return [(x, y, (i,) + idx) for x, y, idx in _row_boxes(a, b, dims[1:], jj)]
-
-    i0, i1 = -(-r0 // s), r1 // s   # whole leading indices [i0, i1)
-    if i0 > i1:
-        return sub(r0 // s, r0 % s, r1 - r0 // s * s, j)
-    whole = []
-    if i1 > i0:
-        whole = [(j + i0 * s - r0, j + i1 * s - r0,
-                  (slice(i0, i1),) + (slice(None),) * (len(dims) - 1))]
-    return (sub(i0 - 1, r0 - (i0 - 1) * s, s, j) + whole
-            + sub(i1, 0, r1 - i1 * s, j + i1 * s - r0))
-
-
 def _crop_box(idx: tuple, dims, lo, hi):
     """Map one row box onto a destination that keeps ``[lo, hi)`` per axis.
 
@@ -1143,14 +1124,16 @@ def _panel_map(view: np.ndarray, pre: tuple, r0: int, r1: int, dims, lo, hi):
     destination index (see :func:`_crop_box`; cropped-out boxes dropped).
     """
 
-    boxes = _row_boxes(r0, r1, dims[:-1])
+    boxes = row_boxes(r0, r1, dims[:-1])
     stores = [(j0, j1, _crop_box(idx, dims, lo, hi)) for j0, j1, idx in boxes]
     return ([(j0, j1, view[pre + idx]) for j0, j1, idx in boxes],
             [(j0, j1) + box for j0, j1, box in stores if box])
 
 
 #: Length of the calibration probes' random pool (:func:`_probe_pool`): a
-#: prime above every im2col ``K`` of the zoo models (at most 1 536).
+#: prime above every im2col ``K`` of the zoo models (at most 1 536), so any
+#: ``L`` consecutive probe operand rows are pairwise distinct
+#: (:class:`_ProbeProblem`).
 _PROBE_POOL_LEN = 1_048_583
 
 
@@ -1165,14 +1148,29 @@ def _probe_pool() -> np.ndarray:
     return pool
 
 
-def _probe_problem(rows: int, K: int, o: int,
-                   splits: tuple[int, ...] | None = None):
-    """Operands and reference of one GEMM calibration probe: a dense-random
-    ``(rows, K)`` im2col stand-in ``a``, an F-contiguous ``(K, o)`` kernel
-    ``b`` and ``conv_forward``'s ``(rows, K) @ (K, o)`` contraction of the
-    two.  ``splits`` are the member widths of a stacked
-    operand (:meth:`_ConvSpec.stacked`): each member's columns are then
-    contracted on their own, as its own site would — BLAS may accumulate an
+def _tile(out: np.ndarray, start: int) -> np.ndarray:
+    """Fill the C-contiguous ``out`` with the periodic repetition of
+    :func:`_probe_pool` from flat offset ``start`` on (a few memcpys)."""
+
+    pool, flat = _probe_pool(), out.reshape(-1)
+    i, off = 0, start % _PROBE_POOL_LEN
+    while i < flat.size:
+        n = min(flat.size - i, _PROBE_POOL_LEN - off)
+        flat[i:i + n] = pool[off:off + n]
+        i, off = i + n, 0
+    return out
+
+
+class _ProbeProblem:
+    """Operands and reference of one GEMM calibration probe, built a chunk
+    at a time: a dense-random ``(rows, K)`` im2col stand-in ``a``, an
+    F-contiguous ``(K, o)`` kernel :attr:`b` and the reference contraction
+    of the two — ``conv_forward``'s own calls, one ``np.dot`` of a
+    C-contiguous ``(P, K)`` chunk of ``a`` per chunk of
+    :func:`~repro.nn.convolution.gemm_chunk_rows` whole rows of width
+    ``ow``.  ``splits`` are the member widths of a stacked operand
+    (:meth:`_ConvSpec.stacked`): each member's columns are then contracted
+    on their own, as its own site would — BLAS may accumulate an
     ``o``-column product differently from the narrower ones it stands for.
 
     ``a`` then ``b`` are the periodic repetition of :func:`_probe_pool`, so
@@ -1182,22 +1180,75 @@ def _probe_problem(rows: int, K: int, o: int,
     are pairwise distinct, and every element is still a dense
     standard-normal value.  Tiling is a memcpy; drawing costs ~20 ns an
     element, which at paper geometry is most of a probe.
+
+    Neither ``a`` nor the reference is ever whole: :meth:`panel` hands out
+    the rows of one executor panel, tiling each chunk's operand rows and
+    computing its reference when the walk first reaches it.  One chunk is
+    held at a time, so a probe costs a chunk of operand (``P·K`` floats)
+    whatever the site's size, and a walk in panel order computes every
+    chunk once.
     """
 
-    size = rows * K
-    flat = np.resize(_probe_pool(), size + K * o)
-    a = flat[:size].reshape(rows, K)
-    b = np.asfortranarray(flat[size:].reshape(K, o))
-    if not splits:
-        return a, b, np.dot(a, b)
-    ref = np.empty((rows, o), dtype=np.float32)
-    tmp = np.empty(rows * max(splits), dtype=np.float32)
-    lo = 0
-    for w in splits:  # np.dot wants a contiguous out: stage the columns
-        out = tmp[:rows * w].reshape(rows, w)
-        ref[:, lo:lo + w] = np.dot(a, b[:, lo:lo + w], out=out)
-        lo += w
-    return a, b, ref
+    def __init__(self, rows: int, K: int, o: int, ow: int,
+                 splits: tuple[int, ...] | None = None) -> None:
+        self.rows, self.splits = rows, splits
+        #: Output columns per chunk of the reference contraction.
+        self.span = gemm_chunk_rows(K, ow) * ow
+        n = min(self.span, rows)
+        self.b = np.asfortranarray(_tile(np.empty((K, o), _F32), rows * K))
+        self._a = np.empty((n, K), _F32)
+        self._want = np.empty((n, o), _F32)
+        self._staged = (np.empty(n * max(splits), _F32) if splits else None)
+        self._held = -1
+
+    def _fill(self, out: np.ndarray, r0: int) -> None:
+        """Operand rows ``r0 … r0 + len(out)`` into ``out``."""
+
+        _tile(out, r0 * out.shape[1])
+
+    def _contract(self, a: np.ndarray, want: np.ndarray) -> None:
+        """The reference of one chunk's operand rows ``a`` into ``want``."""
+
+        if not self.splits:
+            np.dot(a, self.b, out=want)
+            return
+        lo = 0
+        for w in self.splits:  # np.dot wants a contiguous out: stage it
+            out = self._staged[:a.shape[0] * w].reshape(-1, w)
+            want[:, lo:lo + w] = np.dot(a, self.b[:, lo:lo + w], out=out)
+            lo += w
+
+    def _chunk(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Operand rows and reference of chunk ``j``, the last narrower."""
+
+        lo = j * self.span
+        n = min(self.span, self.rows - lo)
+        a, want = self._a[:n], self._want[:n]
+        if j != self._held:
+            self._fill(a, lo)
+            self._contract(a, want)
+            self._held = j
+        return a, want
+
+    def panel(self, pk: np.ndarray, want: np.ndarray, c0: int, c1: int,
+              ref: bool) -> None:
+        """Operand rows ``[c0, c1)`` into the panel ``pk`` — ``(P, K)`` in
+        the reference orientation (``ref``), else ``(K, P)`` — and their
+        reference rows into the ``(P, o)`` ``want``."""
+
+        s0 = c0
+        while s0 < c1:
+            j = s0 // self.span
+            lo = j * self.span
+            s1 = min(c1, lo + self.span)
+            a, w = self._chunk(j)
+            rows = a[s0 - lo:s1 - lo]
+            if ref:
+                np.copyto(pk[s0 - c0:s1 - c0], rows)
+            else:
+                np.copyto(pk[:, s0 - c0:s1 - c0], rows.T)
+            np.copyto(want[s0 - c0:s1 - c0], w[s0 - lo:s1 - lo])
+            s0 = s1
 
 
 class _Partition(NamedTuple):
@@ -1274,31 +1325,35 @@ def _channel_block(c: int, width: int, slot: int) -> slice:
     return slice(lo, lo + q + (slot < r))
 
 
-def _panels_match(a: np.ndarray, b: np.ndarray, want: np.ndarray,
-                  part: _Partition, ref: bool) -> bool:
-    """Whether the panel GEMMs of ``part`` reproduce ``want`` on raw bits,
-    walking exactly the executor's panels in its order and stopping at the
-    first mismatch.  Each panel's rows of ``a`` are copied into a
-    contiguous panel, as the executor gathers them, and multiplied as
-    ``panel @ b`` in the reference orientation (``ref``), else as
-    ``bᵀ @ panelᵀ``."""
+def _panels_match(problem: _ProbeProblem, part: _Partition,
+                  ref: bool) -> bool:
+    """Whether the panel GEMMs of ``part`` reproduce ``problem``'s
+    reference on raw bits, walking exactly the executor's panels in its
+    order and stopping at the first mismatch.  Each panel's operand rows
+    are copied into one contiguous panel buffer, as the executor gathers
+    them, and multiplied as ``panel @ b`` in the reference orientation
+    (``ref``), else as ``bᵀ @ panelᵀ``; the buffers are allocated once per
+    walk, for the partition's widest panel."""
 
+    b = problem.b
     K, o = b.shape
     cols = part.rows_per_panel * part.ow
     wt = b if ref else np.ascontiguousarray(b.T)
-    panel, got = np.empty(K * cols, np.float32), np.empty(o * cols, np.float32)
+    panel = np.empty(K * cols, np.float32)
+    got, want = np.empty(o * cols, np.float32), np.empty(o * cols, np.float32)
     for c0, c1 in part.panels():
         p = c1 - c0
+        pk = panel[:K * p].reshape((p, K) if ref else (K, p))
+        pw = want[:o * p].reshape(p, o)
+        problem.panel(pk, pw, c0, c1, ref)
         if ref:
-            pk, po = panel[:K * p].reshape(p, K), got[:o * p].reshape(p, o)
-            np.copyto(pk, a[c0:c1])
+            po = got[:o * p].reshape(p, o)
             np.dot(pk, wt, out=po)
         else:
-            pk, po = panel[:K * p].reshape(K, p), got[:o * p].reshape(o, p)
-            np.copyto(pk, a[c0:c1].T)
+            po = got[:o * p].reshape(o, p)
             np.dot(wt, pk, out=po)
             po = po.T
-        if not np.array_equal(po, want[c0:c1]):
+        if not np.array_equal(po, pw):
             return False
     return True
 
@@ -1320,8 +1375,10 @@ def _gemm_matches(rows: int, K: int, o: int, part: _Partition, ref: bool,
     ``(O, K) @ (K, P)`` GEMMs on operands gathered directly in transposed
     layout (the im2col gather then reads whole output rows instead of
     12-byte kernel taps, ~6× faster); ``part`` cuts the ``rows`` output
-    columns into the executor's panels — one panel is the whole-sample
-    GEMM.  Every output element is the same K-term dot product as the
+    columns into the executor's panels.  The reference is the oracle's own
+    call sequence — ``conv_forward``'s one ``np.dot`` per chunk of
+    :func:`~repro.nn.convolution.gemm_chunk_rows` whole rows of width
+    ``part.ow``.  Every output element is the same K-term dot product as the
     reference, and BLAS packs both layouts into the same micro-kernels with
     the same k-accumulation order — *except* for some shape-dependent
     kernel dispatches (very small output-channel counts, for one).  Since
@@ -1332,24 +1389,28 @@ def _gemm_matches(rows: int, K: int, o: int, part: _Partition, ref: bool,
     — comparable in cost to a single module-path convolution at the same
     shape.  Behaviour is never traded for speed.  ``splits`` probes a
     stacked operand against its members' references
-    (:func:`_probe_problem`).
+    (:class:`_ProbeProblem`).
 
     The dense-random operands are tiled from one per-process pool of
     prime period (:func:`_probe_pool`) rather than drawn per shape: the
-    probe still compares every panel of the partition against the full
-    reference on raw bits, and the summation order it detects
-    does not depend on the values, so every verdict is the one a fresh
-    draw gives.  ``problem`` is a zero-argument callable returning
-    :func:`_probe_problem`'s triple, called only on a cache miss, so a
-    chain of candidates for one shape can share one memoized draw.
+    probe still compares every panel of the partition against the
+    oracle's calls on raw bits, and the summation order it detects does
+    not depend on the values, so every verdict is the one a fresh draw
+    gives.  Neither operand nor reference is built whole: the walk tiles
+    each panel's rows and computes the reference a chunk at a time, so a
+    cache miss holds one chunk of operand, one panel and the kernel.
+    ``problem`` is a zero-argument callable returning the
+    :class:`_ProbeProblem`, called only on a cache miss, so a chain of
+    candidates for one shape can share one problem.
     """
 
     key = (rows, K, splits or o, part, ref)
     hit = _GEMM_OK.get(key)
     if hit is None:
-        a, b, want = (problem() if problem is not None
-                      else _probe_problem(rows, K, o, splits))
-        hit = _GEMM_OK[key] = _panels_match(a, b, want, part, ref)
+        if problem is None:
+            problem = functools.partial(_ProbeProblem, rows, K, o, part.ow,
+                                        splits)
+        hit = _GEMM_OK[key] = _panels_match(problem(), part, ref)
     return hit
 
 
@@ -2241,9 +2302,11 @@ class CompiledStagePlan:
           slab fits one panel, or every blocked formulation was
           rejected): the ``(K, rows)`` im2col operand built directly in
           transposed layout and a single ``wtT @ atT`` call;
-        * ``reference`` — the unprobed end of the chain: the same
-          whole-sample panel in ``conv_forward``'s own operand orientation
-          (identical BLAS calls, identical bits).
+        * ``reference`` — the unprobed end of the chain: the oracle's own
+          partition, run by slot 0 — panels of
+          :func:`~repro.nn.convolution.gemm_chunk_rows` whole rows in
+          ``conv_forward``'s own operand orientation, one ``np.dot`` per
+          chunk (identical BLAS calls, identical bits).
 
         ``bound`` is the rigorous magnitude bound of the raw output (the
         saturating clip runs only where it reaches ±65504); ``tail``
@@ -2271,18 +2334,20 @@ class CompiledStagePlan:
         if rows * _column_bytes(K, o) > _PANEL_BYTES:
             part = _partition(K, o, ow, rows, self.budget.width)
             chain[:0] = [("blocked", part, False), ("blocked_ref", part, True)]
-        # One draw serves every candidate the chain probes.
+        # One problem serves every candidate the chain probes.
         problem = functools.cache(
-            functools.partial(_probe_problem, rows, K, o, splits))
+            functools.partial(_ProbeProblem, rows, K, o, ow, splits))
         for name, part, ref in chain[:1] if splits else chain:
             if _gemm_matches(rows, K, o, part, ref, splits, problem):
                 break
         else:
             if splits:
                 return False
-            # One panel: the module path's own call.
-            name, part, ref = "reference", whole, True
-        del problem  # the operand can be as large as the site's im2col
+            # The oracle's own calls: one panel per chunk of whole rows.
+            name, ref = "reference", True
+            part = _Partition(ow, min(gemm_chunk_rows(K, ow), rows // ow),
+                              (rows // ow,))
+        del problem  # its chunk of operand is as large as the oracle's
         tails = tail if splits else (tail,)
         self._panels(key, spec, canvas, out_spatial, part, ref, bound, tails,
                      crop)

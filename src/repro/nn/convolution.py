@@ -13,9 +13,11 @@ padded, transposed) are expressed with three NumPy primitives:
     gradient w.r.t. the kernel.
 
 The implementation uses ``numpy.lib.stride_tricks.sliding_window_view`` (a
-zero-copy view) followed by a single BLAS-backed ``tensordot`` — the standard
-im2col/GEMM formulation, vectorized end to end per the HPC guidance for this
-repository.  No Python loop touches voxel data.
+zero-copy view) followed by BLAS-backed GEMMs — the standard im2col/GEMM
+formulation, vectorized end to end per the HPC guidance for this
+repository.  No Python loop touches voxel data: ``conv_forward`` loops over
+samples and fixed chunks of whole output rows (:func:`gemm_chunk_rows`),
+one ``np.dot`` each.
 """
 
 from __future__ import annotations
@@ -33,7 +35,69 @@ __all__ = [
     "conv_forward",
     "conv_input_grad",
     "conv_weight_grad",
+    "gemm_chunk_rows",
+    "row_boxes",
 ]
+
+#: Byte budget of one chunk of the reference contraction's fp32 im2col
+#: operand: ``conv_forward`` copies and multiplies one chunk of whole output
+#: rows at a time instead of a whole sample's im2col.
+_CHUNK_BYTES = 4 << 20
+
+
+def gemm_chunk_rows(K: int, ow: int) -> int:
+    """Whole output rows per chunk of the reference contraction.
+
+    The reference contraction of one sample — :func:`conv_forward`'s GEMM,
+    and therefore the oracle every compiled formulation of
+    :mod:`repro.core.fast_plan` is probed against — is one ``np.dot`` per
+    chunk of this many whole innermost-axis rows (``ow`` output positions
+    of ``K`` operand values each) of the flattened output grid, the last
+    chunk possibly narrower: as many rows as fit ``_CHUNK_BYTES`` of fp32
+    operand, at least one.  A function of the problem shape only: the
+    chunk, like the BLAS dispatch it selects, never depends on the data or
+    the batch.
+
+    A bound in bytes rather than in rows keeps the chunks of narrow-``K``
+    sites long: BLAS contracts a one-column product (``O = 1``, a GEMV)
+    with a different summation order below some tens of thousands of
+    rows, so shorter chunks there would change the bits of the single
+    whole-sample call this contraction replaced.
+    """
+
+    return max(1, _CHUNK_BYTES // (4 * K * ow))
+
+
+def row_boxes(r0: int, r1: int, dims: tuple[int, ...], j: int = 0) -> list:
+    """Index boxes tiling rows ``[r0, r1)`` of a C-ordered ``dims`` grid.
+
+    Returns ``(j0, j1, idx)`` triples: rows ``j0:j1`` of the range (counted
+    from ``j``) are exactly the box ``idx`` — one int or slice per dim.  A
+    chunk or panel of whole innermost rows is a row range of the flattened
+    ``out_spatial[:-1]`` grid, but a padded input is not uniformly strided
+    across it, so a range that crosses a plane boundary is addressed as at
+    most ``2·len(dims) − 1`` boxes (one for the common 2-D case, one for a
+    whole-result range).
+    """
+
+    if r0 >= r1:
+        return []
+    if len(dims) == 1:
+        return [(j, j + r1 - r0, (slice(r0, r1),))]
+    s = int(np.prod(dims[1:]))
+
+    def sub(i, a, b, jj):
+        return [(x, y, (i,) + idx) for x, y, idx in row_boxes(a, b, dims[1:], jj)]
+
+    i0, i1 = -(-r0 // s), r1 // s   # whole leading indices [i0, i1)
+    if i0 > i1:
+        return sub(r0 // s, r0 % s, r1 - r0 // s * s, j)
+    whole = []
+    if i1 > i0:
+        whole = [(j + i0 * s - r0, j + i1 * s - r0,
+                  (slice(i0, i1),) + (slice(None),) * (len(dims) - 1))]
+    return (sub(i0 - 1, r0 - (i0 - 1) * s, s, j) + whole
+            + sub(i1, 0, r1 - i1 * s, j + i1 * s - r0))
 
 
 def normalize_tuple(value, nd: int, name: str = "value") -> tuple[int, ...]:
@@ -158,25 +222,40 @@ def conv_forward(
     # win: (N, C, *out, *k) ; w: (O, C, *k) -> contract over C and kernel
     # axes.  This is tensordot's contraction written out with *pinned*
     # operand layouts (C-contiguous im2col rows against an F-contiguous
-    # kernel matrix) and the GEMM executed **one sample at a time**.  BLAS
-    # picks its kernel — and therefore its summation order, and therefore
-    # the result bits — from operand shapes and layouts, so a whole-batch
-    # GEMM would make a compressed payload depend on how wedges were
-    # batched together.  Per-sample blocking keeps every sample's rows
-    # bit-identical to a batch-of-one call: compression output is invariant
-    # to batch composition (asserted by the serving benchmarks).
+    # kernel matrix) and *pinned* GEMM shapes: one sample at a time, one
+    # chunk of gemm_chunk_rows(K, ow) whole output rows at a time, only
+    # that chunk's im2col rows copied.  BLAS picks its kernel — and therefore its
+    # summation order, and therefore the result bits — from operand shapes
+    # and layouts, so a whole-batch GEMM would make a compressed payload
+    # depend on how wedges were batched together.  Every call here is a
+    # C-contiguous (P, K) chunk of one sample against the same F-contiguous
+    # kernel, with P set by the problem shape alone, so a sample's rows
+    # are bit-identical to a batch-of-one call: compression output is
+    # invariant to batch composition (asserted by the serving benchmarks).
     out_spatial = conv_output_shape(x.shape[2:], kernel, stride, padding)
     n = x.shape[0]
     rows = int(np.prod(out_spatial))
     kdim = w.shape[1] * int(np.prod(kernel))
+    ow = out_spatial[-1]
+    grid = out_spatial[:-1] or (1,)
     tv = win.transpose((0,) + tuple(range(2, 2 + nd)) + (1,) + tuple(range(2 + nd, 2 + 2 * nd)))
-    at = np.ascontiguousarray(tv).reshape(n * rows, kdim)
+    tv = tv.reshape((n,) + grid + tv.shape[nd:])  # (N, *grid, ow, C, *k)
     bt = np.asfortranarray(
         w.transpose(tuple(range(1, 2 + nd)) + (0,)).reshape(kdim, w.shape[0])
     )
-    y2 = np.empty((n * rows, w.shape[0]), dtype=np.result_type(at, bt))
+    y2 = np.empty((n * rows, w.shape[0]), dtype=np.result_type(tv, bt))
+    nrows = rows // ow
+    step = min(gemm_chunk_rows(kdim, ow), nrows)
+    chunk = np.empty((step * ow, kdim), dtype=tv.dtype)
     for i in range(n):
-        np.dot(at[i * rows:(i + 1) * rows], bt, out=y2[i * rows:(i + 1) * rows])
+        for r0 in range(0, nrows, step):
+            r1 = min(r0 + step, nrows)
+            at = chunk[:(r1 - r0) * ow]
+            for j0, j1, idx in row_boxes(r0, r1, grid):
+                src = tv[(i,) + idx]
+                np.copyto(at[j0 * ow:j1 * ow].reshape(src.shape), src)
+            lo = i * rows + r0 * ow
+            np.dot(at, bt, out=y2[lo:lo + (r1 - r0) * ow])
     y = y2.reshape((n,) + out_spatial + (w.shape[0],))
     # y: (N, *out, O) -> (N, O, *out)
     y = np.moveaxis(y, -1, 1)

@@ -15,14 +15,20 @@ from repro.core.fast_decode import (
 )
 from repro.core.fast_plan import CompiledStagePlan, stage_kinds
 from repro.nn import Tensor
+from repro.nn.convolution import gemm_chunk_rows
 
 #: (zoo name, raw wedge shape, 2D constructor arguments) — one row per rank
 #: and per BatchNorm / width variant; the wrapper under test is the same.
+#: The last row's GEMM sites span several chunks of the reference
+#: contraction (``repro.nn.convolution.gemm_chunk_rows``), the last chunk
+#: narrower, and its heads' sites include ``reference`` and ``blocked_ref``
+#: ones; the smaller rows are one chunk per site.
 FAMILIES = [
     pytest.param("bcae_2d", (16, 24, 30), dict(m=2, n=2, d=2), id="bcae_2d"),
     pytest.param("bcae_pp", (4, 16, 22), {}, id="bcae_pp"),
     pytest.param("bcae_ht", (4, 16, 22), {}, id="bcae_ht"),
     pytest.param("bcae", (4, 16, 22), {}, id="bcae"),
+    pytest.param("bcae_pp", (4, 48, 112), {}, id="bcae_pp-chunks"),
 ]
 #: 2D depth / upsampling variants on top (``n > d``, ``d = 1``, no
 #: upsampling at all).
@@ -198,6 +204,30 @@ class TestBitIdentity:
         fd = FastDecoder(model)
         for b in (3, 1, 4, 3):
             assert _same(comp, fd, comp.compress(_wedges(b, spatial, seed=b)))
+
+
+class TestChunkedSites:
+    def test_sites_span_oracle_chunks_and_reference_runs_them(self):
+        """The last row of :data:`FAMILIES` has sites spanning several
+        chunks of the reference contraction, the last chunk narrower, and
+        every ``reference`` site (on this host, both heads' last sites)
+        runs on slot 0 exactly the oracle's chunk partition."""
+
+        name, spatial, kwargs = FAMILIES[-1].values
+        comp = BCAECompressor(_model(name, spatial, kwargs))
+        comp.decompress_into(comp.compress_into(_wedges(1, spatial)))
+        plans = [comp._fast_encoder().plan, *comp._fast_decoder().plans.values()]
+        spans = []
+        for plan in plans:
+            for g in plan.plan_stats()["gemms"].values():
+                ow = g["m"] // sum(g["slot_rows"])
+                chunk = min(gemm_chunk_rows(g["K"], ow), g["m"] // ow)
+                spans.append(g["m"] > chunk * ow and g["m"] % (chunk * ow))
+                if g["formulation"] == "reference":
+                    assert (g["threads"], g["rows_per_panel"], g["panels"]) == (
+                        1, chunk, -(-g["m"] // (chunk * ow)))
+        assert any(spans[:len(plans[0].plan_stats()["gemms"])])  # encoder
+        assert any(spans)
 
 
 class TestSigmoidHead:

@@ -23,12 +23,16 @@ FAMILIES = [
     pytest.param("bcae", (4, 16, 22), {}, id="bcae"),
 ]
 #: 2D depth / pooling variants on top (no pooling at all, ``d < m``, an
-#: input that is already a multiple of ``2**d``, the 41 → 48 padding).
+#: input that is already a multiple of ``2**d``, the 41 → 48 padding), and
+#: a geometry whose encoder sites span several chunks of the reference
+#: contraction (``repro.nn.convolution.gemm_chunk_rows``), the last chunk
+#: narrower.
 VARIANTS = FAMILIES + [
     pytest.param("bcae_2d", (16, 24, 32), dict(m=4, n=3, d=3), id="bcae_2d-d3"),
     pytest.param("bcae_2d", (16, 24, 30), dict(m=3, n=2, d=1), id="bcae_2d-d1"),
     pytest.param("bcae_2d", (16, 24, 30), dict(m=1, n=1, d=0), id="bcae_2d-d0"),
     pytest.param("bcae_2d", (16, 48, 41), dict(m=3, n=3, d=3), id="bcae_2d-h41"),
+    pytest.param("bcae_pp", (4, 48, 112), {}, id="bcae_pp-chunks"),
 ]
 
 

@@ -18,6 +18,7 @@ from repro import nn
 from repro.core import BCAECompressor, build_model
 from repro.nn import Tensor
 from repro.nn.amp import quantize_fp16
+from repro.nn.convolution import row_boxes
 
 MID = {
     "bcae_2d": dict(wedge_spatial=(16, 64, 64), m=1, n=2, d=1),
@@ -56,7 +57,7 @@ class TestRowBoxes:
         grid = np.arange(total).reshape(dims)
         for r0 in range(total + 1):
             for r1 in range(r0, total + 1):
-                boxes = fp._row_boxes(r0, r1, dims)
+                boxes = row_boxes(r0, r1, dims)
                 got = np.full(r1 - r0, -1)
                 for j0, j1, idx in boxes:
                     got[j0:j1] = grid[idx].reshape(-1)
@@ -80,7 +81,7 @@ class TestRowBoxes:
             while r0 < rows:
                 r1 = min(rows, r0 + int(rng.integers(1, 7)))
                 v = full.reshape(3, rows, ow)[:, r0:r1]
-                for j0, j1, idx in fp._row_boxes(r0, r1, dims[:-1]):
+                for j0, j1, idx in row_boxes(r0, r1, dims[:-1]):
                     box = fp._crop_box(idx, dims, lo, hi)
                     if box is not None:
                         dest[box[2]] = fp._rows(v, (j0, j1) + box)

@@ -29,6 +29,7 @@ from repro.core.fast_decode import make_fast_decoder
 from repro.core.fast_encode import make_fast_encoder
 from repro.core.model_zoo import MODEL_NAMES
 from repro.nn import Tensor
+from repro.nn.convolution import gemm_chunk_rows
 from repro.nn.norm import BatchNormNd
 from repro.serve import ServiceConfig, StreamingCompressionService
 
@@ -231,17 +232,14 @@ def _record_probe_walks(monkeypatch) -> list[list[tuple[int, int]]]:
     monkeypatch.setattr(fp, "_GEMM_OK", {})
     walks: list = []
 
-    class Recorded(np.ndarray):
-        def __getitem__(self, idx):
-            if isinstance(idx, slice):
-                if idx.start == 0:
-                    walks.append([])
-                walks[-1].append((idx.start, idx.stop))
-            return np.ndarray.__getitem__(self, idx).view(np.ndarray)
+    class Recorded(fp._ProbeProblem):
+        def panel(self, pk, want, c0, c1, ref):
+            if c0 == 0:
+                walks.append([])
+            walks[-1].append((c0, c1))
+            super().panel(pk, want, c0, c1, ref)
 
-    real = fp._probe_problem
-    monkeypatch.setattr(fp, "_probe_problem", lambda *args: (
-        lambda a, b, ref: (a.view(Recorded), b, ref))(*real(*args)))
+    monkeypatch.setattr(fp, "_ProbeProblem", Recorded)
     return walks
 
 
@@ -271,10 +269,12 @@ class TestSelectionChain:
             monkeypatch.setattr(fp, "_PANEL_BYTES",
                                 rows * fp._column_bytes(K, o))
         whole = fp._Partition(ow, rows // ow, (rows // ow,))
+        chunks = fp._Partition(ow, min(gemm_chunk_rows(K, ow), rows // ow),
+                               (rows // ow,))
         candidates = {"blocked": (blocked, False),
                       "blocked_ref": (blocked, True),
                       "transposed": (whole, False),
-                      "reference": (whole, True)}
+                      "reference": (chunks, True)}
         assert len(set(candidates.values())) == 4
         probed = []
 

@@ -94,23 +94,22 @@ class TestStackingProbe:
         monkeypatch.setattr(fp, "_GEMM_OK", {})
         assert fp._gemm_matches(rows, K, o, part, ref)
 
-        class Panels(np.ndarray):
-            """A reference that counts the panel slices taken from it."""
-
-            def __getitem__(self, idx):
-                compared.append(idx)
-                return np.ndarray.__getitem__(self, idx)
-
         compared = []
-        real = fp._probe_problem
 
-        def corrupted(*args):
-            a, b, ref = real(*args)
-            row = 0 if where == "first" else -1
-            ref[row, 0] = np.nextafter(ref[row, 0], np.float32(np.inf))
-            return a, b, ref.view(Panels)
+        class Corrupted(fp._ProbeProblem):
+            """A reference with one flipped bit that counts the panels
+            handed out of it."""
 
-        monkeypatch.setattr(fp, "_probe_problem", corrupted)
+            def _contract(self, a, want):
+                super()._contract(a, want)
+                row = 0 if where == "first" else -1
+                want[row, 0] = np.nextafter(want[row, 0], np.float32(np.inf))
+
+            def panel(self, pk, want, c0, c1, ref):
+                compared.append((c0, c1))
+                super().panel(pk, want, c0, c1, ref)
+
+        monkeypatch.setattr(fp, "_ProbeProblem", Corrupted)
         monkeypatch.setattr(fp, "_GEMM_OK", {})
         assert fp._gemm_matches(rows, K, o, part, ref) is False
         assert len(compared) == (1 if where == "first" else 3)
